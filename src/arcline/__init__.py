@@ -9,10 +9,9 @@ from .clipping import clip_segments_square
 from .compress import (CompressedPolyline, CompressionParams, Primitive,
                        compress, reconstruct)
 from .delaunay import (TriangulationMesh, build_closest, build_convex_ordered,
-                       build_farthest, convex_hull_indices, merge)
+                       build_farthest, convex_hull_indices)
 from .feasibility import (FitIndexArrays, InfeasiblePairList,
-                          build_fit_index_arrays, contains_infeasible,
-                          test_arcs, test_segments)
+                          build_fit_index_arrays, test_arcs, test_segments)
 from .hulltree import HullTree
 from .overlaps import remove_overlaps
 from .pipeline import CompressionResult, archimedean_spiral, compress_polyline

@@ -4,9 +4,9 @@ The optimal annulus center is a vertex of the closest Voronoi diagram, a
 vertex of the farthest one, or an intersection of edges from both.  Vertex
 candidates come straight from the Delaunay duals with exact coordinates.
 Edge-edge crossings are discovered by clipping both diagrams to a square,
-snapping to an integer grid, removing overlaps, and running the exact plane
-sweep; each reported event is then reconstructed exactly as the meeting
-point of two site bisectors, so grid rounding never leaks into the result.
+removing overlaps, and running the plane sweep on the exact rational
+segments; each reported event is then reconstructed exactly as the meeting
+point of two site bisectors.
 
 A least-squares circle fit serves as the fast accept path before the full
 machinery runs.
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import delaunay
 from .clipping import clip_segments_square
@@ -37,7 +37,6 @@ class AnnulusResult:
     center: Tuple[Fraction, Fraction]
     r_inner_sq: Fraction
     r_outer_sq: Fraction
-    min_arc_angle: float  # the clip angle the search was valid for
 
     @property
     def width(self) -> float:
@@ -94,17 +93,6 @@ def _voronoi_segments(diag: VoronoiDiagram, center, half_side: int) -> List[Inde
     return out
 
 
-def grid_segments(segments: Iterable[IndexedSegment], scale: int) -> List[IndexedSegment]:
-    """Snap segments to an integer grid (scale subunits per input unit)."""
-    out = []
-    for s in segments:
-        p0 = (round(s.p0[0] * scale), round(s.p0[1] * scale))
-        p1 = (round(s.p1[0] * scale), round(s.p1[1] * scale))
-        if p0 != p1:
-            out.append(IndexedSegment(p0, p1, s.closest, s.farthest))
-    return out
-
-
 def _pairs(indices) -> List[Tuple[int, int]]:
     return list(combinations(sorted(indices), 2))
 
@@ -122,13 +110,12 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     upts = list(dict.fromkeys(tuple(p) for p in points))
     if len(upts) < 2:
         raise ValueError("degenerate point set")
-    alpha = clip.min_arc_angle if clip is not None else DEFAULT_MIN_ARC_ANGLE
 
     if len(upts) == 2:
         p, q = upts
         center = (Fraction(p[0] + q[0], 2), Fraction(p[1] + q[1], 2))
         r_sq = dist_sq(center, p)
-        return AnnulusResult(center, r_sq, r_sq, alpha)
+        return AnnulusResult(center, r_sq, r_sq)
 
     xs = [p[0] for p in upts]
     ys = [p[1] for p in upts]
@@ -136,7 +123,7 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     cy = (min(ys) + max(ys)) // 2
     if clip is None:
         r = math.hypot(max(xs) - min(xs), max(ys) - min(ys)) / 2 + 1
-        clip = ClipConfig(alpha, r)
+        clip = ClipConfig(DEFAULT_MIN_ARC_ANGLE, r)
     half_side = int(math.ceil(clip.clip_radius)) + 2
 
     def in_square(pt) -> bool:
@@ -173,7 +160,7 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
         candidates = {(Fraction(cx), Fraction(cy))}
 
     center, r_out, r_in = _best_candidate(sorted(candidates), upts)
-    return AnnulusResult(center, r_in, r_out, alpha)
+    return AnnulusResult(center, r_in, r_out)
 
 
 def _radii_sq(c, upts) -> Tuple[Fraction, Fraction]:

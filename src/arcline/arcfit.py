@@ -177,7 +177,7 @@ def _approx_sse(points, center, radius) -> float:
     return total
 
 
-def fit_arc_least_squares(points: Sequence, a=None, b=None, polish: bool = True,
+def fit_arc_least_squares(points: Sequence, polish: bool = True,
                           with_sse: bool = True) -> FittedArc:
     """Least-squares arc through the first and last point.
 
@@ -186,12 +186,9 @@ def fit_arc_least_squares(points: Sequence, a=None, b=None, polish: bool = True,
     true geometric residual.  Collinear input degenerates to a segment-like
     arc.
     """
-    if a is None:
-        a = points[0]
-    if b is None:
-        b = points[-1]
     if len(points) < 3:
         raise ValueError("need at least 3 points")
+    a, b = points[0], points[-1]
     mid, u, length = _chord_frame(a, b)
     half_sq = (length / 2) ** 2
     ux, uy = u
@@ -250,7 +247,7 @@ def fit_arc_least_squares(points: Sequence, a=None, b=None, polish: bool = True,
     return _build_arc(a, b, best_s, points, with_sse)
 
 
-def fit_arc_by_tolerance(points: Sequence, a=None, b=None, tol: float = 0.0,
+def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
                          seed_arc: Optional[FittedArc] = None) -> Optional[FittedArc]:
     """Arc through the endpoints with every point within tol, or None.
 
@@ -258,15 +255,12 @@ def fit_arc_by_tolerance(points: Sequence, a=None, b=None, tol: float = 0.0,
     it); on failure intersects the per-point tolerance intervals on the
     bisector and evaluates their endpoints by approximate squared deviation.
     """
-    if a is None:
-        a = points[0]
-    if b is None:
-        b = points[-1]
     if len(points) < 4:
         raise ValueError("need at least 4 points")
+    a, b = points[0], points[-1]
     ls = seed_arc
     if ls is None:
-        ls = fit_arc_least_squares(points, a, b, polish=False, with_sse=False)
+        ls = fit_arc_least_squares(points, polish=False, with_sse=False)
         if arc_within_tolerance(ls, points, tol, check_span=False):
             return with_sse(ls, points)
     # intersect per-point interval sets, most constraining points first, so

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import delaunay
 from .annulus import min_width_annulus
+from .compress import CompressionParams
 from .document import (ResultDocument, fmt, read_polyline_file, render,
                        write_polyline_file)
 from .pipeline import choose_scale, compress_polyline, quantize_points
@@ -37,21 +38,16 @@ def cmd_compress(args) -> int:
         points, file_scale = read_polyline_file(args.input)
     except (OSError, ValueError) as e:
         return _fail(EXIT_BAD_INPUT, str(e))
-    if args.tolerance <= 0:
-        return _fail(EXIT_BAD_PARAMS, "tolerance must be positive")
-    if args.penalty_segment <= 0 or args.penalty_arc <= 0:
-        return _fail(EXIT_BAD_PARAMS, "penalties must be positive")
+    params = dict(penalty_segment=args.penalty_segment, penalty_arc=args.penalty_arc,
+                  min_arc_points=args.min_arc_points, max_arc_points=args.max_arc_points,
+                  mode=args.mode)
+    try:
+        CompressionParams(tolerance=args.tolerance, **params)
+    except ValueError as e:
+        return _fail(EXIT_BAD_PARAMS, str(e))
     t0 = time.perf_counter()
-    result = compress_polyline(
-        points,
-        args.tolerance,
-        scale=float(file_scale) if file_scale else None,
-        penalty_segment=args.penalty_segment,
-        penalty_arc=args.penalty_arc,
-        min_arc_points=args.min_arc_points,
-        max_arc_points=args.max_arc_points,
-        mode=args.mode,
-    )
+    result = compress_polyline(points, args.tolerance,
+                               scale=float(file_scale) if file_scale else None, **params)
     elapsed = time.perf_counter() - t0
 
     doc = ResultDocument()
@@ -144,12 +140,9 @@ def cmd_gen_hull(args) -> int:
 def cmd_bench(args) -> int:
     if any(n < 3 for n in args.n):
         return _fail(EXIT_BAD_PARAMS, "need n >= 3")
-    threads = args.threads or int(os.environ.get("ARC_THREADS", "1"))
-    if threads < 1:
-        return _fail(EXIT_BAD_PARAMS, "threads must be >= 1")
     import random as _random
 
-    print(f"algo={args.algo} gen={args.gen} threads={threads} repeat={args.repeat}")
+    print(f"algo={args.algo} gen={args.gen} repeat={args.repeat}")
     print(f"{'n':>10} {'seconds':>12}")
     prev = None
     for n in args.n:
@@ -210,7 +203,6 @@ def main(argv=None) -> int:
     b.add_argument("--algo", choices=["closest", "farthest", "convex-ordered"], default="closest")
     b.add_argument("--gen", choices=["uniform", "walk", "directions", "fdt"], default="uniform")
     b.add_argument("--n", type=int, action="append", required=True)
-    b.add_argument("--threads", type=int, default=None)
     b.add_argument("--repeat", type=int, default=1)
     b.set_defaults(func=cmd_bench)
 

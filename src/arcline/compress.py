@@ -19,10 +19,6 @@ from typing import List, Optional, Sequence, Tuple
 from .arcfit import (FittedArc, _intersect_interval_sets, arc_within_tolerance,
                      densify, direction_and_endpoint_check, fit_arc_by_tolerance,
                      fit_arc_least_squares, tolerance_intervals_point)
-
-
-def _intersect_intervals(a, b):
-    return _intersect_interval_sets([a, b])
 from .feasibility import build_fit_index_arrays, test_arcs, test_segments
 from .hulltree import HullTree
 from .sortedrange import MergeTree
@@ -44,12 +40,16 @@ class CompressionParams:
     pruned: bool = True  # False disables the feasibility tables (testing)
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.penalty_segment <= 0 or self.penalty_arc <= 0:
             raise ValueError("penalties must be positive")
         if self.mode not in ("vertices", "segments"):
             raise ValueError("unknown mode")
+        if self.min_arc_points < 4:
+            raise ValueError("min_arc_points must be at least 4")
+        if self.max_arc_points < 0 or 0 < self.max_arc_points < self.min_arc_points:
+            raise ValueError("max_arc_points must be 0 or at least min_arc_points")
 
 
 @dataclass
@@ -57,6 +57,8 @@ class Primitive:
     kind: str  # "segment" | "arc"
     start_idx: int
     end_idx: int
+    start: Tuple[float, float]  # the vertex at start_idx
+    end: Tuple[float, float]  # the vertex at end_idx
     center: Optional[Tuple[float, float]] = None
     radius: Optional[float] = None
     orientation: Optional[str] = None
@@ -200,7 +202,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
         back.append(best_back)
         mtree.append(best)
 
-    prims = reconstruct(back, n)
+    prims = reconstruct(back, pts)
     return CompressedPolyline(prims, T[n - 1], pts,
                               stats={"segment_evaluations": seg_evals,
                                      "arc_evaluations": arc_evals})
@@ -214,7 +216,9 @@ def _evaluate_arc(pts, kp, k, tol, slack, tree: Optional[HullTree] = None) -> Op
     the bisector do not intersect, no arc through the endpoints exists.
     """
     a, b = pts[kp], pts[k]
-    if tree is not None and k - kp > 24 and a != b:
+    if a == b:
+        return None  # an arc needs two distinct anchors
+    if tree is not None and k - kp > 24:
         dx = b[0] - a[0]
         dy = b[1] - a[1]
         cover = tree.query_cover(kp, k)
@@ -225,7 +229,7 @@ def _evaluate_arc(pts, kp, k, tol, slack, tree: Optional[HullTree] = None) -> Op
                 p = hull.extreme(nx, ny)
                 if best is None or nx * p[0] + ny * p[1] > nx * best[0] + ny * best[1]:
                     best = p
-            feas = _intersect_intervals(feas, tolerance_intervals_point(a, b, best, tol))
+            feas = _intersect_interval_sets([feas, tolerance_intervals_point(a, b, best, tol)])
             if not feas:
                 return None
     chunk = pts[kp:k + 1]
@@ -251,19 +255,20 @@ def _data_radius(pts) -> float:
     return math.hypot(max(xs) - min(xs), max(ys) - min(ys)) / 2 + 1
 
 
-def reconstruct(back, n: int) -> List[Primitive]:
-    """Primitive chain from the stored predecessor of each index."""
+def reconstruct(back, pts) -> List[Primitive]:
+    """Primitive chain from the stored predecessor of each index of pts."""
     prims: List[Primitive] = []
-    k = n - 1
+    k = len(pts) - 1
     while k > 0:
         entry = back[k]
         if entry is None:
             raise RuntimeError("internal: dangling back pointer")
         kp, kind, arc = entry
         if kind == "segment":
-            prims.append(Primitive("segment", kp, k))
+            prims.append(Primitive("segment", kp, k, pts[kp], pts[k]))
         else:
-            prims.append(Primitive("arc", kp, k, arc.center, arc.radius, arc.orientation))
+            prims.append(Primitive("arc", kp, k, pts[kp], pts[k],
+                                   arc.center, arc.radius, arc.orientation))
         k = kp
     prims.reverse()
     return prims

@@ -65,7 +65,6 @@ class TriangulationMesh:
     store: QuadEdgeStore
     outer_edge: Optional[int]  # hull edge with the outer face on its left
     hull: List[int] = field(default_factory=list)  # hull cycle vertex ids
-    ghost_edges: List[int] = field(default_factory=list)
     cocircular_ties: int = 0
 
     @property
@@ -291,8 +290,7 @@ def _build_recursive(store, pts, by_a, by_b, in_circle, state) -> int:
 def _attach_infinite(mesh: TriangulationMesh) -> None:
     store = mesh.store
     if mesh.outer_edge is None:  # single vertex
-        g = store.make_edge(mesh.site_indices[0], INFINITE)
-        mesh.ghost_edges = [g]
+        store.make_edge(mesh.site_indices[0], INFINITE)
         mesh.hull = [mesh.site_indices[0]]
         return
     cyc = store.face_cycle(mesh.outer_edge)
@@ -304,13 +302,6 @@ def _attach_infinite(mesh: TriangulationMesh) -> None:
         ghosts.append(g)
     for i in range(1, len(ghosts)):
         store.splice(sym(ghosts[i]), sym(ghosts[i - 1]))
-    mesh.ghost_edges = ghosts
-
-
-def _detach_infinite(mesh: TriangulationMesh) -> None:
-    for g in mesh.ghost_edges:
-        mesh.store.delete_edge(g)
-    mesh.ghost_edges = []
 
 
 def _build(points, kind: str, site_indices: List[int]) -> TriangulationMesh:
@@ -395,123 +386,3 @@ def build_convex_ordered(hull_points: Sequence[Tuple[int, int]], kind: str = "cl
     mesh = TriangulationMesh(pts, kind, list(range(n)), store, outer, cocircular_ties=state.ties)
     _attach_infinite(mesh)
     return mesh
-
-
-def merge(left: TriangulationMesh, right: TriangulationMesh) -> TriangulationMesh:
-    """Merge two meshes over linearly separated point sets into one mesh."""
-    if left.kind != right.kind:
-        raise ValueError("cannot merge meshes of different kinds")
-    kind = left.kind
-    pred = 1 if kind == "closest" else -1
-    offset = len(left.points)
-    pts = list(left.points) + list(right.points)
-
-    def copy_into(store: QuadEdgeStore, src: QuadEdgeStore, eoff: int, voff: int):
-        store.onext.extend(v + eoff for v in src.onext)
-        store.org.extend(v if v < 0 else v + voff for v in src.org)
-        store.alive.extend(src.alive)
-
-    store = QuadEdgeStore()
-    copy_into(store, left.store, 0, 0)
-    eoff = len(store.onext)
-    copy_into(store, right.store, eoff, offset)
-
-    lmesh = TriangulationMesh(pts, kind, list(left.site_indices),
-                              store, left.outer_edge,
-                              ghost_edges=list(left.ghost_edges))
-    rmesh = TriangulationMesh(pts, kind, [i + offset for i in right.site_indices],
-                              store,
-                              None if right.outer_edge is None else right.outer_edge + eoff,
-                              ghost_edges=[g + eoff for g in right.ghost_edges])
-    _detach_infinite(lmesh)
-    _detach_infinite(rmesh)
-
-    def bounds(m, key):
-        ks = [key(pts[i]) for i in m.site_indices]
-        return min(ks), max(ks)
-
-    sep_key = None
-    for key in (_key_x, _key_y):
-        la, lb = bounds(lmesh, key)
-        ra, rb = bounds(rmesh, key)
-        if lb < ra:
-            sep_key, low, high = key, lmesh, rmesh
-            break
-        if rb < la:
-            sep_key, low, high = key, rmesh, lmesh
-            break
-    if sep_key is None:
-        raise ValueError("meshes are not linearly separated")
-
-    state = _MergeState()
-    in_circle = _in_circle_fn(pts, pred)
-
-    def vkey(v):
-        return sep_key(pts[v])
-
-    if low.outer_edge is None and high.outer_edge is None:
-        outer = store.make_edge(low.site_indices[0], high.site_indices[0])
-    elif low.outer_edge is None:
-        outer = _merge_point(store, pts, in_circle, low.site_indices[0], high, vkey, state, point_is_low=True)
-    elif high.outer_edge is None:
-        outer = _merge_point(store, pts, in_circle, high.site_indices[0], low, vkey, state, point_is_low=False)
-    else:
-        outer = _merge_by_walk(store, pts, in_circle, low.outer_edge, high.outer_edge, vkey, state)
-
-    result = TriangulationMesh(pts, kind,
-                               sorted(lmesh.site_indices) + sorted(rmesh.site_indices),
-                               store, outer,
-                               cocircular_ties=left.cocircular_ties + right.cocircular_ties + state.ties)
-    _attach_infinite(result)
-    return result
-
-
-def _merge_point(store, pts, in_circle, v: int, other: TriangulationMesh,
-                 vkey, state: _MergeState, point_is_low: bool) -> int:
-    """Merge a single vertex v with a full mesh using explicit tangents."""
-    cyc = store.face_cycle(other.outer_edge)
-    orgs = [store.org[e] for e in cyc]
-    uniq = list(dict.fromkeys(orgs))
-
-    if all(orientation(pts[v], pts[uniq[0]], pts[u]) == 0 for u in uniq[1:]):
-        # v lies on the line of a collinear mesh: connect to the near extreme
-        near = min(uniq, key=vkey) if point_is_low else max(uniq, key=vkey)
-        i = orgs.index(near)
-        base = store.make_edge(near, v)
-        store.splice(base, cyc[i])
-        return base
-
-    def angular_extremes():
-        # strict separation puts the hull in an open half-plane around v,
-        # so orientation about v is a total angular order; collinear ties
-        # resolve to the nearer vertex (the true tangent touch point)
-        def better(u, w, side):
-            o = orientation(pts[v], pts[u], pts[w])
-            if o != 0:
-                return (o > 0) if side else (o < 0)
-            du = (pts[u][0] - pts[v][0]) ** 2 + (pts[u][1] - pts[v][1]) ** 2
-            dw = (pts[w][0] - pts[v][0]) ** 2 + (pts[w][1] - pts[v][1]) ** 2
-            return du < dw
-
-        lo = hi = uniq[0]
-        for u in uniq[1:]:
-            if better(u, lo, True):
-                lo = u
-            if better(u, hi, False):
-                hi = u
-        return lo, hi
-
-    t1, t2 = angular_extremes()
-    if point_is_low:
-        # v plays the left role: base goes from a mesh vertex to v
-        t_start, t_end = (t1, t2) if orientation(pts[t2], pts[v], pts[t1]) > 0 else (t2, t1)
-        i = orgs.index(t_start)
-        base = store.make_edge(t_start, v)
-        store.splice(base, cyc[i])
-        return _merge_rise(store, pts, in_circle, base, v, t_end, state)
-    # v plays the right role: base goes from v to a mesh vertex
-    t_start, t_end = (t1, t2) if orientation(pts[t2], pts[t1], pts[v]) > 0 else (t2, t1)
-    i = orgs.index(t_start)
-    base = store.make_edge(v, t_start)
-    store.splice(sym(base), cyc[i])
-    return _merge_rise(store, pts, in_circle, base, t_end, v, state)

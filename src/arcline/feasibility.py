@@ -4,7 +4,7 @@ possibly cover within tolerance.
 Windows [i*, i* + 4*2^q - 1] are tested at every scale q; a failed window
 forbids every range containing it, because a range that cannot be covered
 poisons all its supersets.  The result is a sorted list of minimal failed
-pairs, turned into per-index first/last feasible bounds that the dynamic
+pairs, turned into the per-index earliest feasible start that the dynamic
 program uses to prune its candidate scans.
 """
 
@@ -58,14 +58,12 @@ class InfeasiblePairList:
 @dataclass
 class FitIndexArrays:
     first: List[int]  # per end index: earliest start that may be feasible
-    last: List[int]  # per start index: latest end that may be feasible
 
 
 def build_fit_index_arrays(pairs: InfeasiblePairList, n: Optional[int] = None) -> FitIndexArrays:
     """Linear-time expansion of the pair list into per-index bounds.
 
     first[j] = a[(smallest q with j < b[q]) - 1] + 1
-    last[i]  = b[smallest q with i <= a[q]] - 1
     """
     if n is None:
         n = pairs.n
@@ -76,13 +74,7 @@ def build_fit_index_arrays(pairs: InfeasiblePairList, n: Optional[int] = None) -
         while b[q] <= j:
             q += 1
         first[j] = a[q - 1] + 1
-    last = [0] * n
-    q = 0
-    for i in range(n):
-        while a[q] < i:
-            q += 1
-        last[i] = b[q] - 1
-    return FitIndexArrays(first, last)
+    return FitIndexArrays(first)
 
 
 def _dyadic_scan(n: int, window_feasible: Callable[[int, int], bool]) -> List[Tuple[int, int]]:
@@ -139,6 +131,3 @@ def test_segments(polyline: Sequence[Tuple[int, int]], tol,
     pairs = InfeasiblePairList.from_pairs(_dyadic_scan(n, feasible), n)
     return pairs, build_fit_index_arrays(pairs, n)
 
-
-def contains_infeasible(pairs: InfeasiblePairList, i: int, j: int) -> bool:
-    return pairs.contains_infeasible(i, j)

@@ -84,18 +84,12 @@ class RangeHull:
 
 
 class HullTree:
-    def __init__(self, points: Sequence[Tuple[int, int]], lazy: bool = True):
+    def __init__(self, points: Sequence[Tuple[int, int]]):
         if not points:
             raise ValueError("no points")
         self.points = [tuple(p) for p in points]
         self.n = len(points)
         self._cache: Dict[Tuple[int, int], RangeHull] = {}
-        if not lazy:
-            q = 0
-            while (1 << q) <= self.n:
-                for k in range(self.n >> q):
-                    self._block(q, k)
-                q += 1
 
     def _block(self, q: int, k: int) -> RangeHull:
         key = (q, k)

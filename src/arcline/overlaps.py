@@ -1,36 +1,22 @@
 """Overlap removal for collinear segments under the XOR rule.
 
-Segments are grouped by the line they lie on, then endpoints act as parity
-toggles for their index sets along that line: the output is one segment per
-maximal interval with a nonempty accumulated set.  Indices occurring an even
-number of times cancel, which keeps cell boundaries meaningful even when
-rounded Voronoi cells self-intersect or overlap.
-
-Integer segments are grouped the fast way: direction vector divided by its
-gcd and sign-normalized, plus the (constant) cross product with an endpoint.
-Rational endpoints fall back to exact slope/intercept keys.
+Segments are grouped by the line they lie on, keyed exactly by its slope
+and intercept as fractions (by the abscissa for a vertical line).  Within a
+group, endpoints act as parity toggles for their index sets along that line:
+the output is one segment per maximal interval with a nonempty accumulated
+set.  Indices occurring an even number of times cancel, which keeps cell
+boundaries meaningful even when Voronoi cells overlap.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 from .segments import IndexedSegment
 
 
-def _line_key_int(s: IndexedSegment):
-    dx = s.p1[0] - s.p0[0]
-    dy = s.p1[1] - s.p0[1]
-    g = gcd(abs(dx), abs(dy))
-    vx, vy = dx // g, dy // g
-    if vx < 0 or (vx == 0 and vy < 0):
-        vx, vy = -vx, -vy
-    return (vx, vy, vx * s.p0[1] - vy * s.p0[0])
-
-
-def _line_key_exact(s: IndexedSegment):
+def _line_key(s: IndexedSegment):
     dx = s.p1[0] - s.p0[0]
     dy = s.p1[1] - s.p0[1]
     if dx == 0:
@@ -41,17 +27,11 @@ def _line_key_exact(s: IndexedSegment):
 
 
 def remove_overlaps(segments: Sequence[IndexedSegment]) -> List[IndexedSegment]:
-    segs = [s for s in segments if s.p0 != s.p1]
-    exact = any(
-        not (isinstance(s.p0[0], int) and isinstance(s.p0[1], int)
-             and isinstance(s.p1[0], int) and isinstance(s.p1[1], int))
-        for s in segs
-    )
-    key_fn = _line_key_exact if exact else _line_key_int
-
     groups: Dict[Tuple, Dict] = {}
-    for s in segs:
-        events = groups.setdefault(key_fn(s), {})
+    for s in segments:
+        if s.p0 == s.p1:
+            continue
+        events = groups.setdefault(_line_key(s), {})
         for p in (s.p0, s.p1):
             cur = events.get(p)
             if cur is None:

@@ -12,15 +12,15 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .compress import CompressedPolyline, CompressionParams, compress
+from .compress import CompressedPolyline, CompressionParams, Primitive, compress
 
 TOLERANCE_GRID_UNITS = 1024
 
 
 def choose_scale(tolerance: float) -> float:
     """Smallest power of two with tolerance * scale >= 1024."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     return 2.0 ** math.ceil(math.log2(TOLERANCE_GRID_UNITS / tolerance))
 
 
@@ -29,20 +29,8 @@ def quantize_points(points: Sequence[Tuple[float, float]], scale: float) -> List
 
 
 @dataclass
-class FloatPrimitive:
-    kind: str
-    start_idx: int
-    end_idx: int
-    start: Tuple[float, float]
-    end: Tuple[float, float]
-    center: Optional[Tuple[float, float]] = None
-    radius: Optional[float] = None
-    orientation: Optional[str] = None
-
-
-@dataclass
 class CompressionResult:
-    primitives: List[FloatPrimitive]
+    primitives: List[Primitive]  # coordinates in input units
     t_count: int
     t_sse: float  # in input units squared
     scale: float
@@ -54,6 +42,8 @@ def compress_polyline(points: Sequence[Tuple[float, float]], tolerance: float,
                       scale: Optional[float] = None, **params) -> CompressionResult:
     if not points:
         raise ValueError("empty polyline")
+    if not all(math.isfinite(c) for p in points for c in p):
+        raise ValueError("non-finite coordinate")
     if scale is None:
         scale = choose_scale(tolerance)
     grid_pts = quantize_points(points, scale)
@@ -61,18 +51,14 @@ def compress_polyline(points: Sequence[Tuple[float, float]], tolerance: float,
     result = compress(grid_pts, cp)
     prims = []
     for p in result.primitives:
-        fp = FloatPrimitive(
-            kind=p.kind,
-            start_idx=p.start_idx,
-            end_idx=p.end_idx,
-            start=tuple(c / scale for c in result.points[p.start_idx]),
-            end=tuple(c / scale for c in result.points[p.end_idx]),
-        )
+        prim = Primitive(p.kind, p.start_idx, p.end_idx,
+                         (p.start[0] / scale, p.start[1] / scale),
+                         (p.end[0] / scale, p.end[1] / scale))
         if p.kind == "arc":
-            fp.center = (p.center[0] / scale, p.center[1] / scale)
-            fp.radius = p.radius / scale
-            fp.orientation = p.orientation
-        prims.append(fp)
+            prim.center = (p.center[0] / scale, p.center[1] / scale)
+            prim.radius = p.radius / scale
+            prim.orientation = p.orientation
+        prims.append(prim)
     return CompressionResult(
         primitives=prims,
         t_count=result.total[0],

@@ -21,13 +21,6 @@ class IndexedSegment:
     closest: FrozenSet[int] = frozenset()
     farthest: FrozenSet[int] = frozenset()
 
-    def indices(self) -> FrozenSet[Tuple[str, int]]:
-        return frozenset(("c", i) for i in self.closest) | frozenset(("f", i) for i in self.farthest)
-
-    @property
-    def is_closing(self) -> bool:
-        return len(self.closest) + len(self.farthest) == 1
-
     def with_endpoints(self, p0, p1) -> "IndexedSegment":
         return IndexedSegment(p0, p1, self.closest, self.farthest)
 

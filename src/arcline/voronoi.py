@@ -59,10 +59,9 @@ class VoronoiDiagram:
     vertex_triangles: List[Tuple[int, int, int]]
     edges: List[VoronoiEdge]
     cells: Dict[int, List[int]] = field(default_factory=dict)
-    clip_radius: Optional[float] = None
 
 
-def voronoi_from_delaunay(mesh: TriangulationMesh, clip: Optional[ClipConfig] = None) -> VoronoiDiagram:
+def voronoi_from_delaunay(mesh: TriangulationMesh) -> VoronoiDiagram:
     store = mesh.store
     pts = mesh.points
 
@@ -128,5 +127,4 @@ def voronoi_from_delaunay(mesh: TriangulationMesh, clip: Optional[ClipConfig] = 
         vertex_triangles=vertex_tris,
         edges=edges,
         cells=cells,
-        clip_radius=None if clip is None else clip.clip_radius,
     )

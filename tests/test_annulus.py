@@ -6,10 +6,9 @@ from itertools import combinations
 import pytest
 
 from arcline.annulus import (_bisector_intersection, arc_exists_within_tolerance,
-                             grid_segments, min_width_annulus)
+                             min_width_annulus)
 from arcline.predicates import dist_sq
 from arcline.radicals import width_compare, width_leq
-from arcline.segments import seg
 from arcline.voronoi import ClipConfig
 
 
@@ -131,11 +130,6 @@ def test_clip_restricts_far_centers():
     wide = ClipConfig(math.radians(0.01), 3000)
     assert arc_exists_within_tolerance(pts, 5, wide) is True
     assert arc_exists_within_tolerance(pts, 5, tight) is False
-
-
-def test_grid_segments():
-    out = grid_segments([seg((Fraction(1, 3), Fraction(2, 3)), (Fraction(5, 2), 4), closest={1})], 6)
-    assert out[0].p0 == (2, 4) and out[0].p1 == (15, 24)
 
 
 def test_adversarial_near_cocircular_clusters():

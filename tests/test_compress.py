@@ -171,6 +171,34 @@ def test_params_validation():
         CompressionParams(tolerance=1, penalty_segment=0)
     with pytest.raises(ValueError):
         CompressionParams(tolerance=1, mode="nope")
+    with pytest.raises(ValueError):
+        CompressionParams(tolerance=1, min_arc_points=3)
+    with pytest.raises(ValueError):
+        CompressionParams(tolerance=1, min_arc_points=8, max_arc_points=5)
+    CompressionParams(tolerance=1, min_arc_points=8, max_arc_points=0)  # 0 = unlimited
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinate_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        compress_polyline([(0.0, 0.0), (1.0, bad), (2.0, 0.0)], 0.1)
+
+
+def test_closed_polylines_match_reference():
+    # a polyline that returns to an earlier vertex: an arc never starts and
+    # ends on the same vertex, and the result is still the optimum
+    square = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
+    rng = random.Random(114)
+    circle = [(math.cos(2 * math.pi * k / 24) + rng.gauss(0, 0.002),
+               math.sin(2 * math.pi * k / 24) + rng.gauss(0, 0.002)) for k in range(24)]
+    circle.append(circle[0])
+    for pts, tol in ((square, 0.1), (circle, 0.01)):
+        res = compress_polyline(pts, tol)
+        want_total, want_count, _ = reference_compress(res.grid.points, tol * res.scale)
+        assert res.t_count == want_total[0] and len(res.primitives) == want_count
+        assert abs(res.grid.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
+        assert res.primitives[-1].end == res.primitives[0].start
+        assert all(p.start != p.end for p in res.primitives if p.kind == "arc")
 
 
 def test_arc_accepted_via_tolerance_fallback_in_dp():

@@ -6,7 +6,7 @@ import pytest
 
 from arcline import delaunay
 from arcline.delaunay import (INFINITE, build_closest, build_convex_ordered,
-                              build_farthest, convex_hull_indices, merge)
+                              build_farthest, convex_hull_indices)
 from arcline.predicates import circumcircle, dist_sq, incircle, invert_point
 from arcline.quadedge import sym
 
@@ -153,53 +153,38 @@ def test_convex_ordered_rejects_non_convex():
         build_convex_ordered([(0, 0), (1, 0), (2, 0)])
 
 
-def test_merge_two_single_points():
-    a = build_closest([(0, 0)])
-    b = build_closest([(5, 5)])
-    m = merge(a, b)
-    assert m.edge_count() == 3
-    assert len(m.finite_edges()) == 1
-
-
 def test_merge_collinear_submeshes():
-    a = build_closest([(0, 0), (1, 0), (2, 0)])
-    b = build_closest([(5, 0), (6, 0)])
-    m = merge(a, b)
+    # the top-level split puts (0,0), (1,0) left of (2,0), (5,0), (6,0)
+    m = build_closest([(0, 0), (1, 0), (2, 0), (5, 0), (6, 0)])
     check_structure(m)
     assert m.triangles() == []
     assert len(m.finite_edges()) == 4
 
 
 def test_merge_random():
+    # two random clusters separated by a gap in x, unlike the uniform draws above
     random.seed(14)
     for _ in range(40):
         nl = random.randint(1, 14)
         nr = random.randint(1, 14)
         lp = list({(random.randint(0, 20), random.randint(0, 40)) for _ in range(nl)})
         rp = list({(random.randint(30, 50), random.randint(0, 40)) for _ in range(nr)})
-        m = merge(build_closest(lp), build_closest(rp))
+        m = build_closest(lp + rp)
         check_structure(m)
         check_circle_property(m)
 
 
-def test_merge_requires_separation():
-    a = build_closest([(0, 0), (10, 10)])
-    b = build_closest([(5, 5), (6, 20)])
-    with pytest.raises(ValueError):
-        merge(a, b)
-
-
 def test_merge_case_b_candidate_rejected_by_sign():
-    # Fig-1-case-b style: the left mesh has an edge whose far endpoint sits
+    # Fig-1-case-b style: the left half has an edge whose far endpoint sits
     # below the merge base; the determinant-only candidate rule must leave
     # it in place and the merge must still satisfy the empty-circle check.
+    # The top-level split falls between the two halves.
     left = [(-6, 0), (-4, -6), (-2, -1)]
     right = [(2, -1), (4, -6), (6, 0)]
-    m = merge(build_closest(left), build_closest(right))
+    m = build_closest(left + right)
     check_structure(m)
     check_circle_property(m)
     finite = {tuple(sorted((m.points[a], m.points[b]))) for a, b in m.finite_edges()}
-    assert (( -6, 0), (-4, -6)) in {tuple(sorted(e)) for e in finite} or True
     assert tuple(sorted(((-6, 0), (-4, -6)))) in finite
 
 

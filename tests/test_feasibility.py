@@ -3,7 +3,7 @@ import random
 
 from arcline.annulus import arc_exists_within_tolerance
 from arcline.feasibility import (InfeasiblePairList, _dyadic_scan,
-                                 build_fit_index_arrays, contains_infeasible)
+                                 build_fit_index_arrays)
 from arcline.feasibility import test_arcs as scan_arcs
 from arcline.feasibility import test_segments as scan_segments
 from arcline.hulltree import HullTree
@@ -12,8 +12,6 @@ PAPER_PAIRS = [(10, 17), (12, 19), (14, 21), (26, 33), (28, 35), (30, 37),
                (42, 49), (44, 51), (46, 53)]
 PAPER_FIRST = ([0] * 17 + [11, 11, 13, 13] + [15] * 12 + [27, 27, 29, 29]
                + [31] * 12 + [43, 43, 45, 45] + [47] * 12)
-PAPER_LAST = ([16] * 11 + [18, 18, 20, 20] + [32] * 12 + [34, 34, 36, 36]
-              + [48] * 12 + [50, 50, 52, 52] + [64] * 18)
 
 
 def test_sentinel_arrays():
@@ -27,18 +25,16 @@ def test_paper_fixture_index_arrays():
     pl = InfeasiblePairList.from_pairs(PAPER_PAIRS, 65)
     arrs = build_fit_index_arrays(pl)
     assert arrs.first == PAPER_FIRST
-    assert arrs.last == PAPER_LAST
     assert arrs.first[17] == 11 and arrs.first[19] == 13
     assert arrs.first[16] == 0 and arrs.first[33] == 27
-    assert arrs.last[0] == 16 and arrs.last[11] == 18 and arrs.last[15] == 32
 
 
 def test_contains_infeasible_fixture():
     pl = InfeasiblePairList.from_pairs(PAPER_PAIRS, 65)
-    assert contains_infeasible(pl, 10, 17)
-    assert not contains_infeasible(pl, 0, 16)
-    assert contains_infeasible(pl, 9, 20)
-    assert not contains_infeasible(pl, 11, 17)
+    assert pl.contains_infeasible(10, 17)
+    assert not pl.contains_infeasible(0, 16)
+    assert pl.contains_infeasible(9, 20)
+    assert not pl.contains_infeasible(11, 17)
 
 
 def test_contains_infeasible_brute_force():
@@ -65,7 +61,6 @@ def test_empty_pair_list_trivial_bounds():
     pl = InfeasiblePairList.from_pairs([], 12)
     arrs = build_fit_index_arrays(pl)
     assert arrs.first == [0] * 12
-    assert arrs.last == [11] * 12
 
 
 def test_circle_polyline_no_infeasible_pairs():

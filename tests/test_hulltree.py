@@ -35,24 +35,14 @@ def test_stored_hulls_match_direct_hulls():
     for _ in range(60):
         n = random.randint(1, 64)
         pts = [(random.randint(0, 30), random.randint(0, 30)) for _ in range(n)]
-        t = HullTree(pts, lazy=False)
-        for (q, k), hull in t._cache.items():
-            rng = pts[hull.lo:hull.hi + 1]
-            assert set(hull.vertices()) == {rng[i] for i in convex_hull_indices(rng)}
-
-
-def test_lazy_equals_eager():
-    random.seed(82)
-    pts = [(random.randint(0, 99), random.randint(0, 99)) for _ in range(37)]
-    lazy = HullTree(pts, lazy=True)
-    eager = HullTree(pts, lazy=False)
-    for _ in range(100):
-        i = random.randint(0, 36)
-        j = random.randint(i, 36)
-        a, b = pts[i], pts[j]
-        tol = random.choice([0, 2, 7])
-        assert lazy.segment_within_tolerance(i, j, a, b, tol) == \
-            eager.segment_within_tolerance(i, j, a, b, tol)
+        t = HullTree(pts)
+        q = 0
+        while (1 << q) <= n:
+            for k in range(n >> q):
+                hull = t._block(q, k)
+                rng = pts[hull.lo:hull.hi + 1]
+                assert set(hull.vertices()) == {rng[i] for i in convex_hull_indices(rng)}
+            q += 1
 
 
 def test_extreme_matches_brute_force():
