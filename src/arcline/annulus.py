@@ -6,7 +6,9 @@ candidates come straight from the Delaunay duals with exact coordinates.
 Edge-edge crossings are discovered by clipping both diagrams to a square,
 removing overlaps, and running the plane sweep on the exact rational
 segments; each reported event is then reconstructed exactly as the meeting
-point of two site bisectors.
+point of two site bisectors.  Candidates are kept in a list sorted by
+(float(x), point), the exact order, and the best one is found by
+branch and bound in floats before the exact selection (`_best_candidate`).
 
 A least-squares circle fit serves as the fast accept path before the full
 machinery runs.
@@ -23,13 +25,14 @@ from typing import List, Optional, Sequence, Tuple
 from . import delaunay
 from .clipping import clip_segments_square
 from .overlaps import remove_overlaps
-from .predicates import dist_sq
+from .predicates import compare, dist_sq, error_bound, point_key, to_float
 from .radicals import width_compare, width_leq
 from .segments import IndexedSegment
 from .sweep import sweep_intersections
 from .voronoi import ClipConfig, VoronoiDiagram, voronoi_from_delaunay
 
 DEFAULT_MIN_ARC_ANGLE = math.radians(0.1)
+SAMPLE_SIZE = 24  # points behind the float lower bounds of candidate selection
 
 
 @dataclass
@@ -126,16 +129,24 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
         clip = ClipConfig(DEFAULT_MIN_ARC_ANGLE, r)
     half_side = int(math.ceil(clip.clip_radius)) + 2
 
-    def in_square(pt) -> bool:
-        return abs(pt[0] - cx) <= half_side and abs(pt[1] - cy) <= half_side
+    (x0, fx0), (x1, fx1), (y0, fy0), (y1, fy1) = [
+        (v, to_float(v)) for v in (cx - half_side, cx + half_side, cy - half_side, cy + half_side)]
+    keys = []  # point_key of each candidate in the square
+
+    def add_if_in_square(pt) -> None:
+        key = fx, (x, y) = point_key(pt)
+        if compare(x, x0, fx, fx0) >= 0 and compare(x, x1, fx, fx1) <= 0:
+            fy = to_float(y)
+            if compare(y, y0, fy, fy0) >= 0 and compare(y, y1, fy, fy1) <= 0:
+                keys.append(key)
 
     mesh_c = delaunay.build_closest(upts)
     mesh_f = delaunay.build_farthest(upts)
     diag_c = voronoi_from_delaunay(mesh_c)
     diag_f = voronoi_from_delaunay(mesh_f)
 
-    candidates = {v for v in diag_c.vertices if in_square(v)}
-    candidates.update(v for v in diag_f.vertices if in_square(v))
+    for v in diag_c.vertices + diag_f.vertices:
+        add_if_in_square(v)
 
     segs = _voronoi_segments(diag_c, (cx, cy), half_side)
     segs += _voronoi_segments(diag_f, (cx, cy), half_side)
@@ -151,15 +162,19 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
         for i, j in _pairs(ev.closest_indices):
             for m, l in _pairs(ev.farthest_indices):
                 c = _bisector_intersection(upts[i], upts[j], upts[m], upts[l])
-                if c is not None and in_square(c):
-                    candidates.add(c)
+                if c is not None:
+                    add_if_in_square(c)
 
+    # the float-first keys sort like the points themselves, and duplicates
+    # end up next to each other
+    keys.sort()
+    candidates = [k[1] for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
     if not candidates:
         # collinear or fully clipped configurations: no combinatorial
         # candidate exists inside the square; report the center of the data
-        candidates = {(Fraction(cx), Fraction(cy))}
+        candidates = [(Fraction(cx), Fraction(cy))]
 
-    center, r_out, r_in = _best_candidate(sorted(candidates), upts)
+    center, r_out, r_in = _best_candidate(candidates, upts)
     return AnnulusResult(center, r_in, r_out)
 
 
@@ -186,20 +201,69 @@ def _radii_sq(c, upts) -> Tuple[Fraction, Fraction]:
     return Fraction(lo, dd), Fraction(hi, dd)
 
 
+def _sample(upts, size: int = SAMPLE_SIZE):
+    """The extreme points along the axes and both diagonals, plus every
+    step-th point: at most `size` of the points (all when fewer)."""
+    n = len(upts)
+    if n <= size:
+        return list(upts)
+    picked = set()
+    for a, b in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        vals = [a * x + b * y for x, y in upts]
+        picked.add(vals.index(min(vals)))
+        picked.add(vals.index(max(vals)))
+    picked.update(range(0, n, -(-n // (size - len(picked)))))
+    return [upts[i] for i in sorted(picked)]
+
+
+def _width_lower_bound(c, sample, reach: float) -> float:
+    """A float lower bound on the annulus width about c of the sample
+    points (floats, with reach = max |px| + max |py|), and so of any
+    superset of them; -inf when a float overflowed.
+
+    Each distance is computed from the rounded center and lies within
+    4 * EPS * (|cx| + |px| + |cy| + |py|) of the exact one, below the
+    bound err taken here; the difference of the extremes is then off by
+    less than 3 * err."""
+    fx, fy = to_float(c[0]), to_float(c[1])
+    ds = [math.hypot(fx - px, fy - py) for px, py in sample]
+    err = error_bound(reach + abs(fx) + abs(fy))
+    lower = max(ds) - min(ds) - 3 * err
+    return lower if lower == lower else -math.inf  # NaN: an infinity met another
+
+
 def _best_candidate(candidates, upts):
-    """Minimum-width candidate, exact.  A rigorously-margined float pass
-    shortlists the contenders; exact radical comparison settles them."""
+    """Minimum-width candidate, exact; the first one in the given order wins
+    a tie.
+
+    Branch and bound in floats narrows the field first.  A subset's annulus
+    is never wider than the full set's, so the float width over a sample of
+    the points, less its error bound, is a lower bound on each candidate's
+    width.  The candidate with the smallest lower bound is evaluated
+    exactly; its width, plus an error bound, is an upper bound on the
+    optimum, and candidates whose lower bound exceeds it are certainly
+    wider and dropped.  The rest go through the exact selection in the
+    same order: a rigorously-margined float pass on their exact radii
+    shortlists the contenders, exact radical comparison settles them."""
+    sample = _sample(upts)
+    sf = [(to_float(x), to_float(y)) for x, y in sample]
+    reach = max(abs(x) for x, _ in sf) + max(abs(y) for _, y in sf)
+    lower = [_width_lower_bound(c, sf, reach) for c in candidates]
+    finite = [i for i, lb in enumerate(lower) if lb > -math.inf] or [0]
+    probe = min(finite, key=lower.__getitem__)
+    lo, hi = _radii_sq(candidates[probe], upts)
+    s_hi, s_lo = math.sqrt(to_float(hi)), math.sqrt(to_float(lo))
+    upper = s_hi - s_lo + error_bound(s_hi + s_lo)
     evals = []
-    best_fw = None
-    for c in candidates:
+    for c, lb in zip(candidates, lower):
+        if lb > upper:
+            continue
         lo, hi = _radii_sq(c, upts)
         s_lo = math.sqrt(lo)
         s_hi = math.sqrt(hi)
         fw = s_hi - s_lo
         err = 1e-12 * (s_hi + s_lo + 1.0)
         evals.append((fw, err, c, hi, lo))
-        if best_fw is None or fw < best_fw:
-            best_fw = fw
     thresh = min(fw + err for fw, err, _, _, _ in evals)
     best = None
     for fw, err, c, hi, lo in evals:

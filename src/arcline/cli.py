@@ -89,14 +89,17 @@ def cmd_annulus(args) -> int:
         return _fail(EXIT_BAD_INPUT, str(e))
     if len(set(points)) < 2:
         return _fail(EXIT_BAD_INPUT, "need at least 2 distinct points")
-    if args.alpha <= 0 or args.alpha >= 360:
+    if not 0 < args.alpha < 360:
         return _fail(EXIT_BAD_PARAMS, "alpha out of range")
     scale = float(file_scale) if file_scale else (choose_scale(args.tolerance) if args.tolerance else 1024.0)
     grid = quantize_points(points, scale)
     xs = [p[0] for p in grid]
     ys = [p[1] for p in grid]
     r = math.hypot(max(xs) - min(xs), max(ys) - min(ys)) / 2 + 1
-    clip = ClipConfig(math.radians(args.alpha), r)
+    try:
+        clip = ClipConfig(math.radians(args.alpha), r)
+    except ValueError as e:
+        return _fail(EXIT_BAD_PARAMS, str(e))
     try:
         res = min_width_annulus(grid, clip)
     except ValueError as e:

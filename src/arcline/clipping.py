@@ -7,6 +7,10 @@ axes and diagonals first, after which each piece lives in one closed wedge
 where a single square side matters.  Points outside the square are
 projected onto its outline along the ray from the origin, which preserves
 the topology of the cells the segments bound.
+
+The zone of a point and whether it lies in the square are read off the
+floats of its coordinates when no two of the compared floats tie; the
+exact comparison runs otherwise.
 """
 
 from __future__ import annotations
@@ -14,11 +18,21 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
+from .predicates import compare, to_float
 from .segments import IndexedSegment
 
 
 def zone(p) -> int:
     x, y = p
+    fx, fy = to_float(x), to_float(y)
+    # with no tie among the floats of x, y, -x, -y and 0, every comparison
+    # in _zone has the exact answer
+    if fx != 0 and fy != 0 and fx != fy and fx != -fy:
+        return _zone(fx, fy)
+    return _zone(x, y)
+
+
+def _zone(x, y) -> int:
     if x > 0 and -x < y < x:
         return 0
     if x > 0 and y == x:
@@ -36,8 +50,16 @@ def zone(p) -> int:
     return 7  # y == -x, x > 0
 
 
-def _inside(p, h) -> bool:
-    return -h <= p[0] <= h and -h <= p[1] <= h
+def _inside(p, h, fh: float) -> bool:
+    """p in the closed square of half side h, whose float is fh."""
+    for v in p:
+        fv = to_float(v)
+        if fv == fh or fv == -fh:
+            if not -h <= v <= h:
+                return False
+        elif not -fh < fv < fh:
+            return False
+    return True
 
 
 def _lerp(p0, p1, t: Fraction):
@@ -72,9 +94,13 @@ def _clip_to_square(p0, p1, h):
     return _lerp(p0, p1, t0), _lerp(p0, p1, t1)
 
 
-def _wedges(p) -> set:
-    """Closed even wedges containing p (two of them when p is on a diagonal)."""
-    z = zone(p)
+# signs of y - x and of y + x in each zone: the sides of the two diagonals
+_DIAGONAL_SIDES = ((-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0))
+
+
+def _wedges(z: int) -> set:
+    """Closed even wedges containing a point of zone z (two of them when it
+    is on a diagonal)."""
     if z % 2 == 0:
         return {z}
     return {(z - 1) % 8, (z + 1) % 8}
@@ -94,12 +120,13 @@ def _project(p, w: int, h):
 
 def clip_segments_square(segments: Sequence[IndexedSegment], half_side: int) -> List[IndexedSegment]:
     h = half_side
+    fh = to_float(h)
     out: List[IndexedSegment] = []
     work = [(s.p0, s.p1, s) for s in segments]
     while work:
         p0, p1, s = work.pop()
         # 1. entirely inside
-        if _inside(p0, h) and _inside(p1, h):
+        if _inside(p0, h, fh) and _inside(p1, h, fh):
             out.append(s.with_endpoints(p0, p1))
             continue
         # 2. an endpoint at the origin
@@ -129,10 +156,12 @@ def clip_segments_square(segments: Sequence[IndexedSegment], half_side: int) -> 
             if clipped is not None:
                 out.append(s.with_endpoints(*clipped))
             continue
-        # 5. crossing a diagonal: split on it
+        # 5. crossing a diagonal (y = x, then y = -x): split on it
         split = False
-        for sa, sb in ((p0[1] - p0[0], p1[1] - p1[0]), (p0[1] + p0[0], p1[1] + p1[0])):
-            if (sa > 0 and sb < 0) or (sa < 0 and sb > 0):
+        for k, c in enumerate((-1, 1)):
+            if _DIAGONAL_SIDES[z0][k] * _DIAGONAL_SIDES[z1][k] < 0:
+                sa = p0[1] + c * p0[0]
+                sb = p1[1] + c * p1[0]
                 t = Fraction(sa, sa - sb)
                 mid = _lerp(p0, p1, t)
                 work.append((p0, mid, s))
@@ -142,12 +171,12 @@ def clip_segments_square(segments: Sequence[IndexedSegment], half_side: int) -> 
         if split:
             continue
         # 6./7. the piece lies in one closed wedge; one square side matters
-        w = min(_wedges(p0) & _wedges(p1))
+        w = min(_wedges(z0) & _wedges(z1))
         axis = 0 if w in (0, 4) else 1
-        bound = h if w in (0, 2) else -h
+        bound, fbound, inward = (h, fh, -1) if w in (0, 2) else (-h, -fh, 1)
 
         def strictly_in(p):
-            return p[axis] < bound if w in (0, 2) else p[axis] > bound
+            return compare(p[axis], bound, to_float(p[axis]), fbound) == inward
 
         if not strictly_in(p0) and not strictly_in(p1):
             # 6. nothing strictly inside: project onto the outline (points on

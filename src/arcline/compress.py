@@ -50,6 +50,7 @@ class CompressionParams:
             raise ValueError("min_arc_points must be at least 4")
         if self.max_arc_points < 0 or 0 < self.max_arc_points < self.min_arc_points:
             raise ValueError("max_arc_points must be 0 or at least min_arc_points")
+        ClipConfig(self.min_arc_angle, 1.0)  # raises unless the angle leaves a finite clip radius
 
 
 @dataclass
@@ -91,19 +92,21 @@ class _SegSse:
         self.pts = pts
 
     def range_sse(self, i: int, j: int) -> float:
-        """Sum over i..j of squared distance to the line through pts[i], pts[j]."""
+        """Sum over i..j of squared distance to the line through pts[i], pts[j]
+        (to the point pts[i] when the two coincide)."""
         ax, ay = self.pts[i]
         bx, by = self.pts[j]
         dx = bx - ax
         dy = by - ay
         len_sq = dx * dx + dy * dy
-        if len_sq == 0:
-            return 0.0
         cnt = j - i + 1
         sx = self.sx[j + 1] - self.sx[i]
         sy = self.sy[j + 1] - self.sy[i]
         sxx = self.sxx[j + 1] - self.sxx[i]
         syy = self.syy[j + 1] - self.syy[i]
+        if len_sq == 0:
+            # coincident anchors: no line, the deviation is from the anchor
+            return float(sxx - 2 * ax * sx + cnt * ax * ax + syy - 2 * ay * sy + cnt * ay * ay)
         sxy = self.sxy[j + 1] - self.sxy[i]
         # cross_t = dx*(y_t - ay) - dy*(x_t - ax); sum cross_t^2 expanded
         c = dx * ay - dy * ax  # cross = dx*y - dy*x - c0 with c0 = dx*ay - dy*ax

@@ -3,10 +3,16 @@
 Points are plain (x, y) tuples.  Integer inputs keep every predicate exact
 because Python integers are arbitrary precision; rational inputs (Fraction)
 stay exact as well, which the inversion-based constructions rely on.
+
+The float filters at the end decide most exact tests of the annulus path
+in floating point and say when they cannot; the caller then runs the exact
+expression (Shewchuk, "Adaptive Precision Floating-Point Arithmetic and
+Fast Robust Geometric Predicates", 1997).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -73,6 +79,19 @@ def invert_point(p: Point, o: Point) -> Tuple[Fraction, Fraction]:
     return (o[0] + dx / norm_sq, o[1] + dy / norm_sq)
 
 
+def common_denominator(values: list) -> Tuple[int, list]:
+    """(d, [v * d for v in values]) for the least d making every product an
+    integer; integer arithmetic on the scaled values avoids normalizing a
+    Fraction at every step.  Lists, not tuples: the interpreter keeps up to
+    2000 freed tuples of each length for reuse, memory these short-lived
+    groups of 4 and 8 values would otherwise hold."""
+    d = 1
+    for v in values:
+        if d % v.denominator:
+            d = math.lcm(d, v.denominator)
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 @dataclass(frozen=True)
 class ExactCircle:
     """Circle with exact rational center and squared radius."""
@@ -81,18 +100,22 @@ class ExactCircle:
     radius_sq: Fraction
 
 
-def circumcircle(a: Point, b: Point, c: Point) -> ExactCircle:
-    """Exact circumcircle of three non-collinear points."""
+def circumcenter(a: Point, b: Point, c: Point) -> Tuple[Fraction, Fraction]:
+    """Exact center of the circle through three non-collinear points."""
     d = 2 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
     if d == 0:
         raise ValueError("degenerate circumcircle")
     na = a[0] * a[0] + a[1] * a[1]
     nb = b[0] * b[0] + b[1] * b[1]
     nc = c[0] * c[0] + c[1] * c[1]
-    ux = Fraction(na * (b[1] - c[1]) + nb * (c[1] - a[1]) + nc * (a[1] - b[1]), 1) / d
-    uy = Fraction(na * (c[0] - b[0]) + nb * (a[0] - c[0]) + nc * (b[0] - a[0]), 1) / d
-    r_sq = (ux - a[0]) ** 2 + (uy - a[1]) ** 2
-    return ExactCircle((ux, uy), r_sq)
+    return (Fraction(na * (b[1] - c[1]) + nb * (c[1] - a[1]) + nc * (a[1] - b[1]), d),
+            Fraction(na * (c[0] - b[0]) + nb * (a[0] - c[0]) + nc * (b[0] - a[0]), d))
+
+
+def circumcircle(a: Point, b: Point, c: Point) -> ExactCircle:
+    """Exact circumcircle of three non-collinear points."""
+    ux, uy = circumcenter(a, b, c)
+    return ExactCircle((ux, uy), (ux - a[0]) ** 2 + (uy - a[1]) ** 2)
 
 
 def dist_sq(a: Point, b: Point):
@@ -127,3 +150,76 @@ def incircle_determinant(a: Point, b: Point, c: Point, d: Point):
         - det3(rows[0], rows[1], rows[3])
         + det3(rows[0], rows[1], rows[2])
     )
+
+
+# -- float filters -------------------------------------------------------
+#
+# Two rules make a float answer certain.  Rounding to the nearest float is
+# monotone, so two stored rationals whose floats differ compare as their
+# floats do.  An expression evaluated in floats from rounded inputs has the
+# sign of its float value once that value exceeds a static bound on the
+# accumulated rounding error.  Everything else is undecided, including
+# values whose float overflowed (the bound is then infinite or NaN, and no
+# comparison against it succeeds): the caller runs the exact expression.
+
+EPS = 2.0 ** -53  # unit roundoff of a double
+_TINY = 1e-290  # absolute slack for errors lost to underflow
+_BIG = 1e300  # float values beyond this may have overflowed on the way
+
+
+def to_float(v) -> float:
+    """v (an int or a Fraction) rounded to the nearest float, or +-inf
+    beyond the float range.
+
+    Monotone in v, so a strict order between two results is the order of
+    the exact values.  Integer true division rounds correctly."""
+    try:
+        return v.numerator / v.denominator
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def point_key(p) -> Tuple:
+    """Sort key (float(x), p) of a point p = (x, y): it orders points exactly
+    like the points themselves, deciding by the float of x where those
+    differ and by the exact point otherwise."""
+    return (to_float(p[0]), p)
+
+
+def compare(a, b, fa: float, fb: float) -> int:
+    """Sign of a - b, where fa and fb are the floats of a and b."""
+    if fa < fb:
+        return NEGATIVE
+    if fa > fb:
+        return POSITIVE
+    return sign(a - b)
+
+
+def error_bound(magnitude: float) -> float:
+    """Bound on the rounding error of a float expression whose caller shows
+    an error below 6 * EPS * magnitude; the margin to 8 * EPS covers the
+    rounding of magnitude itself, and a tiny absolute slack what underflow
+    loses.  Infinite or NaN when magnitude overflowed."""
+    return (8 * EPS) * magnitude + _TINY
+
+
+def certain_sign(value: float, bound: float) -> int:
+    """Sign of value when it lies beyond +-bound, else 0 (undecided): also
+    for NaN and for values so large they may have overflowed."""
+    if bound < value < _BIG:
+        return POSITIVE
+    if -_BIG < value < -bound:
+        return NEGATIVE
+    return ZERO
+
+
+def orientation_filter(ax, ay, bx, by, cx, cy) -> int:
+    """Sign of (b-a) x (c-a) from floats of the exact coordinates, or 0
+    when undecided.
+
+    Each input carries a relative error of EPS and each operation adds one,
+    so the error is below 6 * EPS * M, M the same expression in the absolute
+    values of the inputs."""
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return certain_sign(det, error_bound((abs(bx) + abs(ax)) * (abs(cy) + abs(ay))
+                                         + (abs(by) + abs(ay)) * (abs(cx) + abs(ax))))

@@ -9,12 +9,12 @@ direction with the ``double`` flag set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .delaunay import INFINITE, TriangulationMesh
-from .predicates import circumcircle
+from .predicates import circumcenter
 from .quadedge import sym
 
 RPoint = Tuple[Fraction, Fraction]
@@ -31,10 +31,13 @@ class ClipConfig:
     def __post_init__(self):
         if not 0 < self.min_arc_angle < 2 * math.pi:
             raise ValueError("min_arc_angle out of range")
+        if not math.isfinite(self.clip_radius):
+            raise ValueError("clip radius not finite: min_arc_angle too small")
 
     @property
     def clip_radius(self) -> float:
-        return self.data_radius / math.sin(self.min_arc_angle / 2)
+        s = math.sin(self.min_arc_angle / 2)
+        return self.data_radius / s if s else math.inf
 
 
 @dataclass
@@ -54,11 +57,9 @@ class VoronoiEdge:
 @dataclass
 class VoronoiDiagram:
     kind: str
-    sites: List[int]
     vertices: List[RPoint]
     vertex_triangles: List[Tuple[int, int, int]]
     edges: List[VoronoiEdge]
-    cells: Dict[int, List[int]] = field(default_factory=dict)
 
 
 def voronoi_from_delaunay(mesh: TriangulationMesh) -> VoronoiDiagram:
@@ -81,9 +82,8 @@ def voronoi_from_delaunay(mesh: TriangulationMesh) -> VoronoiDiagram:
         if key is None:
             return None
         if key not in face_center:
-            c = circumcircle(pts[vs[0]], pts[vs[1]], pts[vs[2]])
             face_center[key] = len(vertices)
-            vertices.append(c.center)
+            vertices.append(circumcenter(pts[vs[0]], pts[vs[1]], pts[vs[2]]))
             vertex_tris.append(vs)
         return face_center[key]
 
@@ -115,16 +115,9 @@ def voronoi_from_delaunay(mesh: TriangulationMesh) -> VoronoiDiagram:
             outward = (-outward[0], -outward[1])
         edges.append(VoronoiEdge(a, b, vertices[ci], None, outward))
 
-    cells: Dict[int, List[int]] = {s: [] for s in mesh.site_indices}
-    for i, ve in enumerate(edges):
-        cells[ve.site_a].append(i)
-        cells[ve.site_b].append(i)
-
     return VoronoiDiagram(
         kind=mesh.kind,
-        sites=list(mesh.site_indices),
         vertices=vertices,
         vertex_triangles=vertex_tris,
         edges=edges,
-        cells=cells,
     )

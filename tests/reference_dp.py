@@ -36,7 +36,7 @@ def _segment_sse(pts, i, j):
     dy = by - ay
     len_sq = dx * dx + dy * dy
     if len_sq == 0:
-        return 0.0
+        return float(sum((p[0] - ax) ** 2 + (p[1] - ay) ** 2 for p in pts[i:j + 1]))
     total = 0
     for p in pts[i:j + 1]:
         cr = dx * (p[1] - ay) - dy * (p[0] - ax)

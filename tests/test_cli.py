@@ -108,6 +108,14 @@ def test_annulus_ring_sample(tmp_path):
     assert float(keys["width"]) <= 0.1 + 1e-3
 
 
+@pytest.mark.parametrize("alpha", ["1e-320", "nan"])
+def test_annulus_tiny_or_nan_alpha_exits_3(alpha, tmp_path, capsys):
+    path = tmp_path / "pts.txt"
+    write_polyline_file(str(path), [(0, 0), (10, 3), (5, 9), (-3, 4), (2, -6)])
+    assert main(["annulus", str(path), "--alpha", alpha]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_gen_hull_deterministic_and_convex(tmp_path):
     out1 = tmp_path / "h1.txt"
     out2 = tmp_path / "h2.txt"

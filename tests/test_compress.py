@@ -184,6 +184,16 @@ def test_non_finite_coordinate_rejected(bad):
         compress_polyline([(0.0, 0.0), (1.0, bad), (2.0, 0.0)], 0.1)
 
 
+@pytest.mark.parametrize("angle", [1e-320, math.nan])
+def test_tiny_or_nan_min_arc_angle_rejected(angle):
+    # 1e-320 rad leaves no finite clip radius; NaN is out of every range
+    with pytest.raises(ValueError, match="min_arc_angle"):
+        CompressionParams(tolerance=1, min_arc_angle=angle)
+    with pytest.raises(ValueError, match="min_arc_angle"):
+        compress_polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, 3.0)], 0.1,
+                          min_arc_angle=angle)
+
+
 def test_closed_polylines_match_reference():
     # a polyline that returns to an earlier vertex: an arc never starts and
     # ends on the same vertex, and the result is still the optimum
@@ -199,6 +209,16 @@ def test_closed_polylines_match_reference():
         assert abs(res.grid.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
         assert res.primitives[-1].end == res.primitives[0].start
         assert all(p.start != p.end for p in res.primitives if p.kind == "arc")
+
+
+def test_segment_with_coincident_anchors_charged_its_deviation():
+    # a chord from a vertex back to itself has no line: every vertex it
+    # covers is charged its squared distance from the shared anchor
+    square = [(0, 0), (3, 0), (3, 3), (0, 3), (0, 0)]
+    for pts, want in ((square, (2, 36.0)), ([(0, 0), (3, 0), (0, 0)], (2, 9.0))):
+        res = compress(pts, CompressionParams(tolerance=5))
+        assert res.total == want
+        assert reference_compress(pts, 5)[0] == want
 
 
 def test_arc_accepted_via_tolerance_fallback_in_dp():

@@ -35,9 +35,11 @@ def test_dual_vertices_are_circumcenters():
 
 def test_farthest_cells_hull_sites_only():
     pts = [(0, 0), (10, 0), (10, 10), (0, 10), (5, 5)]
-    d = voronoi_from_delaunay(build_farthest(pts))
-    assert 4 not in d.cells
-    assert set(d.cells) == {0, 1, 2, 3}
+    mesh = build_farthest(pts)
+    d = voronoi_from_delaunay(mesh)
+    assert 4 not in mesh.site_indices
+    assert set(mesh.site_indices) == {0, 1, 2, 3}
+    assert {s for e in d.edges for s in (e.site_a, e.site_b)} == {0, 1, 2, 3}
 
 
 def test_ray_directions_point_into_the_correct_cells():
@@ -59,7 +61,7 @@ def test_ray_directions_point_into_the_correct_cells():
                 da = dist_sq(q, pts[e.site_a])
                 db = dist_sq(q, pts[e.site_b])
                 assert da == db
-                others = [dist_sq(q, pts[s]) for s in diag.sites if s not in (e.site_a, e.site_b)]
+                others = [dist_sq(q, pts[s]) for s in mesh.site_indices if s not in (e.site_a, e.site_b)]
                 if not others:
                     continue
                 if kind == "closest":
