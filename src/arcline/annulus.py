@@ -10,8 +10,13 @@ point of two site bisectors.  Candidates are kept in a list sorted by
 (float(x), point), the exact order, and the best one is found by
 branch and bound in floats before the exact selection (`_best_candidate`).
 
-A least-squares circle fit serves as the fast accept path before the full
-machinery runs.
+The covering-arc decision (`arc_exists_within_tolerance`) runs that
+machinery only when it must.  A witness centre, refined from the algebraic
+least-squares circle by a few geometric Gauss-Newton and Lawson steps,
+accepts when it lies in the clip square and the annulus about it is at
+most 2*tol wide, decided by a float bound with an exact fallback
+(`_witness_centre`); the annulus of a few extreme-residual points can
+reject; the full minimum-width annulus settles the rest.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import delaunay
 from .clipping import clip_segments_square
 from .overlaps import remove_overlaps
-from .predicates import compare, dist_sq, error_bound, point_key, to_float
+from .predicates import certain_sign, compare, dist_sq, error_bound, point_key, to_float
 from .radicals import width_compare, width_leq
 from .segments import IndexedSegment
 from .sweep import sweep_intersections
@@ -33,6 +38,8 @@ from .voronoi import ClipConfig, VoronoiDiagram, voronoi_from_delaunay
 
 DEFAULT_MIN_ARC_ANGLE = math.radians(0.1)
 SAMPLE_SIZE = 24  # points behind the float lower bounds of candidate selection
+GEOMETRIC_STEPS = 3  # Gauss-Newton steps of the witness search
+LAWSON_STEPS = 4  # reweighted steps after them, towards the minimax annulus
 
 
 @dataclass
@@ -301,16 +308,121 @@ def _least_squares_circle(pts) -> Optional[Tuple[float, float, float]]:
     return cx + mx, cy + my, math.sqrt(r_sq)
 
 
+def _float_width(upts, cx: float, cy: float) -> Tuple[list, float]:
+    """Distances of the points from (cx, cy) in floats, and their spread
+    max - min."""
+    d = [math.hypot(x - cx, y - cy) for x, y in upts]
+    return d, max(d) - min(d)
+
+
+def _refine(upts, cx: float, cy: float, d, weights) -> Optional[Tuple[float, float]]:
+    """One weighted Gauss-Newton step on sum w_i (d_i - r)^2 over the
+    centre, r the weighted mean distance; None when singular.
+
+    Moving the centre by s changes d_i by about -u_i . s (u_i the unit
+    vector from the centre to point i) and r by the weighted mean of that,
+    so the residual d_i - r changes by -(u_i - mean u) . s; the step solves
+    the 2x2 normal equations of that linear model."""
+    sw = su = sv = suu = suv = svv = sud = svd = sd = 0.0
+    for (x, y), di, w in zip(upts, d, weights):
+        if di == 0.0:
+            continue
+        u = (x - cx) / di
+        v = (y - cy) / di
+        sw += w
+        su += w * u
+        sv += w * v
+        suu += w * u * u
+        suv += w * u * v
+        svv += w * v * v
+        sud += w * u * di
+        svd += w * v * di
+        sd += w * di
+    if sw == 0.0:
+        return None
+    r = sd / sw
+    a = suu - su * su / sw
+    b = suv - su * sv / sw
+    c = svv - sv * sv / sw
+    p = sud - r * su
+    q = svd - r * sv
+    det = a * c - b * b
+    if not det > 0.0:
+        return None
+    return cx + (c * p - b * q) / det, cy + (a * q - b * p) / det
+
+
+def _witness_centre(upts, cx: float, cy: float, tol) -> Optional[Tuple[float, float]]:
+    """A float centre about which the annulus of the points is at most
+    2*tol wide, exactly; None when the search finds none.
+
+    The search starts at (cx, cy), takes GEOMETRIC_STEPS Gauss-Newton steps
+    of the geometric circle fit, then LAWSON_STEPS reweighted ones that
+    multiply each point's weight by its absolute residual (Lawson's
+    iteration, which drifts from the least-squares fit towards the minimax
+    one, that is, towards the minimum-width annulus).  It stops at the
+    first centre whose float width max d - min d is at most 2*tol, and
+    returns it when the exact width there is at most 2*tol.
+
+    That is decided in floats when certain.  With EPS the unit roundoff
+    and M = |cx| + |cy| + max |x| + max |y|: x - cx is off by at most
+    EPS * (2|x| + |cx|) (rounding x and the difference), so the distance
+    of the rounded differences is within 2 * EPS * M of the exact one, and
+    math.hypot adds less than one ulp (documented since Python 3.10),
+    2 * EPS * M.  Each distance is then
+    off by less than 5 * EPS * M (to first order), their spread fw by less
+    than 11 * EPS * M, and the float difference 2*tol - fw, with the
+    rounding of 2*tol and of the difference, by less than
+    12 * EPS * M + 2 * EPS * (2*tol): below the 6 * EPS * (3M + 2*tol) that
+    `error_bound` turns into a bound.  When the sign is not certain (the
+    width within rounding of 2*tol, huge coordinates, an overflow), the
+    float centre is read as the dyadic rational it is and its squared
+    radii go through the exact test of `AnnulusResult.feasible_for`.
+    """
+    t = to_float(2 * Fraction(tol))
+    d, fw = _float_width(upts, cx, cy)
+    weights = [1.0] * len(upts)
+    step = 0
+    while fw > t:
+        if step == GEOMETRIC_STEPS + LAWSON_STEPS:
+            return None
+        if step >= GEOMETRIC_STEPS:
+            r = sum(w * di for w, di in zip(weights, d)) / sum(weights)
+            weights = [w * abs(di - r) for w, di in zip(weights, d)]
+            top = max(weights)
+            if not top > 0.0:
+                return None
+            weights = [w / top for w in weights]
+        centre = _refine(upts, cx, cy, d, weights)
+        if centre is None:
+            return None
+        cx, cy = centre
+        d, fw = _float_width(upts, cx, cy)
+        step += 1
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        return None
+    m = abs(cx) + abs(cy) + max(abs(x) for x, _ in upts) + max(abs(y) for _, y in upts)
+    s = certain_sign(t - fw, error_bound(3 * m + t))
+    if s == 0:
+        c = (Fraction(cx), Fraction(cy))
+        lo, hi = _radii_sq(c, upts)
+        s = 1 if AnnulusResult(c, lo, hi).feasible_for(tol) else -1
+    return (cx, cy) if s > 0 else None
+
+
 def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol,
                                 clip: Optional[ClipConfig] = None) -> bool:
-    """True iff one circular arc can cover all points within tol.
+    """True iff one circular arc can cover all points within tol, that is
+    iff the minimum-width annulus with its centre in the clip square is at
+    most 2*tol wide.
 
-    The direct least-squares fit accepts cheap cases.  On its failure a
-    small subset of extreme-residual points is tested first: the annulus of
-    a subset is never wider than that of the full set, so a wide subset is
-    an exact certificate of infeasibility.  Only genuinely borderline sets
-    reach the full pipeline.  The comparison width <= 2*tol is done on
-    exact squared radii throughout.
+    Three stages, each exact.  A witness centre, refined from the
+    least-squares circle (`_witness_centre`), accepts when it lies in the
+    clip square and the annulus about it is certainly at most 2*tol wide.
+    Otherwise a small subset of extreme-residual points is tested: the
+    annulus of a subset is never wider than that of the full set, so a
+    wide subset is an exact certificate of infeasibility.  Only the
+    remaining sets reach the full minimum-width annulus.
     """
     if len(points) < 4:
         raise ValueError("too few points for arc")
@@ -328,15 +440,14 @@ def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol,
     fit = _least_squares_circle(upts)
     if fit is not None:
         cx, cy, r = fit
-        residuals = [math.hypot(p[0] - cx, p[1] - cy) - r for p in upts]
-        worst = max(abs(d) for d in residuals)
-        # accept only with a safety margin so float error cannot flip an
-        # exact "no" into a "yes"; the fitted center must also lie inside
-        # the clip square for the accept to answer the clipped question
-        if worst <= tol * (1 - 1e-9) - 1e-12 \
-                and abs(cx - c0x) <= half_side - 1 and abs(cy - c0y) <= half_side - 1:
+        witness = _witness_centre(upts, cx, cy, tol)
+        # the witness must lie inside the clip square for the accept to
+        # answer the clipped question
+        if witness is not None and abs(witness[0] - c0x) <= half_side - 1 \
+                and abs(witness[1] - c0y) <= half_side - 1:
             return True
         if len(upts) > 10:
+            residuals = [math.hypot(p[0] - cx, p[1] - cy) - r for p in upts]
             order = sorted(range(len(upts)), key=lambda i: residuals[i])
             chosen = set(order[:4]) | set(order[-4:])
             # stratify: the extreme residual of each quarter, so structured

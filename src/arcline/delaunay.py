@@ -21,10 +21,6 @@ from .quadedge import QuadEdgeStore, sym
 
 INFINITE = -1
 
-# Tests may enable this to cross-check the determinant-only candidate
-# selection against the classical validity-guarded rule on every merge step.
-DEBUG_CHECK_SELECTION = False
-
 
 class DuplicatePointError(ValueError):
     pass
@@ -183,10 +179,13 @@ def _tangent_walk(store, pts, ldi: int, rdi: int) -> Tuple[int, int]:
 
 
 class _MergeState:
-    __slots__ = ("ties",)
+    __slots__ = ("ties", "check_selection")
 
-    def __init__(self):
+    def __init__(self, check_selection: bool = False):
         self.ties = 0
+        # cross-check the determinant-only candidate selection against the
+        # classical validity-guarded rule on every merge step
+        self.check_selection = check_selection
 
 
 def _merge_rise(store, pts, in_circle, basel: int, ul: int, ur: int, state: _MergeState) -> int:
@@ -226,7 +225,7 @@ def _merge_rise(store, pts, in_circle, basel: int, ul: int, ur: int, state: _Mer
             else:
                 use_right = not lvalid
 
-        if DEBUG_CHECK_SELECTION and s != 0:
+        if state.check_selection and s != 0:
             lvalid = _rightof(pts, store.dest(lcand), store, basel)
             rvalid = _rightof(pts, store.dest(rcand), store, basel)
             classic = (not lvalid) or (rvalid and s > 0)
@@ -304,10 +303,13 @@ def _attach_infinite(mesh: TriangulationMesh) -> None:
         store.splice(sym(ghosts[i]), sym(ghosts[i - 1]))
 
 
-def _build(points, kind: str, site_indices: List[int]) -> TriangulationMesh:
+def _build(points, kind: str, site_indices: List[int],
+           check_selection: bool = False) -> TriangulationMesh:
+    """Triangulation of the given sites; check_selection asserts on every
+    merge step that the candidate choice matches the classical rule."""
     pred = 1 if kind == "closest" else -1
     store = QuadEdgeStore()
-    state = _MergeState()
+    state = _MergeState(check_selection)
     pts = list(points)
     if len(site_indices) == 1:
         mesh = TriangulationMesh(pts, kind, site_indices, store, None)

@@ -80,23 +80,29 @@ def build_fit_index_arrays(pairs: InfeasiblePairList, n: Optional[int] = None) -
 def _dyadic_scan(n: int, window_feasible: Callable[[int, int], bool]) -> List[Tuple[int, int]]:
     """The Test recursion: windows of 4*2^q vertices stepping by 2^q."""
     reported: List[Tuple[int, int]] = []
-
-    def test_part(q: int, i: int, j: int) -> None:
-        size = 4 << q
-        if j < i + size:
-            return
-        i_star = i
-        while i_star + size <= j:
-            j_star = i_star + size - 1
-            if not window_feasible(i_star, j_star):
-                test_part(q + 1, i, j_star)
-                reported.append((i_star, j_star))
-                i = i_star + (1 << q)
-            i_star += 1 << q
-        test_part(q + 1, i, j)
-
-    test_part(0, 0, n)
+    _test_part(0, 0, n, window_feasible, reported)
     return reported
+
+
+def _test_part(q: int, i: int, j: int, window_feasible: Callable[[int, int], bool],
+               reported: List[Tuple[int, int]]) -> None:
+    """Scale q of the Test recursion on [i, j], appending failed windows to
+    reported.  A module-level function rather than a closure: a recursive
+    closure refers to itself, a reference cycle that would keep
+    window_feasible, and whatever it holds, alive until the cyclic garbage
+    collector runs."""
+    size = 4 << q
+    if j < i + size:
+        return
+    i_star = i
+    while i_star + size <= j:
+        j_star = i_star + size - 1
+        if not window_feasible(i_star, j_star):
+            _test_part(q + 1, i, j_star, window_feasible, reported)
+            reported.append((i_star, j_star))
+            i = i_star + (1 << q)
+        i_star += 1 << q
+    _test_part(q + 1, i, j, window_feasible, reported)
 
 
 def test_arcs(polyline: Sequence[Tuple[int, int]], tol,

@@ -68,16 +68,12 @@ def test_duplicates_rejected():
 
 def test_empty_circle_random():
     random.seed(10)
-    delaunay.DEBUG_CHECK_SELECTION = True
-    try:
-        for _ in range(60):
-            n = random.randint(2, 80)
-            pts = list({(random.randint(0, 50), random.randint(0, 50)) for _ in range(n)})
-            m = build_closest(pts)
-            check_structure(m)
-            check_circle_property(m)
-    finally:
-        delaunay.DEBUG_CHECK_SELECTION = False
+    for _ in range(60):
+        n = random.randint(2, 80)
+        pts = list({(random.randint(0, 50), random.randint(0, 50)) for _ in range(n)})
+        m = delaunay._build(pts, "closest", list(range(len(pts))), check_selection=True)
+        check_structure(m)
+        check_circle_property(m)
 
 
 def test_full_circle_random_farthest():

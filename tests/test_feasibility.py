@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 from arcline.annulus import arc_exists_within_tolerance
 from arcline.feasibility import (InfeasiblePairList, _dyadic_scan,
@@ -137,3 +139,21 @@ def test_segments_square_wave():
         f = arrs.first[k]
         if f > 0:
             assert tree.range_min_width_exceeds(f - 1, k, 2 * tol)
+
+
+def test_segments_releases_the_tree_without_the_cyclic_collector():
+    # the scan must leave no reference cycle holding the tree: with the
+    # collector off, the tree dies with its last outside reference
+    pts = [(i * 100, 0 if (i // 4) % 2 == 0 else 40) for i in range(64)]
+    tree = HullTree(pts)
+    ref = weakref.ref(tree)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pl, _ = scan_segments(pts, 10, tree)
+        del tree
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert pl.pairs() != []
