@@ -195,13 +195,14 @@ def fit_arc_least_squares(points: Sequence, polish: bool = True,
     mx, my = mid
     sum_gh = 0.0
     sum_hh = 0.0
-    params = []
+    params = []  # (w, e) per point, read only by the polish
     for p in points:
         px = p[0] - mx
         py = p[1] - my
         w = px * px + py * py
         e = px * ux + py * uy
-        params.append((w, e))
+        if polish:
+            params.append((w, e))
         sum_gh += (w - half_sq) * e
         sum_hh += e * e
     if sum_hh == 0:
@@ -248,12 +249,16 @@ def fit_arc_least_squares(points: Sequence, polish: bool = True,
 
 
 def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
-                         seed_arc: Optional[FittedArc] = None) -> Optional[FittedArc]:
+                         seed_arc: Optional[FittedArc] = None,
+                         blockers: Optional[List[int]] = None) -> Optional[FittedArc]:
     """Arc through the endpoints with every point within tol, or None.
 
     Tries the least-squares fit first (seed_arc, when given, stands in for
     it); on failure intersects the per-point tolerance intervals on the
     bisector and evaluates their endpoints by approximate squared deviation.
+    When the intersection comes out empty and `blockers` is a list, the
+    indices (into points) of the points intersected up to that moment are
+    appended to it: their intervals alone already leave no centre.
     """
     if len(points) < 4:
         raise ValueError("need at least 4 points")
@@ -270,11 +275,14 @@ def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
     lead = sorted(range(len(points)), key=lambda i: -devs[i])[:8]
     lead_set = set(lead)
     rest = [i for i in range(len(points)) if i not in lead_set]
+    order = lead + rest
     feasible = [(-INF, INF)]
-    for i in lead + rest:
+    for pos, i in enumerate(order):
         ivs = tolerance_intervals_point(a, b, points[i], tol)
         feasible = _intersect_interval_sets([feasible, ivs])
         if not feasible:
+            if blockers is not None:
+                blockers.extend(order[:pos + 1])
             return None
     mid, u, length = _chord_frame(a, b)
     s_ls = (ls.center[0] - mid[0]) * u[0] + (ls.center[1] - mid[1]) * u[1]

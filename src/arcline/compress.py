@@ -7,6 +7,20 @@ their accumulated cost through a mergesort-tree range heap and stops at the
 first candidate whose cost bound already meets the incumbent.  Feasibility
 tables bound the scans: no candidate beyond the first index where an arc
 (or a segment strip) can still cover the range is ever touched.
+
+Most arc candidates that survive those bounds are still infeasible, and
+consecutive candidates share almost all of their range.  The scan keeps a
+blocker cache: for each of the last BLOCKER_LISTS candidates whose
+tolerance-interval fit came out empty, the points it had intersected up to
+that moment.  Before any O(window) work, a candidate intersects the bisector
+centre intervals, for its own anchors, of at most PROBE_POINTS cached points
+strictly inside its range, and is rejected when nothing is left.  The probe
+computes the very float intervals that `fit_arc_by_tolerance` computes for
+those points on the full window, and intersecting closed intervals does not
+depend on their order, so an empty probe means an empty fit: the candidate
+would have been rejected anyway.  Only the least-squares accept, which
+checks residuals with a slack of about 1e-12 instead of the intervals, could
+have accepted such a candidate, inside that slack's float-dust band.
 """
 
 from __future__ import annotations
@@ -25,6 +39,9 @@ from .sortedrange import MergeTree
 from .voronoi import ClipConfig
 
 PenaltyPair = Tuple[int, float]
+
+BLOCKER_LISTS = 2  # rejections whose blockers the arc scan remembers
+PROBE_POINTS = 8  # cached blockers a candidate re-tests at most
 
 
 @dataclass
@@ -152,6 +169,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     mtree.append(T[0])
     seg_evals = arc_evals = 0
     tol_f = float(tol)
+    blockers = _BlockerCache()
 
     for k in range(1, n):
         best = (T[k - 1][0] + p_seg, T[k - 1][1])
@@ -193,7 +211,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
                 if best <= (cnt + p_arc, acc):
                     break
                 arc_evals += 1
-                arc = _evaluate_arc(pts, kp, k, tol_f, params.direction_slack, tree)
+                arc = _evaluate_arc(pts, kp, k, tol_f, params.direction_slack, blockers)
                 if arc is None:
                     continue
                 cand = (cnt + p_arc, acc + arc.sse)
@@ -208,33 +226,65 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     prims = reconstruct(back, pts)
     return CompressedPolyline(prims, T[n - 1], pts,
                               stats={"segment_evaluations": seg_evals,
-                                     "arc_evaluations": arc_evals})
+                                     "arc_evaluations": arc_evals,
+                                     "arc_probe_rejections": blockers.probe_rejections})
 
 
-def _evaluate_arc(pts, kp, k, tol, slack, tree: Optional[HullTree] = None) -> Optional[FittedArc]:
+class _BlockerCache:
+    """Points that blocked the arc scan's last rejections (module docstring).
+
+    `lists` holds, newest first, the blocker lists (indices into the
+    compressor's points) of the last BLOCKER_LISTS candidates whose
+    tolerance-interval fit came out empty; `probe_rejections` counts the
+    candidates the probe rejected.
+    """
+
+    def __init__(self):
+        self.lists: List[List[int]] = []
+        self.probe_rejections = 0
+
+    def rejects(self, pts, kp, k, tol) -> bool:
+        """True when the centre intervals of at most PROBE_POINTS cached
+        points strictly inside (kp, k), for the anchors pts[kp] and pts[k],
+        have an empty intersection."""
+        a, b = pts[kp], pts[k]
+        feasible = [(-math.inf, math.inf)]
+        tested: List[int] = []
+        for blocked in self.lists:
+            for j in blocked:
+                if kp < j < k and j not in tested:
+                    feasible = _intersect_interval_sets(
+                        [feasible, tolerance_intervals_point(a, b, pts[j], tol)])
+                    if not feasible:
+                        return True
+                    tested.append(j)
+                    if len(tested) == PROBE_POINTS:
+                        return False
+        return False
+
+    def record(self, kp: int, blocked: List[int]) -> None:
+        """Remember the blockers of a window starting at kp (window indices)."""
+        self.lists.insert(0, [kp + i for i in blocked])
+        del self.lists[BLOCKER_LISTS:]
+
+
+def _evaluate_arc(pts, kp, k, tol, slack,
+                  blockers: Optional[_BlockerCache] = None) -> Optional[FittedArc]:
     """Least-squares fit first; tolerance-interval fit as the fallback.
 
-    Before any O(n) fitting, the two range points extreme in the chord's
-    normal directions are checked alone: if even their center intervals on
-    the bisector do not intersect, no arc through the endpoints exists.
+    With a blocker cache, the probe runs first and rejects the candidate
+    before any O(window) fit when the cached blockers inside (kp, k) leave
+    no centre; the candidate would fail the interval fit for the same
+    reason (module docstring).  An interval fit that comes out empty
+    records its blockers in the cache.  Without a cache the result is the
+    plain fit's, which the reference DP relies on.
     """
     a, b = pts[kp], pts[k]
     if a == b:
         return None  # an arc needs two distinct anchors
-    if tree is not None and k - kp > 24:
-        dx = b[0] - a[0]
-        dy = b[1] - a[1]
-        cover = tree.query_cover(kp, k)
-        feas = [(-math.inf, math.inf)]
-        for nx, ny in ((-dy, dx), (dy, -dx)):
-            best = None
-            for hull in cover:
-                p = hull.extreme(nx, ny)
-                if best is None or nx * p[0] + ny * p[1] > nx * best[0] + ny * best[1]:
-                    best = p
-            feas = _intersect_interval_sets([feas, tolerance_intervals_point(a, b, best, tol)])
-            if not feas:
-                return None
+    if blockers is not None and blockers.rejects(pts, kp, k, tol):
+        blockers.probe_rejections += 1
+        return None
     chunk = pts[kp:k + 1]
     quick = fit_arc_least_squares(chunk, polish=False, with_sse=False)
     if not quick.segment_like and arc_within_tolerance(quick, chunk, tol, check_span=False):
@@ -242,7 +292,10 @@ def _evaluate_arc(pts, kp, k, tol, slack, tree: Optional[HullTree] = None) -> Op
         if not arc.segment_like and arc_within_tolerance(arc, chunk, tol) \
                 and direction_and_endpoint_check(chunk, arc, slack):
             return arc
-    arc = fit_arc_by_tolerance(chunk, tol=tol, seed_arc=quick)
+    blocked: Optional[List[int]] = None if blockers is None else []
+    arc = fit_arc_by_tolerance(chunk, tol=tol, seed_arc=quick, blockers=blocked)
+    if blocked:
+        blockers.record(kp, blocked)
     if arc is None or arc.segment_like:
         return None
     if not arc_within_tolerance(arc, chunk, tol):

@@ -46,8 +46,10 @@ def _segment_sse(pts, i, j):
 
 def _arc_fit(pts, i, j, tol, slack):
     # the arc primitive evaluation is shared with the production path (its
-    # own oracles live in the arc-fit tests); this module independently
-    # re-implements the scan, the segment checks, and the bookkeeping
+    # own oracles live in the arc-fit tests), but without the DP's blocker
+    # cache, so the probe in front of it is checked against the plain fit;
+    # this module independently re-implements the scan, the segment checks,
+    # and the bookkeeping
     return _evaluate_arc(pts, i, j, float(tol), slack, None)
 
 

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from arcline.compress import CompressionParams, compress
+from arcline.arcfit import fit_arc_by_tolerance, fit_arc_least_squares
+from arcline.compress import (BLOCKER_LISTS, PROBE_POINTS, CompressionParams, _BlockerCache,
+                              _evaluate_arc, compress)
 from arcline.pipeline import archimedean_spiral, choose_scale, compress_polyline
 
 from reference_dp import reference_compress
@@ -235,3 +238,100 @@ def test_arc_accepted_via_tolerance_fallback_in_dp():
     res = compress(pts, CompressionParams(tolerance=tol))
     assert res.total[0] == 3
     assert [p.kind for p in res.primitives] == ["arc"]
+
+
+def _noisy_arcs(rng, n):
+    # tangent-continuous arcs of random curvature, about 30 vertices each
+    x = y = 0.0
+    heading = rng.uniform(0, 6)
+    pts = []
+    for i in range(n):
+        if i % 30 == 0:
+            curvature = rng.choice((-1, 1)) * rng.uniform(1 / 4000, 1 / 1000)
+        pts.append((round(x) + rng.randint(-3, 3), round(y) + rng.randint(-3, 3)))
+        x += 100 * math.cos(heading)
+        y += 100 * math.sin(heading)
+        heading += 100 * curvature
+    return pts
+
+
+def _spiral_piece(rng, n):
+    sp = archimedean_spiral(1.0, 4.0, 0.3)
+    s = rng.randrange(0, len(sp) - n)
+    return [(round(1000 * x), round(1000 * y)) for x, y in sp[s:s + n]]
+
+
+def test_blocker_probe_matches_unpruned_reference_on_long_inputs():
+    # the blocker probe rejects arc candidates before any fit; the reference
+    # evaluates every candidate without a blocker cache, so it is an oracle
+    # independent of the probe
+    rng = random.Random(115)
+    for make, n, tol in ((_noisy_arcs, 60, 6), (_noisy_arcs, 90, 8), (_noisy_arcs, 120, 5),
+                         (_spiral_piece, 60, 100), (_spiral_piece, 90, 60),
+                         (_spiral_piece, 120, 100)):
+        pts = make(rng, n)
+        got = compress(pts, CompressionParams(tolerance=tol))
+        assert got.stats["arc_probe_rejections"] > 0, (make.__name__, n)
+        want_total, want_count, _ = reference_compress(pts, tol)
+        assert got.total[0] == want_total[0] and len(got.primitives) == want_count, (make.__name__, n)
+        assert abs(got.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
+
+
+@st.composite
+def _probe_cases(draw):
+    """A noisy integer arc or spiral window of 6-64 points inside a longer
+    run of the same curve, a tolerance around the window's least-squares
+    fit, and a blocker cache filled from random points of the run and from
+    the blockers of a real interval fit."""
+    n = draw(st.integers(6, 64))
+    before = draw(st.integers(0, 3))
+    after = draw(st.integers(0, 3))
+    total = before + n + after
+    r0 = draw(st.integers(300, 30000))
+    growth = draw(st.sampled_from((0.0, 0.002, 0.01)))  # 0: circular arc
+    sweep = draw(st.floats(0.3, 4.0))
+    noise = draw(st.integers(0, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    t0 = rng.uniform(0, 2 * math.pi)
+    pts = []
+    for i in range(total):
+        t = t0 + sweep * i / (total - 1)
+        r = r0 * (1 + growth * i)
+        pts.append((round(r * math.cos(t)) + rng.randint(-noise, noise),
+                    round(r * math.sin(t)) + rng.randint(-noise, noise)))
+    kp, k = before, before + n - 1
+    window = pts[kp:k + 1]
+    assume(window[0] != window[-1])
+    fit = fit_arc_least_squares(window, polish=False, with_sse=False)
+    worst = max(abs(math.dist(p, fit.center) - fit.radius) for p in window)
+    tol = max(0.5, worst * draw(st.floats(0.3, 1.5)))
+    cache = _BlockerCache()
+    for _ in range(draw(st.integers(0, BLOCKER_LISTS))):
+        cache.lists.append(draw(st.lists(st.integers(0, total - 1), max_size=12)))
+    shift = draw(st.sampled_from((None, 0, 1, 2)))  # blockers of window[shift:]
+    own = None
+    if shift is not None and n - shift >= 4:
+        blocked = []
+        fit_arc_by_tolerance(window[shift:], tol=tol, blockers=blocked)
+        if blocked:
+            own = [kp + shift + i for i in blocked]
+            cache.lists.insert(draw(st.integers(0, len(cache.lists))), own)
+            del cache.lists[BLOCKER_LISTS:]
+    return pts, kp, k, tol, cache, own if shift == 0 else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_probe_cases())
+def test_blocker_probe_rejects_only_windows_the_interval_fit_rejects(case):
+    pts, kp, k, tol, cache, own = case
+    newest = cache.lists[0] if cache.lists else None
+    got = _evaluate_arc(pts, kp, k, tol, 0.0, cache)
+    if cache.probe_rejections:
+        assert fit_arc_by_tolerance(pts[kp:k + 1], tol=tol) is None
+    if cache.lists and cache.lists[0] is not newest:
+        # an empty interval fit recorded its blockers as indices into pts
+        assert got is None and all(kp <= j <= k for j in cache.lists[0])
+    assert got == _evaluate_arc(pts, kp, k, tol, 0.0)
+    if own is not None and own is newest and len([j for j in own if kp < j < k]) <= PROBE_POINTS:
+        # the blockers of this very window, tested first, empty the probe
+        assert cache.probe_rejections == 1
