@@ -3,7 +3,8 @@
 The optimal annulus center is a vertex of the closest Voronoi diagram, a
 vertex of the farthest one, or an intersection of edges from both.  Vertex
 candidates come straight from the Delaunay duals with exact coordinates.
-Edge-edge crossings are discovered by clipping both diagrams to a square,
+Edge-edge crossings are discovered by clipping both diagrams to a square
+(`clip_segments_square`, which also drops the pieces on its outline),
 removing overlaps, and running the plane sweep on the exact rational
 segments; each reported event is then reconstructed exactly as the meeting
 point of two site bisectors.  Candidates are kept in a list sorted by
@@ -107,14 +108,6 @@ def _pairs(indices) -> List[Tuple[int, int]]:
     return list(combinations(sorted(indices), 2))
 
 
-def _on_outline(s: IndexedSegment, h: int) -> bool:
-    for axis in (0, 1):
-        for side in (h, -h):
-            if s.p0[axis] == side and s.p1[axis] == side:
-                return True
-    return False
-
-
 def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConfig] = None) -> AnnulusResult:
     """Smallest-width annulus containing the points, over the clipped region."""
     upts = list(dict.fromkeys(tuple(p) for p in points))
@@ -158,9 +151,6 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     segs = _voronoi_segments(diag_c, (cx, cy), half_side)
     segs += _voronoi_segments(diag_f, (cx, cy), half_side)
     segs = clip_segments_square(segs, half_side)
-    # pieces projected flat onto the square outline carry no interior
-    # crossing information; dropping them keeps the sweep small
-    segs = [s for s in segs if not _on_outline(s, half_side)]
     # the sweep runs on the exact rational segments: unlike a fixed-precision
     # build there is no need to snap to a grid first, and exactness here is
     # what lets every crossing reconstruct to the true bisector meeting point

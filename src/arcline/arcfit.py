@@ -64,7 +64,13 @@ def tolerance_intervals_point(a, b, p, tol) -> List[Tuple[float, float]]:
     Returns closed, disjoint, sorted intervals; (-inf, inf) when p is within
     tol of either endpoint, since such points satisfy any arc.
     """
-    mid, u, length = _chord_frame(a, b)
+    return _frame_intervals(_chord_frame(a, b), a, b, p, tol)
+
+
+def _frame_intervals(frame, a, b, p, tol) -> List[Tuple[float, float]]:
+    """`tolerance_intervals_point` with the chord frame of a, b given, so
+    that the points of one candidate share it."""
+    mid, u, length = frame
     if math.dist(p, a) <= tol or math.dist(p, b) <= tol:
         return [(-INF, INF)]
     w, e = _point_params(mid, u, p)
@@ -276,15 +282,16 @@ def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
     lead_set = set(lead)
     rest = [i for i in range(len(points)) if i not in lead_set]
     order = lead + rest
+    frame = _chord_frame(a, b)
     feasible = [(-INF, INF)]
     for pos, i in enumerate(order):
-        ivs = tolerance_intervals_point(a, b, points[i], tol)
+        ivs = _frame_intervals(frame, a, b, points[i], tol)
         feasible = _intersect_interval_sets([feasible, ivs])
         if not feasible:
             if blockers is not None:
                 blockers.extend(order[:pos + 1])
             return None
-    mid, u, length = _chord_frame(a, b)
+    mid, u, length = frame
     s_ls = (ls.center[0] - mid[0]) * u[0] + (ls.center[1] - mid[1]) * u[1]
     for lo, hi in feasible:
         if lo <= s_ls <= hi:
@@ -355,9 +362,9 @@ def densify(polyline: Sequence, max_step: float) -> List[Tuple[float, float]]:
     return out
 
 
-def direction_and_endpoint_check(points: Sequence, primitive, slack: float = 0.0) -> bool:
+def direction_and_endpoint_check(points: Sequence, primitive) -> bool:
     """Projections of the points onto the primitive's natural parameter must
-    be non-decreasing, allowing backtracking up to slack (length units).
+    be non-decreasing.
 
     primitive: a FittedArc, or a (start, end) tuple for a segment.
     """
@@ -375,7 +382,7 @@ def direction_and_endpoint_check(points: Sequence, primitive, slack: float = 0.0
                 rel -= 2 * math.pi
             prev = max(prev, rel)
             pos = rel * primitive.radius
-            if pos < run - slack:
+            if pos < run:
                 return False
             run = max(run, pos)
         return True
@@ -388,7 +395,7 @@ def direction_and_endpoint_check(points: Sequence, primitive, slack: float = 0.0
     run = -INF
     for p in points:
         pos = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / length
-        if pos < run - slack:
+        if pos < run:
             return False
         run = max(run, pos)
     return True

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .arcfit import (FittedArc, _intersect_interval_sets, arc_within_tolerance,
-                     densify, direction_and_endpoint_check, fit_arc_by_tolerance,
-                     fit_arc_least_squares, tolerance_intervals_point)
+from .arcfit import (FittedArc, _chord_frame, _frame_intervals, _intersect_interval_sets,
+                     arc_within_tolerance, densify, direction_and_endpoint_check,
+                     fit_arc_by_tolerance, fit_arc_least_squares)
 from .feasibility import build_fit_index_arrays, test_arcs, test_segments
 from .hulltree import HullTree
 from .sortedrange import MergeTree
@@ -51,7 +51,6 @@ class CompressionParams:
     penalty_arc: int = 3
     min_arc_points: int = 4
     max_arc_points: int = 512  # 0 = unlimited
-    direction_slack: float = 0.0
     mode: str = "vertices"  # "vertices" | "segments"
     min_arc_angle: float = math.radians(0.1)
     pruned: bool = True  # False disables the feasibility tables (testing)
@@ -189,8 +188,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
                 seg_evals += 1
                 if not tree.segment_within_tolerance(kp, k, pts[kp], pts[k], tol):
                     continue
-                if not direction_and_endpoint_check(pts[kp:k + 1], (pts[kp], pts[k]),
-                                                    params.direction_slack):
+                if not direction_and_endpoint_check(pts[kp:k + 1], (pts[kp], pts[k])):
                     continue
                 cand = (cnt + p_seg, acc + sse.range_sse(kp, k))
                 if cand < best or (cand == best and best_back[1] == "segment" and kp > best_back[0]):
@@ -211,7 +209,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
                 if best <= (cnt + p_arc, acc):
                     break
                 arc_evals += 1
-                arc = _evaluate_arc(pts, kp, k, tol_f, params.direction_slack, blockers)
+                arc = _evaluate_arc(pts, kp, k, tol_f, blockers)
                 if arc is None:
                     continue
                 cand = (cnt + p_arc, acc + arc.sse)
@@ -248,13 +246,14 @@ class _BlockerCache:
         points strictly inside (kp, k), for the anchors pts[kp] and pts[k],
         have an empty intersection."""
         a, b = pts[kp], pts[k]
+        frame = _chord_frame(a, b)
         feasible = [(-math.inf, math.inf)]
         tested: List[int] = []
         for blocked in self.lists:
             for j in blocked:
                 if kp < j < k and j not in tested:
                     feasible = _intersect_interval_sets(
-                        [feasible, tolerance_intervals_point(a, b, pts[j], tol)])
+                        [feasible, _frame_intervals(frame, a, b, pts[j], tol)])
                     if not feasible:
                         return True
                     tested.append(j)
@@ -268,7 +267,7 @@ class _BlockerCache:
         del self.lists[BLOCKER_LISTS:]
 
 
-def _evaluate_arc(pts, kp, k, tol, slack,
+def _evaluate_arc(pts, kp, k, tol,
                   blockers: Optional[_BlockerCache] = None) -> Optional[FittedArc]:
     """Least-squares fit first; tolerance-interval fit as the fallback.
 
@@ -290,7 +289,7 @@ def _evaluate_arc(pts, kp, k, tol, slack,
     if not quick.segment_like and arc_within_tolerance(quick, chunk, tol, check_span=False):
         arc = fit_arc_least_squares(chunk)  # polish only once a fit is viable
         if not arc.segment_like and arc_within_tolerance(arc, chunk, tol) \
-                and direction_and_endpoint_check(chunk, arc, slack):
+                and direction_and_endpoint_check(chunk, arc):
             return arc
     blocked: Optional[List[int]] = None if blockers is None else []
     arc = fit_arc_by_tolerance(chunk, tol=tol, seed_arc=quick, blockers=blocked)
@@ -300,7 +299,7 @@ def _evaluate_arc(pts, kp, k, tol, slack,
         return None
     if not arc_within_tolerance(arc, chunk, tol):
         return None
-    if not direction_and_endpoint_check(chunk, arc, slack):
+    if not direction_and_endpoint_check(chunk, arc):
         return None
     return arc
 

@@ -16,10 +16,10 @@ from typing import Dict, List, Sequence, Tuple
 from .predicates import dist_sq, orientation
 
 
-def _hull_chains(sorted_pts: Sequence[Tuple[int, int]]):
-    """Upper and lower hull chains of lexicographically sorted points."""
-    if len(sorted_pts) == 1:
-        return list(sorted_pts), list(sorted_pts)
+def _hull_chains(sorted_pts: Sequence[Tuple]):
+    """Lower and upper hull chains (Andrew's monotone chain) of
+    lexicographically sorted points, integer or float; points on a chain's
+    edges are dropped."""
 
     def chain(order):
         out = []
@@ -29,9 +29,17 @@ def _hull_chains(sorted_pts: Sequence[Tuple[int, int]]):
             out.append(p)
         return out
 
-    lower = chain(sorted_pts)
-    upper = chain(reversed(sorted_pts))
-    return lower, upper
+    return chain(sorted_pts), chain(reversed(sorted_pts))
+
+
+def convex_hull(points) -> List[Tuple]:
+    """Strict convex hull of the points, counterclockwise from the least;
+    fewer than three distinct points come back sorted."""
+    spts = sorted(set(points))
+    if len(spts) < 3:
+        return spts
+    lower, upper = _hull_chains(spts)
+    return lower[:-1] + upper[:-1]
 
 
 class RangeHull:
@@ -164,10 +172,7 @@ class HullTree:
     def range_min_width_exceeds(self, i: int, j: int, threshold) -> bool:
         """True iff the min width of the hull of vertices [i, j] exceeds
         threshold, by rotating calipers over the merged cover hulls."""
-        cover = self.query_cover(i, j)
-        pts = sorted(set(p for h in cover for p in h.vertices()))
-        lower, upper = _hull_chains(pts)
-        verts = lower[:-1] + upper[:-1] if len(lower) > 1 else lower
+        verts = convex_hull(p for h in self.query_cover(i, j) for p in h.vertices())
         if len(verts) < 3:
             return False  # width zero
         thr_sq = Fraction(threshold) ** 2

@@ -41,17 +41,11 @@ class QuadEdgeStore:
     def dest(self, e: int) -> int:
         return self.org[sym(e)]
 
-    def set_org(self, e: int, v: int) -> None:
-        self.org[e] = v
-
     def oprev(self, e: int) -> int:
         return rot(self.onext[rot(e)])
 
     def lnext(self, e: int) -> int:
         return rot(self.onext[invrot(e)])
-
-    def lprev(self, e: int) -> int:
-        return sym(self.onext[e])
 
     def rprev(self, e: int) -> int:
         return self.onext[sym(e)]
@@ -74,9 +68,6 @@ class QuadEdgeStore:
         self.splice(e, self.oprev(e))
         self.splice(sym(e), self.oprev(sym(e)))
         self.alive[e >> 2] = False
-
-    def is_alive(self, e: int) -> bool:
-        return self.alive[e >> 2]
 
     def primal_edges(self):
         """Yield one canonical directed edge per live undirected edge."""

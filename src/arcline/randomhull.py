@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .predicates import orientation
+from .hulltree import convex_hull
 
 Pt = Tuple[float, float]
 
@@ -47,8 +47,7 @@ def gen_random_walk_hull(n: int, seed: int = 0) -> HullSample:
     for _ in range(n - 1):
         dx, dy = _unit_vector(rng)
         pts.append((pts[-1][0] + dx, pts[-1][1] + dy))
-    hull = _float_hull(pts)
-    return HullSample(hull, "walk", seed)
+    return HullSample(convex_hull(pts), "walk", seed)
 
 
 def gen_directions_hull(n: int, seed: int = 0, retries: int = 64) -> HullSample:
@@ -214,56 +213,13 @@ def _sample_in_segment(rng: random.Random, s: _CircSeg) -> Optional[Pt]:
     return (px, py)
 
 
-def _float_hull(pts: List[Pt]) -> List[Pt]:
-    """Monotone chain on floats, counterclockwise."""
-    spts = sorted(set(pts))
-    if len(spts) < 3:
-        return spts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def chain(order):
-        out = []
-        for p in order:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(spts)
-    upper = chain(reversed(spts))
-    return lower[:-1] + upper[:-1]
-
-
 def finalize_hull(sample: HullSample, grid_scale: float = 1 << 20) -> HullSample:
     """Quantize to the integer grid and keep a strictly convex subsequence."""
-    ints = [(round(x * grid_scale), round(y * grid_scale)) for x, y in sample.vertices]
-    uniq = list(dict.fromkeys(ints))
-    if len(uniq) >= 3:
-        strict = _int_hull(uniq)
-    else:
-        strict = uniq
+    strict = convex_hull((round(x * grid_scale), round(y * grid_scale))
+                         for x, y in sample.vertices)
     if len(strict) < 3:
         raise ValueError("degenerate hull")
     out = HullSample(list(sample.vertices), sample.generator, sample.seed)
     out.quantized = strict
     return out
 
-
-def _int_hull(pts: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    spts = sorted(set(pts))
-    if len(spts) < 3:
-        return spts
-
-    def chain(order):
-        out = []
-        for p in order:
-            while len(out) >= 2 and orientation(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(spts)
-    upper = chain(list(reversed(spts)))
-    return lower[:-1] + upper[:-1]

@@ -11,7 +11,7 @@ from arcline.arcfit import direction_and_endpoint_check
 from arcline.compress import _evaluate_arc
 
 
-def _segment_ok(pts, i, j, tol, slack):
+def _segment_ok(pts, i, j, tol):
     ax, ay = pts[i]
     bx, by = pts[j]
     dx = bx - ax
@@ -26,7 +26,7 @@ def _segment_ok(pts, i, j, tol, slack):
             cr = dx * (p[1] - ay) - dy * (p[0] - ax)
             if cr * cr > tol_sq * len_sq:
                 return False
-    return direction_and_endpoint_check(pts[i:j + 1], (pts[i], pts[j]), slack)
+    return direction_and_endpoint_check(pts[i:j + 1], (pts[i], pts[j]))
 
 
 def _segment_sse(pts, i, j):
@@ -44,17 +44,17 @@ def _segment_sse(pts, i, j):
     return float(Fraction(total, len_sq))
 
 
-def _arc_fit(pts, i, j, tol, slack):
+def _arc_fit(pts, i, j, tol):
     # the arc primitive evaluation is shared with the production path (its
     # own oracles live in the arc-fit tests), but without the DP's blocker
     # cache, so the probe in front of it is checked against the plain fit;
     # this module independently re-implements the scan, the segment checks,
     # and the bookkeeping
-    return _evaluate_arc(pts, i, j, float(tol), slack, None)
+    return _evaluate_arc(pts, i, j, float(tol), None)
 
 
 def reference_compress(pts, tol, p_seg=2, p_arc=3, min_arc_points=4,
-                       max_arc_points=0, slack=0.0):
+                       max_arc_points=0):
     """Exhaustive DP; returns (total_pair, primitive_count, evaluations)."""
     pts = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
     n = len(pts)
@@ -68,7 +68,7 @@ def reference_compress(pts, tol, p_seg=2, p_arc=3, min_arc_points=4,
         best_back = (k - 1, "segment")
         for kp in range(0, k - 1):
             evals += 1
-            if _segment_ok(pts, kp, k, tol, slack):
+            if _segment_ok(pts, kp, k, tol):
                 cand = (T[kp][0] + p_seg, T[kp][1] + _segment_sse(pts, kp, k))
                 if cand < best or (cand == best and best_back[1] == "segment" and kp > best_back[0]):
                     best = cand
@@ -77,7 +77,7 @@ def reference_compress(pts, tol, p_seg=2, p_arc=3, min_arc_points=4,
             if max_arc_points and k - kp + 1 > max_arc_points:
                 continue
             evals += 1
-            arc = _arc_fit(pts, kp, k, tol, slack)
+            arc = _arc_fit(pts, kp, k, tol)
             if arc is not None:
                 cand = (T[kp][0] + p_arc, T[kp][1] + arc.sse)
                 if cand < best or (cand == best and best_back[1] == "arc" and kp > best_back[0]):

@@ -325,13 +325,13 @@ def _probe_cases(draw):
 def test_blocker_probe_rejects_only_windows_the_interval_fit_rejects(case):
     pts, kp, k, tol, cache, own = case
     newest = cache.lists[0] if cache.lists else None
-    got = _evaluate_arc(pts, kp, k, tol, 0.0, cache)
+    got = _evaluate_arc(pts, kp, k, tol, cache)
     if cache.probe_rejections:
         assert fit_arc_by_tolerance(pts[kp:k + 1], tol=tol) is None
     if cache.lists and cache.lists[0] is not newest:
         # an empty interval fit recorded its blockers as indices into pts
         assert got is None and all(kp <= j <= k for j in cache.lists[0])
-    assert got == _evaluate_arc(pts, kp, k, tol, 0.0)
+    assert got == _evaluate_arc(pts, kp, k, tol)
     if own is not None and own is newest and len([j for j in own if kp < j < k]) <= PROBE_POINTS:
         # the blockers of this very window, tested first, empty the probe
         assert cache.probe_rejections == 1
