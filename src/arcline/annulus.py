@@ -298,6 +298,21 @@ def _least_squares_circle(pts) -> Optional[Tuple[float, float, float]]:
     return cx + mx, cy + my, math.sqrt(r_sq)
 
 
+def _far_bisector_point(upts, c0x: float, c0y: float, reach: float) -> Tuple[float, float]:
+    """The point on the perpendicular bisector of the extreme points of a
+    collinear set that lies farthest from their midpoint within
+    |x - c0x|, |y - c0y| <= reach.  The annulus of collinear points about a
+    centre on that bisector narrows as the centre moves out, so this is
+    where a witness for them has the best chance."""
+    (px, py), (qx, qy) = min(upts), max(upts)
+    mx, my = (px + qx) / 2, (py + qy) / 2
+    length = math.hypot(qx - px, qy - py)
+    nx, ny = (py - qy) / length, (qx - px) / length
+    t = min((reach - math.copysign(1.0, n) * (m - c)) / abs(n)
+            for n, m, c in ((nx, mx, c0x), (ny, my, c0y)) if n != 0.0)
+    return mx + t * nx, my + t * ny
+
+
 def _float_width(upts, cx: float, cy: float) -> Tuple[list, float]:
     """Distances of the points from (cx, cy) in floats, and their spread
     max - min."""
@@ -408,7 +423,9 @@ def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol,
 
     Three stages, each exact.  A witness centre, refined from the
     least-squares circle (`_witness_centre`), accepts when it lies in the
-    clip square and the annulus about it is certainly at most 2*tol wide.
+    clip square and the annulus about it is certainly at most 2*tol wide;
+    collinear points have no such circle, and their witness search starts
+    from the farthest point of their bisector in the square instead.
     Otherwise a small subset of extreme-residual points is tested: the
     annulus of a subset is never wider than that of the full set, so a
     wide subset is an exact certificate of infeasibility.  Only the
@@ -428,14 +445,15 @@ def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol,
     c0x = (min(xs) + max(xs)) / 2
     c0y = (min(ys) + max(ys)) / 2
     fit = _least_squares_circle(upts)
+    start = fit[:2] if fit is not None else _far_bisector_point(upts, c0x, c0y, half_side - 2)
+    witness = _witness_centre(upts, *start, tol)
+    # the witness must lie inside the clip square for the accept to answer
+    # the clipped question
+    if witness is not None and abs(witness[0] - c0x) <= half_side - 1 \
+            and abs(witness[1] - c0y) <= half_side - 1:
+        return True
     if fit is not None:
         cx, cy, r = fit
-        witness = _witness_centre(upts, cx, cy, tol)
-        # the witness must lie inside the clip square for the accept to
-        # answer the clipped question
-        if witness is not None and abs(witness[0] - c0x) <= half_side - 1 \
-                and abs(witness[1] - c0y) <= half_side - 1:
-            return True
         if len(upts) > 10:
             residuals = [math.hypot(p[0] - cx, p[1] - cy) - r for p in upts]
             order = sorted(range(len(upts)), key=lambda i: residuals[i])

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from .predicates import EPS
+
 INF = math.inf
 
 # radius beyond this multiple of the chord length is reported segment-like
@@ -31,6 +33,9 @@ class FittedArc:
     orientation: str  # "ccw" | "cw"
     sse: float  # approximate sum of squared radial deviations
     segment_like: bool = False
+    # certified lower bound on the sse of every arc through start and end
+    # over the same points (`fit_arc_least_squares`; 0 from other fits)
+    sse_floor: float = 0.0
 
 
 def _chord_frame(a, b):
@@ -142,7 +147,7 @@ def _intersect_interval_sets(sets: Sequence[List[Tuple[float, float]]]) -> List[
     return out
 
 
-def _build_arc(a, b, s, points, with_sse: bool = True) -> FittedArc:
+def _build_arc(a, b, s, points, with_sse: bool = True, sse_floor: float = 0.0) -> FittedArc:
     mid, u, length = _chord_frame(a, b)
     radius = math.hypot(length / 2, s)
     segment_like = radius > SEGMENT_LIKE_RADIUS_FACTOR * length or not math.isfinite(s)
@@ -152,7 +157,8 @@ def _build_arc(a, b, s, points, with_sse: bool = True) -> FittedArc:
     center = (mid[0] + s * u[0], mid[1] + s * u[1])
     orientation = _pick_orientation(a, b, center, points)
     sse = _approx_sse(points, center, radius) if with_sse else math.nan
-    return FittedArc(tuple(a), tuple(b), center, radius, orientation, sse, segment_like)
+    return FittedArc(tuple(a), tuple(b), center, radius, orientation, sse, segment_like,
+                     sse_floor)
 
 
 def with_sse(arc: FittedArc, points) -> FittedArc:
@@ -201,6 +207,7 @@ def fit_arc_least_squares(points: Sequence, polish: bool = True,
     mx, my = mid
     sum_gh = 0.0
     sum_hh = 0.0
+    sum_gg = 0.0
     params = []  # (w, e) per point, read only by the polish
     for p in points:
         px = p[0] - mx
@@ -209,13 +216,16 @@ def fit_arc_least_squares(points: Sequence, polish: bool = True,
         e = px * ux + py * uy
         if polish:
             params.append((w, e))
-        sum_gh += (w - half_sq) * e
+        g = w - half_sq
+        sum_gh += g * e
         sum_hh += e * e
+        sum_gg += g * g
+    floor = _sse_floor(len(points), half_sq, sum_gg, sum_gh, sum_hh, mid, length)
     if sum_hh == 0:
-        return _build_arc(a, b, INF, points, with_sse)
+        return _build_arc(a, b, INF, points, with_sse, floor)
     s = sum_gh / (2 * sum_hh)
     if not polish:
-        return _build_arc(a, b, s, points, with_sse)
+        return _build_arc(a, b, s, points, with_sse, floor)
 
     def f_and_fprime(sv):
         f = g = 0.0
@@ -251,7 +261,76 @@ def fit_arc_least_squares(points: Sequence, polish: bool = True,
             if f_cur < best_f:
                 best_s, best_f = cur, f_cur
             break
-    return _build_arc(a, b, best_s, points, with_sse)
+    return _build_arc(a, b, best_s, points, with_sse, floor)
+
+
+def _sse_floor(n: int, h: float, gg: float, gh: float, hh: float, mid, length: float) -> float:
+    """Certified lower bound on the `_approx_sse`, over the same n points,
+    of every arc that `_build_arc` makes through the two anchors and does
+    not report segment-like; 0.0 when a float overflowed.
+
+    With m the float chord midpoint (the one `_build_arc` uses too), u the
+    chord's unit normal, L the chord length, h = (L/2)^2, and per point
+    w = |p - m|^2, e = (p - m) . u, g = w - h: the centre m + s*u has
+    radius r = sqrt(h + s^2), and d^2 - r^2 = g - 2*e*s, so `_approx_sse`
+    there is exactly f(s) = (G - 4*s*P + 4*s^2*E) / (4*(h + s^2)) with
+    G = sum g^2, P = sum g*e, E = sum e^2 (the sums gg, gh, hh).
+    f(s) >= lam for all s iff 4*(E - lam)*s^2 - 4*P*s + G - 4*lam*h >= 0
+    for all s, that is iff (E - lam)*(G - 4*lam*h) >= P^2 with both
+    factors >= 0, so the minimum of f (also its limit E at infinity) is
+    the smaller root of 4*h*lam^2 - (G + 4*h*E)*lam + (E*G - P^2) = 0,
+    taken in the stable form
+    lam = 2*(E*G - P^2) / (G + 4*h*E + sqrt((G - 4*h*E)^2 + 16*h*P^2)),
+    whose only cancellation is in E*G - P^2.
+
+    Rounding, to first order, with EPS the unit roundoff, n the points,
+    B^2 = h + sqrt(G) (at least every w, since |g| <= sqrt(G)) and
+    M = |m_x| + |m_y|:
+
+    - The sums.  Each offset p - m is off by 2*EPS*|p - m|, L and so u by
+      5*EPS and h by 7*EPS (hypot is within one ulp), so w is off by
+      6*EPS*w, g by 8*EPS*(w + h) and e by 9*EPS*|p - m|.  With |g| <= 2*B^2,
+      |e| <= B and the summation errors ((n-1)*EPS of a sum of squares, and
+      of sum |g*e| <= sqrt(G*E) for P): dG <= EPS*((n+1)*G + 64*n*B^4),
+      dE <= EPS*((n+1)*E + 18*n*B^2), dP <= EPS*n*(sqrt(G*E) + 34*B^3).
+      They move f(s) by at most dG/(4h), dP/(2*sqrt(h)) (as
+      |s|/(h+s^2) <= 1/(2*sqrt(h))) and dE; h's error moves it by 7*EPS*f;
+      evaluating the root adds 6*EPS*E + 8*EPS*lam (the numerator's
+      6*EPS*E*G over a denominator of at least 2*G).  Their sum, doubled
+      for the first-order terms, is err, and min f >= lam - err.
+    - The arc.  `_build_arc` rounds the centre by at most EPS*(M + 8*r)
+      and the radius by 5*EPS*r, so the arc leaves the family above;
+      `_approx_sse` rounds each d^2 - r^2 by 5*EPS*(d^2 + r^2) and the
+      quotient by EPS.  With d <= B + r and L/2 <= r <= rho =
+      SEGMENT_LIKE_RADIUS_FACTOR * L (any larger radius is segment-like),
+      each residual (d^2 - r^2)/(2r) is off by at most
+      eta = EPS*(2*M*(1 + 2*B/L) + 20*(B + rho) + 11*B^2/L), doubled
+      below, and the root of the sum of their squares, a Euclidean norm,
+      by sqrt(n)*eta.  Summing n squares loses a factor of at most
+      1 - (n+1)*EPS.
+
+    Hence every such arc has sse >= (1 - (n+8)*EPS) *
+    (sqrt(lam - err) - sqrt(n)*eta)^2, the extra 7*EPS covering the
+    rounding of this expression.  G grows as the fourth power of the
+    coordinates; a bound that overflowed or came out NaN is 0.
+    """
+    eg = hh * gg
+    num = eg - gh * gh
+    if not num > 0.0:
+        return 0.0
+    diff = gg - 4 * h * hh
+    lam = 2 * num / (gg + 4 * h * hh + math.sqrt(diff * diff + 16 * h * gh * gh))
+    b_sq = h + math.sqrt(gg)
+    b = math.sqrt(b_sq)
+    err = 2 * EPS * (((n + 1) * gg + 64 * n * b_sq * b_sq) / (4 * h)
+                     + n * (math.sqrt(eg) + 34 * b * b_sq) / (2 * math.sqrt(h))
+                     + (n + 13) * hh + 18 * n * b_sq + 15 * lam)
+    m = abs(mid[0]) + abs(mid[1])
+    rho = SEGMENT_LIKE_RADIUS_FACTOR * length
+    eta = 2 * EPS * (2 * m * (1 + 2 * b / length) + 20 * (b + rho) + 11 * b_sq / length)
+    root = math.sqrt(max(0.0, lam - err)) - math.sqrt(n) * eta
+    floor = (1 - (n + 8) * EPS) * root * root if root > 0.0 else 0.0
+    return floor if floor < INF else 0.0
 
 
 def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,

@@ -43,11 +43,14 @@ def cmd_compress(args) -> int:
                   mode=args.mode)
     try:
         CompressionParams(tolerance=args.tolerance, **params)
+        scale = float(file_scale) if file_scale else choose_scale(args.tolerance)
     except ValueError as e:
         return _fail(EXIT_BAD_PARAMS, str(e))
     t0 = time.perf_counter()
-    result = compress_polyline(points, args.tolerance,
-                               scale=float(file_scale) if file_scale else None, **params)
+    try:
+        result = compress_polyline(points, args.tolerance, scale=scale, **params)
+    except ValueError as e:  # coordinates beyond the grid at this scale
+        return _fail(EXIT_BAD_INPUT, str(e))
     elapsed = time.perf_counter() - t0
 
     doc = ResultDocument()
@@ -92,7 +95,10 @@ def cmd_annulus(args) -> int:
     if not 0 < args.alpha < 360:
         return _fail(EXIT_BAD_PARAMS, "alpha out of range")
     scale = float(file_scale) if file_scale else (choose_scale(args.tolerance) if args.tolerance else 1024.0)
-    grid = quantize_points(points, scale)
+    try:
+        grid = quantize_points(points, scale)
+    except ValueError as e:
+        return _fail(EXIT_BAD_INPUT, str(e))
     xs = [p[0] for p in grid]
     ys = [p[1] for p in grid]
     r = math.hypot(max(xs) - min(xs), max(ys) - min(ys)) / 2 + 1

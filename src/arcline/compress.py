@@ -21,6 +21,21 @@ depend on their order, so an empty probe means an empty fit: the candidate
 would have been rejected anyway.  Only the least-squares accept, which
 checks residuals with a slack of about 1e-12 instead of the intervals, could
 have accepted such a candidate, inside that slack's float-dust band.
+
+A candidate that passes the probe gets the quick least-squares fit; when
+that arc is within tolerance the candidate is worth polishing (the secant
+iteration on the geometric residual, then the interval fit if the polished
+arc fails), yet most such candidates lose to the incumbent.  The quick fit
+also yields `sse_floor`, a certified lower bound on the SSE of every arc
+through the two anchors (`arcfit._sse_floor`), so (cnt + p_arc, acc +
+sse_floor) bounds the candidate's cost.  Such candidates wait in a heap
+under that key.  Before the scan takes its next candidate, whose cost is at
+least (cnt + p_arc, acc) of its heap entry, it polishes, smallest key
+first, every waiting candidate whose key is at most that pair, and it drops
+them all once the incumbent is below the smallest key.  Every candidate
+that could win or tie is so polished before the scan passes its bound: the
+scan takes the same candidates and ends with the same T and back pointers
+as one that polishes each candidate at once.
 """
 
 from __future__ import annotations
@@ -28,11 +43,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import List, Optional, Sequence, Tuple
 
-from .arcfit import (FittedArc, _chord_frame, _frame_intervals, _intersect_interval_sets,
-                     arc_within_tolerance, densify, direction_and_endpoint_check,
-                     fit_arc_by_tolerance, fit_arc_least_squares)
+from .arcfit import (FittedArc, _chord_frame, _frame_intervals, arc_within_tolerance, densify,
+                     direction_and_endpoint_check, fit_arc_by_tolerance, fit_arc_least_squares)
 from .feasibility import build_fit_index_arrays, test_arcs, test_segments
 from .hulltree import HullTree
 from .sortedrange import MergeTree
@@ -42,6 +57,9 @@ PenaltyPair = Tuple[int, float]
 
 BLOCKER_LISTS = 2  # rejections whose blockers the arc scan remembers
 PROBE_POINTS = 8  # cached blockers a candidate re-tests at most
+# largest grid coordinate magnitude: the fits and checks compute on floats,
+# which hold every integer up to here exactly
+MAX_GRID_COORD = 2 ** 53
 
 
 @dataclass
@@ -134,6 +152,9 @@ class _SegSse:
 def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> CompressedPolyline:
     """Globally optimal decomposition into vertex-anchored segments and arcs."""
     pts = [tuple(p) for p in polyline]
+    if any(abs(c) > MAX_GRID_COORD for p in pts for c in p):
+        raise ValueError("grid coordinates must lie within +-2**53: "
+                         "use a larger tolerance or smaller coordinates")
     if params.mode == "segments":
         dense = densify(pts, params.tolerance)
         pts = [(round(x), round(y)) for x, y in dense]
@@ -166,9 +187,19 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     back: List[Optional[Tuple[int, str, Optional[FittedArc]]]] = [None]
     mtree = MergeTree()
     mtree.append(T[0])
-    seg_evals = arc_evals = 0
+    seg_evals = arc_evals = arc_polishes = 0
     tol_f = float(tol)
     blockers = _BlockerCache()
+
+    def offer(kp: int, arc: Optional[FittedArc]) -> None:
+        """Make the arc from kp to k the incumbent when it beats it."""
+        nonlocal best, best_back
+        if arc is None:
+            return
+        cand = (T[kp][0] + p_arc, T[kp][1] + arc.sse)
+        if cand < best or (cand == best and best_back[1] == "arc" and kp > best_back[0]):
+            best = cand
+            best_back = (kp, "arc", arc)
 
     for k in range(1, n):
         best = (T[k - 1][0] + p_seg, T[k - 1][1])
@@ -201,21 +232,27 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
         hi = k - (params.min_arc_points - 1)
         if lo <= hi:
             heap = mtree.open_range(lo, hi)
+            pending: List[tuple] = []
             while True:
                 item = heap.pop_min()
-                if item is None:
+                limit = None if item is None else (item[0][0] + p_arc, item[0][1])
+                # polish, best key first, the waiting candidates that could
+                # still beat the incumbent or tie the next candidate's bound
+                while (entry := _take_pending(pending, limit, best)) is not None:
+                    arc_polishes += 1
+                    _, kp, quick = entry
+                    offer(kp, _evaluate_arc(pts, kp, k, tol_f, blockers, quick))
+                if item is None or best <= limit:
                     break
                 (cnt, acc), kp = item
-                if best <= (cnt + p_arc, acc):
-                    break
                 arc_evals += 1
-                arc = _evaluate_arc(pts, kp, k, tol_f, blockers)
-                if arc is None:
+                quick = _quick_arc(pts, kp, k, tol_f, blockers)
+                if quick is None:
                     continue
-                cand = (cnt + p_arc, acc + arc.sse)
-                if cand < best or (cand == best and best_back[1] == "arc" and kp > best_back[0]):
-                    best = cand
-                    best_back = (kp, "arc", arc)
+                if quick[1]:  # worth polishing: wait under a bound on the cost
+                    heappush(pending, ((cnt + p_arc, acc + quick[0].sse_floor), kp, quick))
+                else:
+                    offer(kp, _evaluate_arc(pts, kp, k, tol_f, blockers, quick))
 
         T.append(best)
         back.append(best_back)
@@ -225,7 +262,8 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     return CompressedPolyline(prims, T[n - 1], pts,
                               stats={"segment_evaluations": seg_evals,
                                      "arc_evaluations": arc_evals,
-                                     "arc_probe_rejections": blockers.probe_rejections})
+                                     "arc_probe_rejections": blockers.probe_rejections,
+                                     "arc_polishes": arc_polishes})
 
 
 class _BlockerCache:
@@ -248,15 +286,14 @@ class _BlockerCache:
         a, b = pts[kp], pts[k]
         frame = _chord_frame(a, b)
         feasible = [(-math.inf, math.inf)]
-        tested: List[int] = []
+        tested = set()
         for blocked in self.lists:
             for j in blocked:
                 if kp < j < k and j not in tested:
-                    feasible = _intersect_interval_sets(
-                        [feasible, _frame_intervals(frame, a, b, pts[j], tol)])
+                    feasible = _intersect_sorted(feasible, _frame_intervals(frame, a, b, pts[j], tol))
                     if not feasible:
                         return True
-                    tested.append(j)
+                    tested.add(j)
                     if len(tested) == PROBE_POINTS:
                         return False
         return False
@@ -267,17 +304,30 @@ class _BlockerCache:
         del self.lists[BLOCKER_LISTS:]
 
 
-def _evaluate_arc(pts, kp, k, tol,
-                  blockers: Optional[_BlockerCache] = None) -> Optional[FittedArc]:
-    """Least-squares fit first; tolerance-interval fit as the fallback.
+def _intersect_sorted(xs: List[Tuple[float, float]],
+                      ys: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """Intersection of two sorted lists of disjoint closed intervals, by a
+    merge."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        lo = max(xs[i][0], ys[j][0])
+        hi = min(xs[i][1], ys[j][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if xs[i][1] < ys[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
 
-    With a blocker cache, the probe runs first and rejects the candidate
-    before any O(window) fit when the cached blockers inside (kp, k) leave
-    no centre; the candidate would fail the interval fit for the same
-    reason (module docstring).  An interval fit that comes out empty
-    records its blockers in the cache.  Without a cache the result is the
-    plain fit's, which the reference DP relies on.
-    """
+
+def _quick_arc(pts, kp, k, tol,
+               blockers: Optional[_BlockerCache] = None) -> Optional[Tuple[FittedArc, bool]]:
+    """The cheap half of `_evaluate_arc`: None when the anchors coincide or
+    the blocker probe rejects the candidate, else the quick least-squares
+    arc (its `sse_floor` set) and whether it is within tol of every point,
+    which makes the candidate worth polishing."""
     a, b = pts[kp], pts[k]
     if a == b:
         return None  # an arc needs two distinct anchors
@@ -286,13 +336,35 @@ def _evaluate_arc(pts, kp, k, tol,
         return None
     chunk = pts[kp:k + 1]
     quick = fit_arc_least_squares(chunk, polish=False, with_sse=False)
-    if not quick.segment_like and arc_within_tolerance(quick, chunk, tol, check_span=False):
+    return quick, not quick.segment_like and arc_within_tolerance(quick, chunk, tol, check_span=False)
+
+
+def _evaluate_arc(pts, kp, k, tol, blockers: Optional[_BlockerCache] = None,
+                  quick: Optional[Tuple[FittedArc, bool]] = None) -> Optional[FittedArc]:
+    """Least-squares fit first; tolerance-interval fit as the fallback.
+
+    With a blocker cache, the probe runs first and rejects the candidate
+    before any O(window) fit when the cached blockers inside (kp, k) leave
+    no centre; the candidate would fail the interval fit for the same
+    reason (module docstring).  An interval fit that comes out empty
+    records its blockers in the cache.  Without a cache the result is the
+    plain fit's, which the reference DP relies on.  `quick`, when given, is
+    what `_quick_arc` returned for this candidate; the evaluation goes on
+    from there.
+    """
+    if quick is None:
+        quick = _quick_arc(pts, kp, k, tol, blockers)
+        if quick is None:
+            return None
+    seed, viable = quick
+    chunk = pts[kp:k + 1]
+    if viable:
         arc = fit_arc_least_squares(chunk)  # polish only once a fit is viable
         if not arc.segment_like and arc_within_tolerance(arc, chunk, tol) \
                 and direction_and_endpoint_check(chunk, arc):
             return arc
     blocked: Optional[List[int]] = None if blockers is None else []
-    arc = fit_arc_by_tolerance(chunk, tol=tol, seed_arc=quick, blockers=blocked)
+    arc = fit_arc_by_tolerance(chunk, tol=tol, seed_arc=seed, blockers=blocked)
     if blocked:
         blockers.record(kp, blocked)
     if arc is None or arc.segment_like:
@@ -302,6 +374,23 @@ def _evaluate_arc(pts, kp, k, tol,
     if not direction_and_endpoint_check(chunk, arc):
         return None
     return arc
+
+
+def _take_pending(pending: list, limit: Optional[PenaltyPair], best: PenaltyPair):
+    """Pop the entry (key, kp, quick) with the smallest key from the heap
+    `pending` when that key is at most both `limit` (None: no limit) and
+    `best`, else None.  Once `best` is below the smallest key, every entry
+    is dropped: keys are lower bounds on what the candidates can cost and
+    the incumbent never gets worse."""
+    if not pending:
+        return None
+    key = pending[0][0]
+    if best < key:
+        pending.clear()
+        return None
+    if limit is not None and limit < key:
+        return None
+    return heappop(pending)
 
 
 def _data_radius(pts) -> float:

@@ -21,11 +21,19 @@ def choose_scale(tolerance: float) -> float:
     """Smallest power of two with tolerance * scale >= 1024."""
     if not 0 < tolerance < math.inf:
         raise ValueError("tolerance must be positive and finite")
-    return 2.0 ** math.ceil(math.log2(TOLERANCE_GRID_UNITS / tolerance))
+    try:
+        return 2.0 ** math.ceil(math.log2(TOLERANCE_GRID_UNITS / tolerance))
+    except OverflowError:
+        raise ValueError("tolerance too small: its grid scale overflows a float") from None
 
 
 def quantize_points(points: Sequence[Tuple[float, float]], scale: float) -> List[Tuple[int, int]]:
-    return [(round(x * scale), round(y * scale)) for x, y in points]
+    """Points scaled and rounded to the integer grid; ValueError when a
+    scaled coordinate overflows a float."""
+    try:
+        return [(round(x * scale), round(y * scale)) for x, y in points]
+    except OverflowError:
+        raise ValueError(f"coordinates times the grid scale {scale!r} overflow a float") from None
 
 
 @dataclass
@@ -62,7 +70,7 @@ def compress_polyline(points: Sequence[Tuple[float, float]], tolerance: float,
     return CompressionResult(
         primitives=prims,
         t_count=result.total[0],
-        t_sse=result.total[1] / (scale * scale),
+        t_sse=result.total[1] / scale / scale,  # scale * scale can underflow
         scale=scale,
         grid=result,
         source=[tuple(map(float, p)) for p in points],

@@ -386,25 +386,6 @@ def test_criterion_10_clipping_and_overlaps():
            "1e3 parity families; idempotent")
 
 
-def test_criterion_11_scaling_report():
-    rng = random.Random(11)
-    times = []
-    for n in (50_000, 100_000, 200_000):
-        pts = set()
-        while len(pts) < n:
-            pts.add((rng.randint(0, 10**8), rng.randint(0, 10**8)))
-        pts = list(pts)
-        t0 = time.time()
-        build_closest(pts)
-        times.append(time.time() - t0)
-    ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
-    # soft criterion: reported, not asserted (paper's absolute numbers are
-    # hardware-bound); larger sizes are reachable through the bench command
-    report("criterion 11 (soft): Delaunay scaling",
-           f"times={['%.2f' % t for t in times]}s doubling-ratios="
-           f"{['%.2f' % r for r in ratios]} (target <= 2.6, report-only)")
-
-
 def test_criterion_12_random_hulls():
     for n in (55, 2981):
         sizes = [len(gen_random_walk_hull(n, seed).vertices) for seed in range(1000)]

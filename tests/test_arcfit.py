@@ -2,8 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from arcline.arcfit import (INF, arc_within_tolerance, densify,
+from arcline.arcfit import (INF, _build_arc, _chord_frame, arc_within_tolerance, densify,
                             direction_and_endpoint_check, fit_arc_by_tolerance,
                             fit_arc_least_squares, tolerance_intervals_point)
 
@@ -239,3 +240,67 @@ def test_fallback_accepts_when_least_squares_violates():
         assert arc_within_tolerance(arc, pts, tol * (1 + 1e-9), check_span=False)
         hit += 1
     assert hit == 3
+
+
+@st.composite
+def _floor_windows(draw):
+    """Integer windows where the SSE floor is hardest to certify: nearly
+    exact arcs (E*G close to P^2, so the bound is mostly cancellation),
+    arcs whose chord is short against their extent, nearly straight walks,
+    all optionally far from the origin."""
+    n = draw(st.integers(4, 80))
+    kind = draw(st.sampled_from(("arc", "short_chord", "straight")))
+    offset = draw(st.sampled_from((0, -(2 ** 20), 2 ** 40)))
+    noise = draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "straight":
+        dx, dy = rng.randint(-400, 400), rng.randint(1, 400)
+        bend = rng.randint(-3, 3)
+        pts = [(k * dx - bend * k * k // 8, k * dy + bend * k * k // 8) for k in range(n)]
+    else:
+        radius = draw(st.integers(30, 10 ** 6))
+        span = rng.uniform(0.05, 6.0) if kind == "arc" else rng.uniform(5.6, 6.25)
+        t0 = rng.uniform(0, 2 * math.pi)
+        pts = [(round(radius * math.cos(t0 + span * k / (n - 1))),
+                round(radius * math.sin(t0 + span * k / (n - 1)))) for k in range(n)]
+    pts = [(offset + x + rng.randint(-noise, noise), offset + y + rng.randint(-noise, noise))
+           for x, y in pts]
+    pts = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
+    assume(len(pts) >= 4 and pts[0] != pts[-1])
+    return pts, draw(st.floats(0.3, 3.0))
+
+
+def _sse_minimiser(pts):
+    """The bisector parameter where the approximate SSE is least,
+    recomputed independently of the library in floats."""
+    (mx, my), (ux, uy), length = _chord_frame(pts[0], pts[-1])
+    h = (length / 2) ** 2
+    g = [(x - mx) ** 2 + (y - my) ** 2 - h for x, y in pts]
+    e = [(x - mx) * ux + (y - my) * uy for x, y in pts]
+    gg = sum(v * v for v in g)
+    gh = sum(v * w for v, w in zip(g, e))
+    hh = sum(w * w for w in e)
+    lam = ((gg + 4 * h * hh) - math.sqrt((gg - 4 * h * hh) ** 2 + 16 * h * gh * gh)) / (8 * h)
+    return gh / (2 * (hh - lam)) if hh > lam else INF
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_floor_windows())
+def test_sse_floor_bounds_every_arc_through_the_anchors(case):
+    pts, factor = case
+    quick = fit_arc_least_squares(pts, polish=False)
+    floor = quick.sse_floor
+    assert 0.0 <= floor
+    a, b = pts[0], pts[-1]
+    worst = max(abs(math.dist(p, quick.center) - quick.radius) for p in pts)
+    tol = max(0.5, worst * factor)
+    arcs = [quick, fit_arc_least_squares(pts)]
+    fitted = fit_arc_by_tolerance(pts, tol=tol, seed_arc=quick)
+    if fitted is not None:
+        arcs.append(fitted)
+    # the interval fit picks its centre among these endpoints (nudged)
+    params = [s for p in pts for iv in tolerance_intervals_point(a, b, p, tol) for s in iv]
+    params += [_sse_minimiser(pts), 0.0]
+    arcs += [_build_arc(a, b, s, pts) for s in params if math.isfinite(s)]
+    sses = [arc.sse for arc in arcs if not arc.segment_like]
+    assert all(floor <= sse for sse in sses), (floor, min(sses))

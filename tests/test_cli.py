@@ -81,6 +81,17 @@ def test_exit_codes(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("pts, tol, code", [([(0, 0), (1e300, 0), (2e300, 1)], "1", 2),
+                                            ([(0, 0), (1, 1), (2, 0), (3, 1)], "1e-300", 2),
+                                            ([(0, 0), (1, 1), (2, 0), (3, 1)], "1e-310", 3)])
+def test_compress_beyond_the_grid_exits_without_traceback(pts, tol, code, tmp_path, capsys):
+    path = tmp_path / "far.txt"
+    write_polyline_file(str(path), pts)
+    assert main(["compress", str(path), "--tolerance", tol]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_annulus_command(tmp_path):
     path = tmp_path / "circle.txt"
     pts = [(math.cos(a), math.sin(a)) for a in [k * 0.5 for k in range(12)]]

@@ -1,15 +1,20 @@
+import importlib
 import math
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arcline.arcfit import fit_arc_by_tolerance, fit_arc_least_squares
+from arcline import arcfit
+from arcline.arcfit import FittedArc, fit_arc_by_tolerance, fit_arc_least_squares
 from arcline.compress import (BLOCKER_LISTS, PROBE_POINTS, CompressionParams, _BlockerCache,
                               _evaluate_arc, compress)
 from arcline.pipeline import archimedean_spiral, choose_scale, compress_polyline
 
 from reference_dp import reference_compress
+
+# the module itself: the package exports the function `compress` by that name
+compress_module = importlib.import_module("arcline.compress")
 
 
 def test_empty_rejected():
@@ -214,6 +219,35 @@ def test_closed_polylines_match_reference():
         assert all(p.start != p.end for p in res.primitives if p.kind == "arc")
 
 
+def test_collinear_window_is_arc_feasible():
+    # the last four points are collinear: no least-squares circle exists,
+    # and the overlay-vertex annulus falls back to the data centre; the
+    # witness far out on their bisector shows that one arc covers them
+    pts = [(-26, 29), (-31, 26), (-33, 22), (-35, 18), (-37, 14)]
+    res = compress(pts, CompressionParams(tolerance=2))
+    want_total, want_count, _ = reference_compress(pts, 2)
+    assert res.total == want_total and len(res.primitives) == want_count == 1
+    assert res.primitives[0].kind == "arc"
+
+
+@pytest.mark.parametrize("pts, tol", [([(0, 0), (1e300, 0), (2e300, 1)], 1.0),
+                                      ([(0, 0), (1, 1), (2, 0), (3, 1)], 1e-200),
+                                      ([(0, 0), (1, 1), (2, 0), (3, 1)], 1e-300),
+                                      ([(0, 0), (1, 1), (2, 0), (3, 1)], 1e-310)])
+def test_coordinates_beyond_the_grid_rejected(pts, tol):
+    with pytest.raises(ValueError, match=r"2\*\*53|scale overflows"):
+        compress_polyline(pts, tol)
+
+
+def test_grid_bound_and_huge_tolerance():
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        compress([(0, 0), (2 ** 53 + 1, 0)], CompressionParams(tolerance=1))
+    assert compress([(0, 0), (2 ** 53, 1)], CompressionParams(tolerance=1)).total == (2, 0.0)
+    # both points share one grid point, whose scale squared underflows
+    res = compress_polyline([(0, 0), (1, 1)], 1e300)
+    assert (res.t_count, res.t_sse, res.primitives) == (0, 0.0, [])
+
+
 def test_segment_with_coincident_anchors_charged_its_deviation():
     # a chord from a vertex back to itself has no line: every vertex it
     # covers is charged its squared distance from the shared anchor
@@ -261,20 +295,98 @@ def _spiral_piece(rng, n):
     return [(round(1000 * x), round(1000 * y)) for x, y in sp[s:s + n]]
 
 
-def test_blocker_probe_matches_unpruned_reference_on_long_inputs():
+def _summary(res):
+    return (res.total, res.stats["arc_evaluations"],
+            [(p.kind, p.start_idx, p.end_idx, p.center, p.radius) for p in res.primitives])
+
+
+def test_blocker_probe_matches_unpruned_reference_on_long_inputs(monkeypatch):
     # the blocker probe rejects arc candidates before any fit; the reference
     # evaluates every candidate without a blocker cache, so it is an oracle
-    # independent of the probe
+    # independent of the probe.  The scan polishes only the candidates whose
+    # SSE floor still lets them win, and ends exactly where the eager scan
+    # (every floor 0: each candidate polished before the next is taken) ends
     rng = random.Random(115)
+    quick_arc = compress_module._quick_arc
+    passed = [0]
+
+    def counted(*args):
+        quick = quick_arc(*args)
+        passed[0] += quick is not None and quick[1]
+        return quick
+
     for make, n, tol in ((_noisy_arcs, 60, 6), (_noisy_arcs, 90, 8), (_noisy_arcs, 120, 5),
                          (_spiral_piece, 60, 100), (_spiral_piece, 90, 60),
                          (_spiral_piece, 120, 100)):
         pts = make(rng, n)
-        got = compress(pts, CompressionParams(tolerance=tol))
+        passed[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(compress_module, "_quick_arc", counted)
+            got = compress(pts, CompressionParams(tolerance=tol))
         assert got.stats["arc_probe_rejections"] > 0, (make.__name__, n)
+        assert got.stats["arc_polishes"] < passed[0], (make.__name__, n)
+        with monkeypatch.context() as m:
+            m.setattr(arcfit, "_sse_floor", lambda *args: 0.0)
+            eager = compress(pts, CompressionParams(tolerance=tol))
+        assert eager.stats["arc_polishes"] == passed[0]
+        assert _summary(got) == _summary(eager)
         want_total, want_count, _ = reference_compress(pts, tol)
         assert got.total[0] == want_total[0] and len(got.primitives) == want_count, (make.__name__, n)
         assert abs(got.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
+
+
+@st.composite
+def _arc_tables(draw):
+    """A zigzag that no segment longer than one step covers, and a table of
+    made-up arc candidates with dyadic SSEs and floors, so that costs tie
+    often: per (kp, k) None (rejected before any fit), or (viable, floor,
+    sse) with sse None when the evaluation rejects the candidate."""
+    n = draw(st.integers(6, 16))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = [(4 * i, 8 * (i % 2)) for i in range(n)]
+    table = {}
+    for k in range(3, n):
+        for kp in range(k - 2):
+            kind = rng.randint(0, 5)
+            if kind == 0:
+                table[kp, k] = None
+                continue
+            sse = rng.choice((None, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0))
+            floor = 0.0 if sse is None else rng.choice((sse, sse, sse / 2, 0.0))
+            table[kp, k] = (kind > 2, floor, sse)
+    return pts, table
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_arc_tables())
+def test_best_first_polish_matches_eager_scan_on_cost_ties(case):
+    # made-up arc evaluations whose costs tie often: every candidate that
+    # the eager scan would have evaluated and that can still win or tie is
+    # polished, so T, the back pointers and the candidates taken all match
+    pts, table = case
+
+    def run(floors: bool):
+        def quick_arc(pts, kp, k, tol, blockers=None):
+            entry = table[kp, k]
+            if entry is None:
+                return None
+            viable, floor, _ = entry
+            arc = FittedArc(pts[kp], pts[k], (0.0, 0.0), 1.0, "ccw", math.nan,
+                            sse_floor=floor if floors else 0.0)
+            return arc, viable
+
+        def evaluate_arc(pts, kp, k, tol, blockers=None, quick=None):
+            sse = table[kp, k][2]
+            return None if sse is None else FittedArc(pts[kp], pts[k], (0.0, 0.0), 1.0, "ccw", sse)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(compress_module, "_quick_arc", quick_arc)
+            m.setattr(compress_module, "_evaluate_arc", evaluate_arc)
+            return compress(pts, CompressionParams(tolerance=0.5, penalty_arc=1, pruned=False))
+
+    got, eager = run(True), run(False)
+    assert _summary(got) == _summary(eager)
+    assert got.stats["arc_polishes"] <= eager.stats["arc_polishes"]
 
 
 @st.composite

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from arcline import annulus, sweep
 from arcline.annulus import (DEFAULT_MIN_ARC_ANGLE, _best_candidate, _bisector_intersection,
-                             _float_width, _least_squares_circle, _radii_sq, _sample,
+                             _far_bisector_point, _float_width, _least_squares_circle, _radii_sq, _sample,
                              _width_lower_bound, _witness_centre, arc_exists_within_tolerance,
                              min_width_annulus)
 from arcline.clipping import _inside
@@ -369,6 +369,15 @@ def test_arc_exists_matches_annulus(pts, factor):
         # really be such a centre
         assert got
         fit = _least_squares_circle(upts)
+        if fit is None:
+            # collinear points: the search starts as far out on their
+            # bisector as the square that arc_exists_within_tolerance uses
+            xs = [p[0] for p in upts]
+            ys = [p[1] for p in upts]
+            r = math.hypot(max(xs) - min(xs), max(ys) - min(ys)) / 2 + 1
+            half_side = r / math.sin(DEFAULT_MIN_ARC_ANGLE / 2) + 2
+            fit = _far_bisector_point(upts, (min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2,
+                                      half_side - 2)
         c = _witness_centre(upts, fit[0], fit[1], tol)
         assert c is not None and _in_default_square(c, upts)
         lo, hi = _radii_sq((Fraction(c[0]), Fraction(c[1])), upts)
