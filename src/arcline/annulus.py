@@ -35,7 +35,7 @@ from .predicates import certain_sign, compare, dist_sq, error_bound, point_key, 
 from .radicals import width_compare, width_leq
 from .segments import IndexedSegment
 from .sweep import sweep_intersections
-from .voronoi import ClipConfig, VoronoiDiagram, voronoi_from_delaunay
+from .voronoi import ClipConfig, VoronoiDiagram, data_radius, voronoi_from_delaunay
 
 DEFAULT_MIN_ARC_ANGLE = math.radians(0.1)
 SAMPLE_SIZE = 24  # points behind the float lower bounds of candidate selection
@@ -125,8 +125,7 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     cx = (min(xs) + max(xs)) // 2
     cy = (min(ys) + max(ys)) // 2
     if clip is None:
-        r = math.hypot(max(xs) - min(xs), max(ys) - min(ys)) / 2 + 1
-        clip = ClipConfig(DEFAULT_MIN_ARC_ANGLE, r)
+        clip = ClipConfig(DEFAULT_MIN_ARC_ANGLE, data_radius(upts))
     half_side = int(math.ceil(clip.clip_radius)) + 2
 
     (x0, fx0), (x1, fx1), (y0, fy0), (y1, fy1) = [
@@ -439,8 +438,7 @@ def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol,
     xs = [p[0] for p in upts]
     ys = [p[1] for p in upts]
     eff_alpha = clip.min_arc_angle if clip is not None else DEFAULT_MIN_ARC_ANGLE
-    eff_r = clip.data_radius if clip is not None else \
-        math.hypot(max(xs) - min(xs), max(ys) - min(ys)) / 2 + 1
+    eff_r = clip.data_radius if clip is not None else data_radius(upts)
     half_side = eff_r / math.sin(eff_alpha / 2) + 2
     c0x = (min(xs) + max(xs)) / 2
     c0y = (min(ys) + max(ys)) / 2
@@ -467,8 +465,6 @@ def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol,
             subset = [upts[i] for i in sorted(chosen)]
             # the subset clip square must cover the full set's square, else
             # the monotonicity certificate would not be sound
-            xs = [p[0] for p in upts]
-            ys = [p[1] for p in upts]
             diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
             if clip is None:
                 sub_clip = ClipConfig(DEFAULT_MIN_ARC_ANGLE, 1.5 * diag + 2)

@@ -1,20 +1,35 @@
 """Fitting circular arcs through two fixed endpoints.
 
 The center of any arc through A and B lies on their perpendicular bisector,
-parameterized here by the signed distance s from the chord midpoint.  For a
-single point p, the centers whose arc passes within tol of p form up to two
-intervals on that line, bounded by intersections of the bisector with the
-hyperbola |dist(p, c) - dist(A, c)| = tol.  Intersecting the per-point
-interval sets yields all tolerance-feasible centers; the returned arc is
-either the least-squares optimum (when feasible) or the best interval
-endpoint by approximate squared deviation.
+parameterized here by the signed distance s from the chord midpoint m: the
+centre m + s*u (u the chord's unit normal) has radius r = sqrt(h + s^2),
+h = (L/2)^2 for the chord length L.  A point p with w = |p - m|^2 and
+e = (p - m).u lies at d = sqrt(w - 2*e*s + s^2) from that centre, so
+d^2 - r^2 = w - h - 2*e*s.  Squaring |d - r| <= tol twice gives, with
+B = w - h - tol^2, the quadratic condition
+
+    qa*s^2 + qb*s + qc <= 0,  qa = 4*(e^2 - tol^2),  qb = -4*B*e,
+    qc = B^2 - 4*tol^2*h,
+
+that is |r - tol| <= d <= r + tol, whose solution set the signs of qa and
+of the discriminant give in closed form: the interval between the roots,
+the two rays outside them, one ray, the whole line or nothing.  It differs
+from |d - r| <= tol only by the centres with d < tol - r.  A point within
+tol of A or B is within tol of every arc and is answered before the
+quadratic; for any other point d + r >= |p - A| > tol, so the quadratic
+condition is exactly the tolerance condition, up to the rounding of its
+roots.  Intersecting the per-point interval sets, one merge per point
+(`_feasible_centres`, which the DP's blocker probe shares), yields all
+tolerance-feasible centers; the returned arc is either the least-squares
+optimum (when feasible) or the best interval endpoint by approximate
+squared deviation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .predicates import EPS
 
@@ -49,20 +64,6 @@ def _chord_frame(a, b):
     return mid, u, length
 
 
-def _point_params(mid, u, p):
-    px = p[0] - mid[0]
-    py = p[1] - mid[1]
-    w = px * px + py * py
-    e = px * u[0] + py * u[1]
-    return w, e
-
-
-def _deviation(s, w, e, half_chord_sq):
-    d = math.sqrt(max(0.0, w - 2 * e * s + s * s))
-    r = math.sqrt(half_chord_sq + s * s)
-    return d - r
-
-
 def tolerance_intervals_point(a, b, p, tol) -> List[Tuple[float, float]]:
     """Bisector parameters s where the arc through a, b is within tol of p.
 
@@ -74,77 +75,75 @@ def tolerance_intervals_point(a, b, p, tol) -> List[Tuple[float, float]]:
 
 def _frame_intervals(frame, a, b, p, tol) -> List[Tuple[float, float]]:
     """`tolerance_intervals_point` with the chord frame of a, b given, so
-    that the points of one candidate share it."""
+    that the points of one candidate share it.
+
+    The set is {s : qa*s^2 + qb*s + qc <= 0} (module docstring), read off
+    the signs of qa and of the discriminant.  The endpoint test must come
+    first: past it the squared condition is exact, since it drops only
+    centres with d < tol - r, and there d + r >= |p - a| > tol.
+    """
     mid, u, length = frame
     if math.dist(p, a) <= tol or math.dist(p, b) <= tol:
         return [(-INF, INF)]
-    w, e = _point_params(mid, u, p)
+    px = p[0] - mid[0]
+    py = p[1] - mid[1]
+    w = px * px + py * py
+    e = px * u[0] + py * u[1]
     half_sq = (length / 2) ** 2
-    # |dist(p,c(s))| = r(s) +- tol squared into one quadratic:
-    # (B - 2 e s)^2 = tol^2 (length^2/4 + s^2) * 4 ... with B = w - L^2/4 - tol^2
     B = w - half_sq - tol * tol
     qa = 4 * (e * e - tol * tol)
     qb = -4 * B * e
     qc = B * B - 4 * tol * tol * half_sq
-    roots: List[float] = []
     if qa == 0:
-        if qb != 0:
-            roots = [-qc / qb]
-    else:
-        disc = qb * qb - 4 * qa * qc
-        if disc >= 0:
-            sq = math.sqrt(disc)
-            # numerically stable pair
-            q = -(qb + math.copysign(sq, qb)) / 2
-            r1 = q / qa
-            r2 = qc / q if q != 0 else r1
-            roots = sorted((r1, r2))
-    bounds = [-INF] + roots + [INF]
-    out: List[Tuple[float, float]] = []
-    for i in range(len(bounds) - 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo == hi:
-            continue
-        if lo == -INF and hi == INF:
-            s_mid = 0.0
-        elif lo == -INF:
-            s_mid = hi - max(1.0, abs(hi))
-        elif hi == INF:
-            s_mid = lo + max(1.0, abs(lo))
-        else:
-            s_mid = (lo + hi) / 2
-        if abs(_deviation(s_mid, w, e, half_sq)) <= tol:
-            if out and out[-1][1] == lo:
-                out[-1] = (out[-1][0], hi)  # merge touching regions
-            else:
-                out.append((lo, hi))
-    return out
-
-
-def _intersect_interval_sets(sets: Sequence[List[Tuple[float, float]]]) -> List[Tuple[float, float]]:
-    """Intersection of unions of closed intervals via boundary sorting."""
-    n = len(sets)
-    if n == 0:
+        if qb == 0:
+            return [(-INF, INF)] if qc <= 0 else []
+        root = -qc / qb
+        return [(-INF, root)] if qb > 0 else [(root, INF)]
+    disc = qb * qb - 4 * qa * qc
+    if qa < 0 and disc <= 0:
         return [(-INF, INF)]
-    events = []
-    for ivs in sets:
-        for lo, hi in ivs:
-            events.append((lo, 0))  # open before close at the same abscissa
-            events.append((hi, 1))
-    events.sort()
-    depth = 0
-    out: List[Tuple[float, float]] = []
-    start = None
-    for x, kind in events:
-        if kind == 0:
-            depth += 1
-            if depth == n:
-                start = x
+    if disc < 0:
+        return []
+    sq = math.sqrt(disc)
+    # numerically stable pair
+    q = -(qb + math.copysign(sq, qb)) / 2
+    r1 = q / qa
+    r2 = qc / q if q != 0 else r1
+    lo, hi = min(r1, r2), max(r1, r2)
+    return [(lo, hi)] if qa > 0 else [(-INF, lo), (hi, INF)]
+
+
+def _intersect_sorted(xs: List[Tuple[float, float]],
+                      ys: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """Intersection of two sorted lists of disjoint closed intervals, by a
+    merge."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        lo = max(xs[i][0], ys[j][0])
+        hi = min(xs[i][1], ys[j][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if xs[i][1] < ys[j][1]:
+            i += 1
         else:
-            if depth == n:
-                out.append((start, x))
-            depth -= 1
+            j += 1
     return out
+
+
+def _feasible_centres(a, b, points: Iterable, tol) -> Tuple[List[Tuple[float, float]], int]:
+    """Bisector parameters where the arc through a, b is within tol of each
+    of `points`, intersected in order until nothing is left, and how many
+    points that took."""
+    frame = _chord_frame(a, b)
+    feasible = [(-INF, INF)]
+    used = 0
+    for p in points:
+        used += 1
+        feasible = _intersect_sorted(feasible, _frame_intervals(frame, a, b, p, tol))
+        if not feasible:
+            break
+    return feasible, used
 
 
 def _build_arc(a, b, s, points, with_sse: bool = True, sse_floor: float = 0.0) -> FittedArc:
@@ -361,16 +360,12 @@ def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
     lead_set = set(lead)
     rest = [i for i in range(len(points)) if i not in lead_set]
     order = lead + rest
-    frame = _chord_frame(a, b)
-    feasible = [(-INF, INF)]
-    for pos, i in enumerate(order):
-        ivs = _frame_intervals(frame, a, b, points[i], tol)
-        feasible = _intersect_interval_sets([feasible, ivs])
-        if not feasible:
-            if blockers is not None:
-                blockers.extend(order[:pos + 1])
-            return None
-    mid, u, length = frame
+    feasible, used = _feasible_centres(a, b, (points[i] for i in order), tol)
+    if not feasible:
+        if blockers is not None:
+            blockers.extend(order[:used])
+        return None
+    mid, u, length = _chord_frame(a, b)
     s_ls = (ls.center[0] - mid[0]) * u[0] + (ls.center[1] - mid[1]) * u[1]
     for lo, hi in feasible:
         if lo <= s_ls <= hi:

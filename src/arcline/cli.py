@@ -22,7 +22,7 @@ from .pipeline import choose_scale, compress_polyline, quantize_points
 from .randomhull import (finalize_hull, gen_directions_hull, gen_fdt_hull,
                          gen_random_walk_hull)
 from .svg import render_svg
-from .voronoi import ClipConfig
+from .voronoi import ClipConfig, data_radius
 
 EXIT_BAD_INPUT = 2
 EXIT_BAD_PARAMS = 3
@@ -99,11 +99,8 @@ def cmd_annulus(args) -> int:
         grid = quantize_points(points, scale)
     except ValueError as e:
         return _fail(EXIT_BAD_INPUT, str(e))
-    xs = [p[0] for p in grid]
-    ys = [p[1] for p in grid]
-    r = math.hypot(max(xs) - min(xs), max(ys) - min(ys)) / 2 + 1
     try:
-        clip = ClipConfig(math.radians(args.alpha), r)
+        clip = ClipConfig(math.radians(args.alpha), data_radius(grid))
     except ValueError as e:
         return _fail(EXIT_BAD_PARAMS, str(e))
     try:

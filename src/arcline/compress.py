@@ -15,8 +15,9 @@ tolerance-interval fit came out empty, the points it had intersected up to
 that moment.  Before any O(window) work, a candidate intersects the bisector
 centre intervals, for its own anchors, of at most PROBE_POINTS cached points
 strictly inside its range, and is rejected when nothing is left.  The probe
-computes the very float intervals that `fit_arc_by_tolerance` computes for
-those points on the full window, and intersecting closed intervals does not
+and `fit_arc_by_tolerance` share one loop, `arcfit._feasible_centres`: the
+probe computes the very float intervals that the fit computes for those
+points on the full window, and intersecting closed intervals does not
 depend on their order, so an empty probe means an empty fit: the candidate
 would have been rejected anyway.  Only the least-squares accept, which
 checks residuals with a slack of about 1e-12 instead of the intervals, could
@@ -44,14 +45,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
-from .arcfit import (FittedArc, _chord_frame, _frame_intervals, arc_within_tolerance, densify,
+from .arcfit import (FittedArc, _feasible_centres, arc_within_tolerance, densify,
                      direction_and_endpoint_check, fit_arc_by_tolerance, fit_arc_least_squares)
 from .feasibility import build_fit_index_arrays, test_arcs, test_segments
 from .hulltree import HullTree
 from .sortedrange import MergeTree
-from .voronoi import ClipConfig
+from .voronoi import ClipConfig, data_radius
 
 PenaltyPair = Tuple[int, float]
 
@@ -171,7 +173,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     p_arc = params.penalty_arc
     tree = HullTree(pts)
     sse = _SegSse(pts)
-    clip = ClipConfig(params.min_arc_angle, _data_radius(pts))
+    clip = ClipConfig(params.min_arc_angle, data_radius(pts))
 
     if params.pruned:
         seg_pairs, seg_arrays = test_segments(pts, tol, tree)
@@ -280,46 +282,21 @@ class _BlockerCache:
         self.probe_rejections = 0
 
     def rejects(self, pts, kp, k, tol) -> bool:
-        """True when the centre intervals of at most PROBE_POINTS cached
-        points strictly inside (kp, k), for the anchors pts[kp] and pts[k],
-        have an empty intersection."""
-        a, b = pts[kp], pts[k]
-        frame = _chord_frame(a, b)
-        feasible = [(-math.inf, math.inf)]
-        tested = set()
-        for blocked in self.lists:
-            for j in blocked:
-                if kp < j < k and j not in tested:
-                    feasible = _intersect_sorted(feasible, _frame_intervals(frame, a, b, pts[j], tol))
-                    if not feasible:
-                        return True
-                    tested.add(j)
-                    if len(tested) == PROBE_POINTS:
-                        return False
-        return False
+        """True when the centre intervals of the first PROBE_POINTS distinct
+        cached points strictly inside (kp, k), for the anchors pts[kp] and
+        pts[k], have an empty intersection."""
+        probe: List[int] = []
+        for j in chain.from_iterable(self.lists):
+            if kp < j < k and j not in probe:
+                probe.append(j)
+                if len(probe) == PROBE_POINTS:
+                    break
+        return not _feasible_centres(pts[kp], pts[k], (pts[j] for j in probe), tol)[0]
 
     def record(self, kp: int, blocked: List[int]) -> None:
         """Remember the blockers of a window starting at kp (window indices)."""
         self.lists.insert(0, [kp + i for i in blocked])
         del self.lists[BLOCKER_LISTS:]
-
-
-def _intersect_sorted(xs: List[Tuple[float, float]],
-                      ys: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Intersection of two sorted lists of disjoint closed intervals, by a
-    merge."""
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        lo = max(xs[i][0], ys[j][0])
-        hi = min(xs[i][1], ys[j][1])
-        if lo <= hi:
-            out.append((lo, hi))
-        if xs[i][1] < ys[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
 
 
 def _quick_arc(pts, kp, k, tol,
@@ -391,12 +368,6 @@ def _take_pending(pending: list, limit: Optional[PenaltyPair], best: PenaltyPair
     if limit is not None and limit < key:
         return None
     return heappop(pending)
-
-
-def _data_radius(pts) -> float:
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    return math.hypot(max(xs) - min(xs), max(ys) - min(ys)) / 2 + 1
 
 
 def reconstruct(back, pts) -> List[Primitive]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from .hulltree import convex_hull
 from .predicates import incircle, orientation
 from .quadedge import QuadEdgeStore, sym
 
@@ -27,28 +28,13 @@ class DuplicatePointError(ValueError):
 
 
 def convex_hull_indices(points: Sequence[Tuple[int, int]]) -> List[int]:
-    """Indices of the strict convex hull in counterclockwise order.
+    """Indices of the strict convex hull of distinct points, counterclockwise
+    from the least point.
 
     Collinear input yields the two extreme indices.
     """
-    idx = sorted(range(len(points)), key=lambda i: points[i])
-    if len(idx) <= 2:
-        return idx
-
-    def chain(order):
-        out: List[int] = []
-        for i in order:
-            while len(out) >= 2 and orientation(points[out[-2]], points[out[-1]], points[i]) <= 0:
-                out.pop()
-            out.append(i)
-        return out
-
-    lower = chain(idx)
-    upper = chain(reversed(idx))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        return [idx[0], idx[-1]]
-    return hull
+    index = {p: i for i, p in enumerate(points)}
+    return [index[p] for p in convex_hull(points)]
 
 
 @dataclass
@@ -100,21 +86,6 @@ class TriangulationMesh:
 
     def triangle_set(self) -> set:
         return {tuple(sorted(t)) for t in self.triangles()}
-
-    def neighbors(self, v: int) -> List[int]:
-        """Neighbor vertex ids around v in counterclockwise order."""
-        store = self.store
-        start = None
-        for e in store.primal_edges():
-            if store.org[e] == v:
-                start = e
-                break
-            if store.dest(e) == v:
-                start = sym(e)
-                break
-        if start is None:
-            return []
-        return [store.dest(e) for e in store.ring(start)]
 
 
 def _in_circle_fn(pts, pred_sign: int) -> Callable[[int, int, int, int], int]:

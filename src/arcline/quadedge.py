@@ -75,15 +75,6 @@ class QuadEdgeStore:
             if self.alive[q]:
                 yield q << 2
 
-    def ring(self, e: int) -> list[int]:
-        """Edges around org(e) in counterclockwise order, starting at e."""
-        out = [e]
-        cur = self.onext[e]
-        while cur != e:
-            out.append(cur)
-            cur = self.onext[cur]
-        return out
-
     def face_cycle(self, e: int) -> list[int]:
         """Edges of the left face of e, walked via lnext."""
         out = [e]

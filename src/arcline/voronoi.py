@@ -40,6 +40,14 @@ class ClipConfig:
         return self.data_radius / s if s else math.inf
 
 
+def data_radius(points) -> float:
+    """The `ClipConfig.data_radius` of a point set: half the diagonal of its
+    bounding box, plus one."""
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    return math.hypot(max(xs) - min(xs), max(ys) - min(ys)) / 2 + 1
+
+
 @dataclass
 class VoronoiEdge:
     site_a: int

@@ -226,9 +226,70 @@ def test_criterion_05_arc_tolerance_fitting():
         else:
             assert not oracle_feasible
         done += 1
+    # the scale `compress_polyline` works at (`_grid_window`), judged on a
+    # logarithmic grid of centres out to 1e6 chord lengths
+    accepted = 0
+    for _ in range(200):
+        pts, tol = _grid_window(rng)
+        ln = math.dist(pts[0], pts[-1])
+        reach = ln * 10 ** np.linspace(-3, 6, 2000)
+        dev = _grid_max_dev(pts, np.concatenate([-reach[::-1], [0.0], reach]))
+        arc = fit_arc_by_tolerance(pts, tol=tol)
+        if arc is not None:
+            assert arc_within_tolerance(arc, pts, tol * (1 + 1e-9), check_span=False)
+            accepted += 1
+        else:
+            assert not (dev <= tol * (1 - 1e-9)).any(), (pts, tol)
+    assert 20 <= accepted <= 180
     report("criterion 5: arc tolerance fitting",
-           "500 instances: feasibility matches the sampling oracle; "
-           "every returned arc within tolerance")
+           "500 instances and 200 at grid scale: feasibility matches the "
+           "sampling oracle; every returned arc within tolerance")
+
+
+def _grid_window(rng):
+    """A window at the scale `compress_polyline` hands the fit: integer
+    points within +-2**18 scattered about a bulge of about tol, and tol in
+    [1024, 2048) set so that the middle point lies at a normal offset of
+    tol*(1 +- delta) from the chord, delta from 1e-4 down to 1e-8."""
+    while True:
+        n = rng.randint(5, 14)
+        a = (rng.randint(-2 ** 17, 2 ** 17), rng.randint(-2 ** 17, 2 ** 17))
+        reach = 2 ** rng.uniform(11, 17)
+        turn = rng.uniform(0, 2 * math.pi)
+        b = (round(a[0] + reach * math.cos(turn)), round(a[1] + reach * math.sin(turn)))
+        ln = math.dist(a, b)
+        ux, uy = (a[1] - b[1]) / ln, (b[0] - a[0]) / ln
+        sag = rng.uniform(1100, 1900) * rng.choice((-1, 1))
+        noise = rng.choice((0.0, 0.5, 1.0, 2.0)) * abs(sag)
+        mid = (n - 1) // 2
+        pts = [a]
+        for k in range(1, n - 1):
+            t = k / (n - 1)
+            off = 4 * sag * t * (1 - t) + (0 if k == mid else rng.uniform(-noise, noise))
+            pts.append((round(a[0] + t * (b[0] - a[0]) + off * ux),
+                        round(a[1] + t * (b[1] - a[1]) + off * uy)))
+        pts.append(b)
+        e = (pts[mid][0] - (a[0] + b[0]) / 2) * ux + (pts[mid][1] - (a[1] + b[1]) / 2) * uy
+        tol = abs(e) / (1 + rng.choice((-1, 1)) * 10.0 ** -rng.choice((4, 6, 8)))
+        if 1024 <= tol < 2048 and len(set(pts)) == n:
+            return pts, tol
+
+
+def _grid_max_dev(pts, svals):
+    """Largest distance of the points from the arc through the first and
+    last one, per bisector parameter in svals, as |d^2 - r^2| / (d + r):
+    d^2 - r^2 = (p - a).(p - b) - 2*s*(p - a).u has no cancellation at
+    large s, where d - r loses about log10(s / tol) digits."""
+    a, b = np.array(pts[0], float), np.array(pts[-1], float)
+    P = np.array(pts, float)
+    ln = math.dist(pts[0], pts[-1])
+    u = np.array([a[1] - b[1], b[0] - a[0]]) / ln
+    c = (a + b)[None, :] / 2 + svals[:, None] * u[None, :]
+    pa = P - a
+    num = (pa * (P - b)).sum(axis=1)[None, :] - 2 * svals[:, None] * (pa @ u)[None, :]
+    d = np.hypot(P[None, :, 0] - c[:, None, 0], P[None, :, 1] - c[:, None, 1])
+    r = np.hypot(ln / 2, svals)[:, None]
+    return (np.abs(num) / (d + r)).max(axis=1)
 
 
 def test_criterion_06_feasibility_tables():

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -39,6 +40,54 @@ def test_point_on_circle_interval_contains_center_param():
     assert any(lo <= 0 <= hi for lo, hi in ivs)
 
 
+# Centres whose decimal deviation is within this fraction of tol are not
+# judged: the library finds the interval ends from double-precision
+# coefficients (unit roundoff 2**-53), and its ends lie within about 1e-15
+# of tol in relative deviation on these cases.
+GRID_ORACLE_MARGIN = Decimal("1e-9")
+GRID = 2 ** 18
+
+
+def decimal_deviation(a, b, p, s) -> Decimal:
+    """Distance of p from the arc through a, b centred at bisector parameter
+    s (along the chord's left normal, from its midpoint), in 50-digit
+    decimal arithmetic from the exact inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ax, ay, bx, by, px, py = map(Decimal, (*a, *b, *p))
+        dx, dy = bx - ax, by - ay
+        ln = (dx * dx + dy * dy).sqrt()
+        s = Decimal(s)
+        cx = (ax + bx) / 2 - s * dy / ln
+        cy = (ay + by) / 2 + s * dx / ln
+        r = ((ax - cx) ** 2 + (ay - cy) ** 2).sqrt()
+        d = ((px - cx) ** 2 + (py - cy) ** 2).sqrt()
+        return abs(d - r)
+
+
+def _grid_interval_case(rng):
+    """Integer anchors and point within +-GRID, tol in [1024, 2048); half
+    of the points lie at a normal offset of tol*(1 +- delta) from the chord."""
+    while True:
+        a = (rng.randint(-GRID, GRID), rng.randint(-GRID, GRID))
+        reach = 2 ** rng.uniform(0, 18)
+        turn = rng.uniform(0, 2 * math.pi)
+        b = (round(a[0] + reach * math.cos(turn)), round(a[1] + reach * math.sin(turn)))
+        if a == b or max(map(abs, b)) > GRID:
+            continue
+        if rng.random() < 0.5:
+            return a, b, (rng.randint(-GRID, GRID), rng.randint(-GRID, GRID)), rng.uniform(1024, 2048)
+        (mx, my), (ux, uy), ln = _chord_frame(a, b)
+        offset = rng.uniform(1100, 1900) * rng.choice((-1, 1))
+        along = rng.uniform(-1, 1) * (ln / 2 + 8192)
+        p = (round(mx + offset * ux - along * uy), round(my + offset * uy + along * ux))
+        if max(map(abs, p)) > GRID:
+            continue
+        e = (p[0] - mx) * ux + (p[1] - my) * uy
+        delta = rng.choice((-1, 1)) * 10.0 ** -rng.choice((4, 6, 8))
+        return a, b, p, abs(e) / (1 + delta)
+
+
 def test_intervals_match_sampling_oracle():
     random.seed(70)
     for _ in range(150):
@@ -57,6 +106,38 @@ def test_intervals_match_sampling_oracle():
             mid = max(min((lo + hi) / 2 if math.isfinite(lo) and math.isfinite(hi)
                           else (lo + 1 if math.isfinite(lo) else hi - 1), 1e8), -1e8)
             assert deviation(a, b, p, mid) <= tol + 1e-6
+    # the scale `compress_polyline` works at: integer coordinates up to
+    # 2**18, tol in [1024, 2048), half of the points at a normal offset of
+    # tol*(1 +- delta) from the chord, delta from 1e-4 down to 1e-8
+    rng = random.Random(75)
+    judged = 0
+    for _ in range(200):
+        a, b, p, tol = _grid_interval_case(rng)
+        ivs = tolerance_intervals_point(a, b, p, tol)
+        ln = math.dist(a, b)
+        samples = [0.0] + [sign * ln * 10 ** (-3 + 9 * k / 59) for k in range(60) for sign in (1, -1)]
+        samples += [x + sign * 10 ** -j * (abs(x) + ln) for iv in ivs for x in iv if math.isfinite(x)
+                    for j in range(2, 10) for sign in (1, -1)]
+        for s in samples:
+            if abs(s) > 1e6 * ln:
+                continue
+            dev = decimal_deviation(a, b, p, s)
+            if abs(dev - Decimal(tol)) <= GRID_ORACLE_MARGIN * Decimal(tol):
+                continue
+            judged += 1
+            inside = any(lo <= s <= hi for lo, hi in ivs)
+            assert inside == (dev < tol), (a, b, p, tol, s, float(dev), ivs)
+    assert judged > 20000
+
+
+def test_interval_kept_when_the_offset_barely_exceeds_tol():
+    # the point's normal offset from the chord exceeds tol by about 1e-4:
+    # its centres fill (55161.3, 1.9e12), and the centre at s = 71264.11
+    # puts it about 1035.7 from the arc
+    a, b, p, tol = (-8589, -7122), (14338, -13338), (25966, -14597), 1827.6191355923056
+    assert 1035 < decimal_deviation(a, b, p, 71264.11) < 1036
+    ivs = tolerance_intervals_point(a, b, p, tol)
+    assert any(lo <= 71264.11 <= hi for lo, hi in ivs)
 
 
 def test_intervals_symmetric_in_endpoints():

@@ -1,18 +1,26 @@
 import math
+import os
 import subprocess
 import sys
 import xml.dom.minidom
 
 import pytest
 
+import arcline
 from arcline.cli import main
 from arcline.document import parse, render, read_polyline_file, write_polyline_file
 from arcline.pipeline import archimedean_spiral
 
 
+# the directory holding the imported package, so that the CLI subprocess
+# runs the same code however the tests found it
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(arcline.__file__)))
+
+
 def run_cli(args):
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "arcline.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 

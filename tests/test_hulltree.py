@@ -4,9 +4,29 @@ from fractions import Fraction
 
 import pytest
 
-from arcline.delaunay import convex_hull_indices
 from arcline.hulltree import HullTree, RangeHull
-from arcline.predicates import dist_sq
+from arcline.predicates import dist_sq, orientation
+
+
+def gift_wrap_hull(points):
+    """Strict convex hull counterclockwise from the least point, by gift
+    wrapping: from each vertex the next is the point with no other point to
+    its right, the farthest one when several are collinear.  Fewer than
+    three distinct points come back sorted."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+    hull = [pts[0]]
+    while True:
+        cur = hull[-1]
+        nxt = pts[1] if cur == pts[0] else pts[0]
+        for p in pts:
+            turn = orientation(cur, nxt, p)
+            if turn < 0 or (turn == 0 and dist_sq(cur, p) > dist_sq(cur, nxt)):
+                nxt = p
+        if nxt == hull[0]:
+            return hull
+        hull.append(nxt)
 
 
 def test_paper_cover_fixture():
@@ -41,7 +61,7 @@ def test_stored_hulls_match_direct_hulls():
             for k in range(n >> q):
                 hull = t._block(q, k)
                 rng = pts[hull.lo:hull.hi + 1]
-                assert set(hull.vertices()) == {rng[i] for i in convex_hull_indices(rng)}
+                assert set(hull.vertices()) == set(gift_wrap_hull(rng))
             q += 1
 
 
@@ -96,8 +116,7 @@ def test_segment_tolerance_matches_brute_force():
 
 
 def brute_width_exceeds(pts, thr):
-    idx = convex_hull_indices(pts)
-    verts = [pts[k] for k in idx]
+    verts = gift_wrap_hull(pts)
     if len(verts) < 3:
         return False
     best = None
