@@ -12,12 +12,16 @@ point of two site bisectors.  Candidates are kept in a list sorted by
 branch and bound in floats before the exact selection (`_best_candidate`).
 
 The covering-arc decision (`arc_exists_within_tolerance`) runs that
-machinery only when it must.  A witness centre, refined from the algebraic
-least-squares circle by a few geometric Gauss-Newton and Lawson steps,
-accepts when it lies in the clip square and the annulus about it is at
-most 2*tol wide, decided by a float bound with an exact fallback
-(`_witness_centre`); the annulus of a few extreme-residual points can
-reject; the full minimum-width annulus settles the rest.
+machinery only when it must, in four stages.  A witness centre, refined
+from the algebraic least-squares circle by a few geometric Gauss-Newton and
+Lawson steps, accepts when it lies in the clip square and the annulus about
+it is at most 2*tol wide, decided by a float bound with an exact fallback
+(`_witness_centre`).  When the search finds none, the 3 (then 4) points
+nearest to and farthest from its last centre reject when they are wider
+than 2*tol about every centre in the plane (`_wider_everywhere`: the width
+about a few dozen candidate centres and the strip width, no Voronoi
+diagram).  The annulus of a few extreme-residual points can still reject;
+the full minimum-width annulus settles the rest.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ DEFAULT_MIN_ARC_ANGLE = math.radians(0.1)
 SAMPLE_SIZE = 24  # points behind the float lower bounds of candidate selection
 GEOMETRIC_STEPS = 3  # Gauss-Newton steps of the witness search
 LAWSON_STEPS = 4  # reweighted steps after them, towards the minimax annulus
+CERTIFICATE_SIZES = (3, 4)  # nearest and farthest points of each width certificate
 
 
 @dataclass
@@ -356,9 +361,12 @@ def _refine(upts, cx: float, cy: float, d, weights) -> Optional[Tuple[float, flo
     return cx + (c * p - b * q) / det, cy + (a * q - b * p) / det
 
 
-def _witness_centre(upts, cx: float, cy: float, tol) -> Optional[Tuple[float, float]]:
+def _witness_centre(upts, cx: float, cy: float, tol,
+                    last: Optional[list] = None) -> Optional[Tuple[float, float]]:
     """A float centre about which the annulus of the points is at most
-    2*tol wide, exactly; None when the search finds none.
+    2*tol wide, exactly; None when the search finds none, and then `last`,
+    when given, receives the float distances of the points from the last
+    centre tried.
 
     The search starts at (cx, cy), takes GEOMETRIC_STEPS Gauss-Newton steps
     of the geometric circle fit, then LAWSON_STEPS reweighted ones that
@@ -389,29 +397,129 @@ def _witness_centre(upts, cx: float, cy: float, tol) -> Optional[Tuple[float, fl
     step = 0
     while fw > t:
         if step == GEOMETRIC_STEPS + LAWSON_STEPS:
-            return None
+            break
         if step >= GEOMETRIC_STEPS:
             r = sum(w * di for w, di in zip(weights, d)) / sum(weights)
             weights = [w * abs(di - r) for w, di in zip(weights, d)]
             top = max(weights)
             if not top > 0.0:
-                return None
+                break
             weights = [w / top for w in weights]
         centre = _refine(upts, cx, cy, d, weights)
         if centre is None:
-            return None
+            break
         cx, cy = centre
         d, fw = _float_width(upts, cx, cy)
         step += 1
-    if not (math.isfinite(cx) and math.isfinite(cy)):
-        return None
-    m = abs(cx) + abs(cy) + max(abs(x) for x, _ in upts) + max(abs(y) for _, y in upts)
-    s = certain_sign(t - fw, error_bound(3 * m + t))
-    if s == 0:
-        c = (Fraction(cx), Fraction(cy))
-        lo, hi = _radii_sq(c, upts)
-        s = 1 if AnnulusResult(c, lo, hi).feasible_for(tol) else -1
-    return (cx, cy) if s > 0 else None
+    else:
+        if math.isfinite(cx) and math.isfinite(cy):
+            m = abs(cx) + abs(cy) + max(abs(x) for x, _ in upts) + max(abs(y) for _, y in upts)
+            s = certain_sign(t - fw, error_bound(3 * m + t))
+            if s == 0:
+                c = (Fraction(cx), Fraction(cy))
+                lo, hi = _radii_sq(c, upts)
+                s = 1 if AnnulusResult(c, lo, hi).feasible_for(tol) else -1
+            if s > 0:
+                return cx, cy
+    if last is not None:
+        last[:] = d
+    return None
+
+
+def _wider_everywhere(pts, tol) -> bool:
+    """True when the annulus of `pts`, at least two distinct integer
+    points, is wider than 2*tol about every centre in the plane, certainly;
+    False when that is not so or cannot be decided.
+
+    The test takes the minimum of three kinds of terms: the width about
+    the circumcentre of every triple of the points, the width about the
+    crossing of the bisectors of every two disjoint pairs, and the
+    minimum strip width of the set.
+
+    Why that minimum is a lower bound on the width about any centre.  Lay
+    the closest and the farthest Voronoi diagrams of the points over each
+    other.  In a cell of the overlay, with nearest point i and farthest
+    point j, the width is w = d_j - d_i >= 0.  For s > 0 its superlevel
+    set {d_j - d_i >= s} is the inside of a hyperbola branch around p_i,
+    and for s <= 0 it is the whole cell, so each superlevel set is convex
+    and w is quasi-concave on the convex cell.  Any point of the cell is a
+    convex combination of cell vertices plus a recession direction, so w
+    there is at least the smaller of the widths at the cell's vertices and
+    the limit of w out along that direction.  That limit is the width of
+    the projection of the points on the direction, at least the strip
+    width.  (A cell with no vertex holds a line, and the same holds along
+    it.)  Every overlay vertex meets two bisectors of the cell's boundary:
+    two of the same diagram meet at the circumcentre of a triple, and a
+    closest and a farthest bisector meet at the crossing of two disjoint
+    pairs, or, when they share a point, at a circumcentre again.  So every
+    overlay vertex is among the terms, every term is the width about a real
+    centre or the limit of such widths, and the minimum of the terms is
+    the infimum over the plane of the width of these points.  The points
+    are a subset of a window, whose width about any centre is at least
+    theirs; so when this returns True, `min_width_annulus` of the window,
+    which reports the exact width about a real centre, reports one wider
+    than 2*tol.
+
+    Rounding.  The points are first moved by an integer offset so that the
+    first lies at the origin, which changes no width.  The strip width of
+    the set is the minimum over every pair (a, b) of the spread of the
+    cross products (b - a) x (p - a), divided by |b - a|; it exceeds 2*tol
+    iff spread^2 > (2*tol)^2 * |b - a|^2, tested on integers.  A centre is
+    the quotient of integers, rounded correctly by int / int, so each
+    coordinate is off by at most EPS times its size, and every distance
+    from it by at most EPS * (|cx| + |cy|), which moves the spread of the
+    distances by 2 * EPS * M at most, M = |cx| + |cy| + max |x| + max |y|.
+    The float width about the rounded centre carries the error derived in
+    `_witness_centre`, below 12 * EPS * M + 2 * EPS * (2*tol); a width
+    counts as wider only when fw - 2*tol exceeds `error_bound(4 * M +
+    2*tol)`, which covers both.  An undecided centre, a float overflow or
+    any strip term at most 2*tol means no certificate.
+    """
+    ox, oy = pts[0]
+    pts = [(x - ox, y - oy) for x, y in pts]
+    t2 = 2 * Fraction(tol)
+    tn2, td2 = t2.numerator ** 2, t2.denominator ** 2
+    lines = []  # (i, j, a, b, c): the bisector a*x + b*y = c of points i < j
+    for (i, (ax, ay)), (j, (bx, by)) in combinations(enumerate(pts), 2):
+        dx, dy = bx - ax, by - ay
+        crosses = [dx * (y - ay) - dy * (x - ax) for x, y in pts]
+        spread = max(crosses) - min(crosses)
+        if spread * spread * td2 <= tn2 * (dx * dx + dy * dy):
+            return False
+        lines.append((i, j, 2 * dx, 2 * dy, bx * bx + by * by - ax * ax - ay * ay))
+    reach = max(abs(x) for x, _ in pts) + max(abs(y) for _, y in pts)
+    t = to_float(t2)
+    for (i1, j1, a1, b1, c1), (i2, j2, a2, b2, c2) in combinations(lines, 2):
+        # two disjoint pairs, or the two pairs (i, j), (i, l) of a triple,
+        # once per triple: the pairs are in lexicographic order
+        if i1 != i2 and (j1 == i2 or j1 == j2):
+            continue
+        den = a1 * b2 - a2 * b1
+        if den == 0:
+            continue
+        try:
+            cx = (c1 * b2 - c2 * b1) / den
+            cy = (a1 * c2 - a2 * c1) / den
+        except OverflowError:
+            return False
+        _, fw = _float_width(pts, cx, cy)
+        if certain_sign(fw - t, error_bound(4 * (abs(cx) + abs(cy) + reach) + t)) <= 0:
+            return False
+    return True
+
+
+def _extremes_wider_everywhere(upts, d, tol) -> bool:
+    """The certificate of `_wider_everywhere` on the CERTIFICATE_SIZES[0]
+    nearest and as many farthest points by the distances d, then on the
+    next size while points are left out."""
+    order = sorted(range(len(upts)), key=d.__getitem__)
+    for k in CERTIFICATE_SIZES:
+        chosen = sorted(set(order[:k] + order[-k:]))
+        if _wider_everywhere([upts[i] for i in chosen], tol):
+            return True
+        if len(chosen) == len(upts):
+            break
+    return False
 
 
 def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol,
@@ -420,15 +528,21 @@ def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol,
     iff the minimum-width annulus with its centre in the clip square is at
     most 2*tol wide.
 
-    Three stages, each exact.  A witness centre, refined from the
+    Four stages, each exact.  A witness centre, refined from the
     least-squares circle (`_witness_centre`), accepts when it lies in the
     clip square and the annulus about it is certainly at most 2*tol wide;
     collinear points have no such circle, and their witness search starts
     from the farthest point of their bisector in the square instead.
-    Otherwise a small subset of extreme-residual points is tested: the
-    annulus of a subset is never wider than that of the full set, so a
-    wide subset is an exact certificate of infeasibility.  Only the
-    remaining sets reach the full minimum-width annulus.
+    When the search finds no witness, the CERTIFICATE_SIZES[0] points
+    nearest to and as many farthest from its last centre, then the next
+    size, reject when their annulus is certainly wider than 2*tol about
+    every centre in the plane (`_extremes_wider_everywhere`).  Otherwise
+    a small subset of extreme-residual points goes through the
+    minimum-width annulus.  Both certificates rest on the same fact: the
+    annulus of a subset is never wider than that of the full set about the
+    same centre, so a subset wide about every centre proves what the full
+    annulus would report.  Only the remaining sets reach the full
+    minimum-width annulus.
     """
     if len(points) < 4:
         raise ValueError("too few points for arc")
@@ -444,12 +558,15 @@ def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol,
     c0y = (min(ys) + max(ys)) / 2
     fit = _least_squares_circle(upts)
     start = fit[:2] if fit is not None else _far_bisector_point(upts, c0x, c0y, half_side - 2)
-    witness = _witness_centre(upts, *start, tol)
+    last = []
+    witness = _witness_centre(upts, *start, tol, last)
     # the witness must lie inside the clip square for the accept to answer
     # the clipped question
     if witness is not None and abs(witness[0] - c0x) <= half_side - 1 \
             and abs(witness[1] - c0y) <= half_side - 1:
         return True
+    if witness is None and _extremes_wider_everywhere(upts, last, tol):
+        return False
     if fit is not None:
         cx, cy, r = fit
         if len(upts) > 10:

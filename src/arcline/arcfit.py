@@ -37,6 +37,7 @@ INF = math.inf
 
 # radius beyond this multiple of the chord length is reported segment-like
 SEGMENT_LIKE_RADIUS_FACTOR = 1e6
+MAX_DENSIFIED = 10 ** 6  # points densify may emit, far more than the DP can take
 
 
 @dataclass
@@ -419,17 +420,25 @@ def arc_within_tolerance(arc: FittedArc, points: Sequence, tol: float,
 
 
 def densify(polyline: Sequence, max_step: float) -> List[Tuple[float, float]]:
-    """Insert collinear points so consecutive spacing is at most max_step."""
+    """Insert collinear points so consecutive spacing is at most max_step;
+    ValueError when that takes more than MAX_DENSIFIED points."""
     if max_step <= 0:
         raise ValueError("max_step must be positive")
+    counts = []
+    for q, p in zip(polyline, polyline[1:]):
+        ratio = math.dist(q, p) / max_step
+        if not ratio < MAX_DENSIFIED:  # also an overflow to inf
+            raise ValueError(f"densifying would emit more than {MAX_DENSIFIED} points")
+        counts.append(max(1, math.ceil(ratio)))
+    if 1 + sum(counts) > MAX_DENSIFIED:
+        raise ValueError(f"densifying would emit more than {MAX_DENSIFIED} points")
     out: List[Tuple[float, float]] = []
     for i, p in enumerate(polyline):
         if i == 0:
             out.append(tuple(p))
             continue
         q = polyline[i - 1]
-        gap = math.dist(q, p)
-        k = max(1, math.ceil(gap / max_step))
+        k = counts[i - 1]
         for j in range(1, k):
             out.append((q[0] + (p[0] - q[0]) * j / k, q[1] + (p[1] - q[1]) * j / k))
         out.append(tuple(p))

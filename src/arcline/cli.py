@@ -94,6 +94,8 @@ def cmd_annulus(args) -> int:
         return _fail(EXIT_BAD_INPUT, "need at least 2 distinct points")
     if not 0 < args.alpha < 360:
         return _fail(EXIT_BAD_PARAMS, "alpha out of range")
+    if args.tolerance and not 0 < args.tolerance < math.inf:
+        return _fail(EXIT_BAD_PARAMS, "tolerance must be positive and finite")
     scale = float(file_scale) if file_scale else (choose_scale(args.tolerance) if args.tolerance else 1024.0)
     try:
         grid = quantize_points(points, scale)
@@ -105,8 +107,13 @@ def cmd_annulus(args) -> int:
         return _fail(EXIT_BAD_PARAMS, str(e))
     try:
         res = min_width_annulus(grid, clip)
+        r_inner = math.sqrt(res.r_inner_sq) / scale
+        r_outer = math.sqrt(res.r_outer_sq) / scale
+        width = res.width / scale
     except ValueError as e:
         return _fail(EXIT_BAD_INPUT, str(e))
+    except OverflowError:
+        return _fail(EXIT_BAD_INPUT, "coordinates too large: the squared radii overflow a float")
     doc = ResultDocument()
     doc.set("input", os.path.basename(args.input))
     doc.set("points", len(points))
@@ -116,9 +123,9 @@ def cmd_annulus(args) -> int:
     cy = Fraction(res.center[1]) / Fraction(scale)
     doc.set("center_exact", f"{cx} {cy}")
     doc.set("center", f"{fmt(float(cx))} {fmt(float(cy))}")
-    doc.set("r_inner", math.sqrt(res.r_inner_sq) / scale)
-    doc.set("r_outer", math.sqrt(res.r_outer_sq) / scale)
-    doc.set("width", res.width / scale)
+    doc.set("r_inner", r_inner)
+    doc.set("r_outer", r_outer)
+    doc.set("width", width)
     if args.tolerance:
         doc.set("tolerance", float(args.tolerance))
         doc.set("arc_feasible", res.feasible_for(args.tolerance * scale))

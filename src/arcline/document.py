@@ -7,6 +7,7 @@ render(parse(text)) are byte-identical.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -61,7 +62,8 @@ def parse(text: str) -> ResultDocument:
 
 
 def read_polyline_file(path: str) -> Tuple[List[Tuple[float, float]], Optional[int]]:
-    """Vertices one per line as "x,y"; optional "# scale=<int>" header."""
+    """Vertices one per line as "x,y"; optional "# scale=<int>" header, a
+    positive integer."""
     points: List[Tuple[float, float]] = []
     scale: Optional[int] = None
     with open(path) as f:
@@ -73,6 +75,8 @@ def read_polyline_file(path: str) -> Tuple[List[Tuple[float, float]], Optional[i
                 body = line[1:].strip()
                 if body.startswith("scale="):
                     scale = int(body[6:])
+                    if not 0 < scale <= sys.float_info.max:
+                        raise ValueError("scale must be a positive integer within the float range")
                 continue
             xs, ys = line.split(",")
             x, y = float(xs), float(ys)

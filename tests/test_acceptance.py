@@ -346,6 +346,24 @@ def test_criterion_07_dp_optimality():
            f"300 instances equal; pruning saved {evals_saved} evaluations on spot checks")
 
 
+def assert_within_tolerance(result, tol):
+    """Every vertex of a `compress` result lies within tol of the segment or
+    arc that covers it."""
+    gp = result.points
+    for prim in result.primitives:
+        for i in range(prim.start_idx, prim.end_idx + 1):
+            p = gp[i]
+            if prim.kind == "segment":
+                a, b = gp[prim.start_idx], gp[prim.end_idx]
+                dx, dy = b[0] - a[0], b[1] - a[1]
+                l2 = dx * dx + dy * dy
+                t = 0 if l2 == 0 else min(1, max(0, ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / l2))
+                d = math.dist(p, (a[0] + t * dx, a[1] + t * dy))
+            else:
+                d = abs(math.dist(p, prim.center) - prim.radius)
+            assert d <= tol * (1 + 1e-9) + 1e-6
+
+
 def test_criterion_08_end_to_end_demos():
     t0 = time.time()
     res = compress([(i * 50, 0) for i in range(30)], CompressionParams(tolerance=5))
@@ -360,19 +378,7 @@ def test_criterion_08_end_to_end_demos():
 
     spiral = archimedean_spiral(1.0, 5.0, 0.25)
     out = compress_polyline(spiral, 0.1)
-    gp = out.grid.points
-    for prim in out.grid.primitives:
-        for i in range(prim.start_idx, prim.end_idx + 1):
-            p = gp[i]
-            if prim.kind == "segment":
-                a, b = gp[prim.start_idx], gp[prim.end_idx]
-                dx, dy = b[0] - a[0], b[1] - a[1]
-                l2 = dx * dx + dy * dy
-                t = 0 if l2 == 0 else min(1, max(0, ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / l2))
-                d = math.dist(p, (a[0] + t * dx, a[1] + t * dy))
-            else:
-                d = abs(math.dist(p, prim.center) - prim.radius)
-            assert d <= 0.1 * out.scale * (1 + 1e-9) + 1e-6
+    assert_within_tolerance(out.grid, 0.1 * out.scale)
     assert len(out.primitives) < len(spiral) / 4
     elapsed = time.time() - t0
     assert elapsed < 10

@@ -2,11 +2,12 @@ import math
 import random
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arcline.arcfit import (INF, _build_arc, _chord_frame, arc_within_tolerance, densify,
-                            direction_and_endpoint_check, fit_arc_by_tolerance,
+from arcline.arcfit import (INF, MAX_DENSIFIED, _build_arc, _chord_frame, arc_within_tolerance,
+                            densify, direction_and_endpoint_check, fit_arc_by_tolerance,
                             fit_arc_least_squares, tolerance_intervals_point)
 
 
@@ -236,16 +237,20 @@ def test_fit_by_tolerance_soundness_and_oracle_agreement():
         tol = random.uniform(0.3, 3)
         arc = fit_arc_by_tolerance(pts, tol=tol)
         a, b = pts[0], pts[-1]
-        # sampling oracle over the bisector with sign-change refinement
+        # sampling oracle over the bisector: `deviation` at 10001 centres,
+        # vectorized
         span = 40 * r
         n = 10001
-        feas_samples = []
-        prev = None
-        for k in range(n):
-            s = -span + 2 * span * k / (n - 1)
-            d = max(deviation(a, b, p, s) for p in pts)
-            feas_samples.append(d <= tol)
-        oracle_feasible = any(feas_samples)
+        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        ln = math.hypot(dx, dy)
+        s = -span + 2 * span * np.arange(n) / (n - 1)
+        cx = mid[0] + s * (-dy / ln)
+        cy = mid[1] + s * (dx / ln)
+        P = np.array(pts)
+        dev = np.abs(np.hypot(P[:, 0, None] - cx, P[:, 1, None] - cy) - np.hypot(ln / 2, s))
+        feas_samples = dev.max(axis=0) <= tol
+        oracle_feasible = bool(feas_samples.any())
         if arc is not None:
             # returned arcs satisfy the radial tolerance
             assert arc_within_tolerance(arc, pts, tol * (1 + 1e-9), check_span=False)
@@ -292,6 +297,11 @@ def test_densify():
         assert all(p in out for p in [tuple(p) for p in pts])
     with pytest.raises(ValueError):
         densify([(0, 0)], 0)
+    # a step far below the gaps is an error, not an endless list
+    for pts, step in (([(0, 0), (MAX_DENSIFIED, 0)], 1), ([(0, 0), (1, 0), (2, 0)], 2 / MAX_DENSIFIED),
+                      ([(0, 0), (1e10, 0)], 1e-300)):
+        with pytest.raises(ValueError, match="densifying"):
+            densify(pts, step)
 
 
 def test_direction_check():

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import xml.dom.minidom
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import arcline
 from arcline.cli import main
@@ -172,3 +176,86 @@ def test_main_callable_directly(spiral_file, capsys):
     assert main(["compress", spiral_file, "--tolerance", "0.2"]) == 0
     out = capsys.readouterr().out
     assert "t_count" in out
+
+
+def test_compress_segments_mode_with_a_tiny_grid_tolerance_exits_2(tmp_path, capsys):
+    # with the file's scale, 1e-300 is far below one grid unit, and
+    # densifying the edges at that step would never end
+    path = tmp_path / "scaled.txt"
+    path.write_text("# scale=100\n0,0\n1,0\n")
+    assert main(["compress", str(path), "--tolerance", "1e-300", "--mode", "segments"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: densifying")
+
+
+@pytest.mark.parametrize("command", ["compress", "annulus"])
+@pytest.mark.parametrize("scale", ["0", "-4", "9" * 400])
+def test_scale_header_not_positive_or_beyond_the_float_range_exits_2(command, scale, tmp_path,
+                                                                     capsys):
+    # a negative scale used to give `annulus` negative radii, and one past
+    # the float range a traceback
+    path = tmp_path / "bad_scale.txt"
+    path.write_text(f"# scale={scale}\n0,0\n1,0\n2,1\n")
+    assert main([command, str(path), "--tolerance", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+_FUZZ_VALUES = ["0", "-0.0", "1", "-2.5", "0.125", "1e-300", "1e300", "-1e300", "1e400", "nan", "inf"]
+
+
+@st.composite
+def _fuzz_documents(draw):
+    """Polyline files with good and bad lines, non-finite and huge values
+    and scale headers."""
+    lines = []
+    kinds = ["point"] if draw(st.booleans()) else ["point", "point", "value", "garbage", "scale"]
+    for _ in range(draw(st.integers(0 if len(kinds) > 1 else 2, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "point":
+            lines.append(f"{draw(st.integers(-20, 20)) / 4},{draw(st.integers(-20, 20)) / 4}")
+        elif kind == "value":
+            lines.append(f"{draw(st.sampled_from(_FUZZ_VALUES))},{draw(st.sampled_from(_FUZZ_VALUES))}")
+        elif kind == "garbage":
+            lines.append(draw(st.sampled_from(["", "x", "1,2,3", "1;2", ",", "# note"])))
+        else:
+            lines.append("# scale=" + draw(st.sampled_from(["0", "-4", "1", "100", "x", "1" + "0" * 300, "9" * 400])))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _fuzz_arguments(draw):
+    number = st.one_of(st.sampled_from(["0.5", "0.25", "2"]), st.sampled_from(_FUZZ_VALUES))
+    if draw(st.booleans()):
+        # flag=value: a value like -1e300 must not read as a flag
+        args = ["compress", "--tolerance=" + draw(number),
+                "--mode=" + draw(st.sampled_from(["vertices", "segments"]))]
+        for flag, values in (("--penalty-segment", ["-1", "0", "2", "9" * 40]),
+                             ("--penalty-arc", ["0", "3", "9" * 40]),
+                             ("--min-arc-points", ["0", "3", "4", "6"]),
+                             ("--max-arc-points", ["-1", "0", "3", "8"])):
+            if draw(st.integers(0, 3)) == 0:
+                args.append(flag + "=" + draw(st.sampled_from(values)))
+        return args
+    args = ["annulus", "--alpha=" + draw(st.sampled_from(_FUZZ_VALUES + ["0.1", "359", "360", "1e-320"]))]
+    if draw(st.booleans()):
+        args.append("--tolerance=" + draw(number))
+    return args
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fuzz_documents(), _fuzz_arguments())
+def test_cli_fuzz_exits_with_a_documented_code(text, args):
+    # any document and any parameters end in a result or a documented
+    # error, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.txt")
+        with open(path, "w") as f:
+            f.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([args[0], path, *args[1:]])
+    assert code in (0, 2, 3)
+    assert (out.getvalue() == "") == (code != 0)
+    if code:
+        assert err.getvalue().startswith("error: ")

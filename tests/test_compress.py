@@ -12,6 +12,7 @@ from arcline.compress import (BLOCKER_LISTS, PROBE_POINTS, CompressionParams, _B
 from arcline.pipeline import archimedean_spiral, choose_scale, compress_polyline
 
 from reference_dp import reference_compress
+from test_acceptance import assert_within_tolerance
 
 # the module itself: the package exports the function `compress` by that name
 compress_module = importlib.import_module("arcline.compress")
@@ -447,3 +448,41 @@ def test_blocker_probe_rejects_only_windows_the_interval_fit_rejects(case):
     if own is not None and own is newest and len([j for j in own if kp < j < k]) <= PROBE_POINTS:
         # the blockers of this very window, tested first, empty the probe
         assert cache.probe_rejections == 1
+
+
+@st.composite
+def _awkward_polylines(draw):
+    """At most 20 integer vertices from moves that step, revisit an earlier
+    vertex, repeat the last one, run on along a line or turn back."""
+    _coord = st.integers(-60, 60)
+    pts = [draw(st.tuples(_coord, _coord))]
+    size = draw(st.integers(2, 20))
+    while len(pts) < size:
+        move = draw(st.sampled_from(["step", "revisit", "repeat", "line", "back"]))
+        x, y = pts[-1]
+        if move == "step" or len(pts) < 2:
+            pts.append((x + draw(st.integers(-12, 12)), y + draw(st.integers(-12, 12))))
+            continue
+        px, py = pts[-2]
+        if move == "revisit":
+            pts.append(draw(st.sampled_from(pts)))
+        elif move == "repeat":
+            pts += [(x, y)] * draw(st.integers(1, 3))
+        elif move == "line":
+            pts += [(x + k * (x - px), y + k * (y - py)) for k in range(1, draw(st.integers(2, 5)))]
+        else:
+            pts += [(x - k * (x - px), y - k * (y - py)) for k in range(1, draw(st.integers(2, 4)))]
+    return pts[:20]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_awkward_polylines(), st.sampled_from([1, 3, 10, 40]), st.sampled_from([0, 6]))
+def test_awkward_polylines_within_tolerance_and_optimal(pts, tol, max_arc_points):
+    # the feasibility tables and every certificate in front of them may only
+    # drop arcs that cannot be optimal: the pruned DP must reach the totals
+    # of the unpruned reference
+    res = compress(pts, CompressionParams(tolerance=tol, max_arc_points=max_arc_points))
+    assert_within_tolerance(res, tol)
+    want_total, _, _ = reference_compress(pts, tol, max_arc_points=max_arc_points)
+    assert res.total[0] == want_total[0]
+    assert abs(res.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
