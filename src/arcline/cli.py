@@ -94,9 +94,12 @@ def cmd_annulus(args) -> int:
         return _fail(EXIT_BAD_INPUT, "need at least 2 distinct points")
     if not 0 < args.alpha < 360:
         return _fail(EXIT_BAD_PARAMS, "alpha out of range")
-    if args.tolerance and not 0 < args.tolerance < math.inf:
+    if args.tolerance is not None and not 0 < args.tolerance < math.inf:
         return _fail(EXIT_BAD_PARAMS, "tolerance must be positive and finite")
-    scale = float(file_scale) if file_scale else (choose_scale(args.tolerance) if args.tolerance else 1024.0)
+    if file_scale:
+        scale = float(file_scale)
+    else:
+        scale = choose_scale(args.tolerance) if args.tolerance is not None else 1024.0
     try:
         grid = quantize_points(points, scale)
     except ValueError as e:
@@ -126,7 +129,7 @@ def cmd_annulus(args) -> int:
     doc.set("r_inner", r_inner)
     doc.set("r_outer", r_outer)
     doc.set("width", width)
-    if args.tolerance:
+    if args.tolerance is not None:
         doc.set("tolerance", float(args.tolerance))
         doc.set("arc_feasible", res.feasible_for(args.tolerance * scale))
     sys.stdout.write(render(doc))

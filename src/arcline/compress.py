@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain
 from typing import List, Optional, Sequence, Tuple
@@ -73,7 +72,6 @@ class CompressionParams:
     max_arc_points: int = 512  # 0 = unlimited
     mode: str = "vertices"  # "vertices" | "segments"
     min_arc_angle: float = math.radians(0.1)
-    pruned: bool = True  # False disables the feasibility tables (testing)
 
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
@@ -148,7 +146,7 @@ class _SegSse:
         c = dx * ay - dy * ax  # cross = dx*y - dy*x - c0 with c0 = dx*ay - dy*ax
         total = (dx * dx * syy + dy * dy * sxx - 2 * dx * dy * sxy
                  - 2 * c * (dx * sy - dy * sx) + cnt * c * c)
-        return float(Fraction(total, len_sq))
+        return total / len_sq
 
 
 def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> CompressedPolyline:
@@ -175,15 +173,10 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     sse = _SegSse(pts)
     clip = ClipConfig(params.min_arc_angle, data_radius(pts))
 
-    if params.pruned:
-        seg_pairs, seg_arrays = test_segments(pts, tol, tree)
-        arc_pairs = test_arcs(pts, tol, clip, params.max_arc_points)
-        arc_arrays = build_fit_index_arrays(arc_pairs, n)
-        first_seg_ok = seg_arrays.first  # first k' where a segment may fit
-        first_arc_ok = arc_arrays.first
-    else:
-        first_seg_ok = [0] * n
-        first_arc_ok = [0] * n
+    _, seg_arrays = test_segments(pts, tol, tree)
+    arc_pairs = test_arcs(pts, tol, clip, params.max_arc_points)
+    first_seg_ok = seg_arrays.first  # first k' where a segment may fit
+    first_arc_ok = build_fit_index_arrays(arc_pairs, n).first
 
     T: List[PenaltyPair] = [(0, 0.0)]
     back: List[Optional[Tuple[int, str, Optional[FittedArc]]]] = [None]

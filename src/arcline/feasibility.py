@@ -34,11 +34,10 @@ class InfeasiblePairList:
     def from_pairs(cls, pairs: Sequence[Tuple[int, int]], n: int) -> "InfeasiblePairList":
         filtered: List[Tuple[int, int]] = []
         for i, j in sorted(pairs):
-            while filtered and filtered[-1][0] <= i and j <= filtered[-1][1]:
+            # every kept pair starts at or before i
+            while filtered and j <= filtered[-1][1]:
                 filtered.pop()  # drop a dominated superset
-            if filtered and filtered[-1][0] <= i and filtered[-1][1] >= j:
-                continue
-            if not filtered or j > filtered[-1][1]:
+            if not filtered or filtered[-1][0] < i:  # else it nests one (i, b), b < j
                 filtered.append((i, j))
         a = [-1] + [p[0] for p in filtered] + [n - 1]
         b = [0] + [p[1] for p in filtered] + [n]

@@ -1,17 +1,24 @@
-"""Dyadic tree of convex hulls over vertex ranges.
+"""Exact tolerance and width tests over vertex ranges of a polyline.
 
-Level q stores the hull of vertices [k*2^q, (k+1)*2^q - 1]; any query range
-decomposes into at most two blocks per size class, largest blocks preferred.
-Hulls are materialized lazily and kept as lexicographically sorted point
-lists, so a parent hull is a linear-time merge of its children.  Tolerance
-tests run two binary searches per hull (the extreme vertex in each normal
-direction of the query segment), all in exact integer arithmetic.
+`HullTree.segment_within_tolerance` answers the DP's segment candidates by
+one pass over the range: the two endpoint-distance tests, then every vertex
+against the query segment's tolerance strip, in exact integer arithmetic,
+stopping at the first vertex outside.  A candidate that passes is scanned
+again in O(range) by the direction and endpoint check anyway, so a
+sublinear query structure would save no asymptotic work.
+`HullTree.range_min_width_exceeds` runs rotating calipers on the convex hull
+of the range.
+
+The class keeps its name, though it holds no tree, because it is public
+(`arcline.HullTree`) and the benchmark's tracer patches
+`segment_within_tolerance` by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from math import isqrt
+from typing import List, Sequence, Tuple
 
 from .predicates import dist_sq, orientation
 
@@ -42,137 +49,54 @@ def convex_hull(points) -> List[Tuple]:
     return lower[:-1] + upper[:-1]
 
 
-class RangeHull:
-    """Convex hull of one dyadic block, query-ready."""
-
-    __slots__ = ("lo", "hi", "sorted_pts", "lower", "upper")
-
-    def __init__(self, lo: int, hi: int, sorted_pts: List[Tuple[int, int]]):
-        self.lo = lo
-        self.hi = hi
-        self.sorted_pts = sorted_pts
-        self.lower, self.upper = _hull_chains(sorted_pts)
-
-    def vertices(self) -> List[Tuple[int, int]]:
-        """Hull vertices in counterclockwise order."""
-        if len(self.lower) == 1:
-            return list(self.lower)
-        out = self.lower[:-1] + self.upper[:-1]
-        return out if len(out) >= 2 else self.lower[:1]
-
-    def extreme(self, dx: int, dy: int) -> Tuple[int, int]:
-        """Hull vertex maximizing dx*x + dy*y.
-
-        Along each chain the edge directions turn monotonically within a half
-        circle, so the functional either peaks once (found by binary search on
-        the edge sign change) or attains its maximum at a chain endpoint.
-        """
-        best = None
-        best_v = None
-        for chain in (self.lower, self.upper):
-            cands = [chain[0], chain[-1]]
-            lo, hi = 0, len(chain) - 2  # edge indices
-            if hi >= lo:
-                # last edge with positive slope along the functional
-                while lo < hi:
-                    mid = (lo + hi + 1) // 2
-                    p = chain[mid + 1]
-                    q = chain[mid]
-                    if dx * (p[0] - q[0]) + dy * (p[1] - q[1]) > 0:
-                        lo = mid
-                    else:
-                        hi = mid - 1
-                cands.append(chain[lo + 1])
-                cands.append(chain[lo])
-            for c in cands:
-                v = dx * c[0] + dy * c[1]
-                if best is None or v > best_v:
-                    best, best_v = c, v
-        return best
-
-
 class HullTree:
+    """Range queries over the integer vertices of a polyline."""
+
     def __init__(self, points: Sequence[Tuple[int, int]]):
         if not points:
             raise ValueError("no points")
         self.points = [tuple(p) for p in points]
         self.n = len(points)
-        self._cache: Dict[Tuple[int, int], RangeHull] = {}
 
-    def _block(self, q: int, k: int) -> RangeHull:
-        key = (q, k)
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        lo = k << q
-        hi = lo + (1 << q) - 1
-        if q == 0:
-            hull = RangeHull(lo, hi, [self.points[lo]])
-        else:
-            a = self._block(q - 1, 2 * k)
-            b = self._block(q - 1, 2 * k + 1)
-            merged: List[Tuple[int, int]] = []
-            i = j = 0
-            pa, pb = a.sorted_pts, b.sorted_pts
-            while i < len(pa) and j < len(pb):
-                if pa[i] <= pb[j]:
-                    merged.append(pa[i]); i += 1
-                else:
-                    merged.append(pb[j]); j += 1
-            merged.extend(pa[i:])
-            merged.extend(pb[j:])
-            hull = RangeHull(lo, hi, merged)
-        self._cache[key] = hull
-        return hull
-
-    def query_cover(self, i: int, j: int) -> List[RangeHull]:
-        """Minimal dyadic cover of [i, j], largest blocks first at each step."""
+    def _range(self, i: int, j: int) -> List[Tuple[int, int]]:
         if not 0 <= i <= j < self.n:
             raise ValueError("bad range")
-        out = []
-        pos = i
-        while pos <= j:
-            q = 0
-            while (
-                pos % (1 << (q + 1)) == 0
-                and pos + (1 << (q + 1)) - 1 <= j
-            ):
-                q += 1
-            out.append(self._block(q, pos >> q))
-            pos += 1 << q
-        return out
+        return self.points[i:j + 1]
 
     def segment_within_tolerance(self, i: int, j: int, seg_start, seg_end, tol) -> bool:
         """All vertices in [i, j] within tol of the supporting line of the
-        segment, and the range endpoints within tol of the segment's ends."""
-        tol_sq = Fraction(tol) ** 2
-        if dist_sq(self.points[i], seg_start) > tol_sq:
+        segment (of seg_start when the two ends coincide), and the range
+        endpoints within tol of the segment's ends."""
+        pts = self._range(i, j)
+        # d > tol^2 with tol = num/den is d * den^2 > num^2: integers only
+        t = Fraction(tol)
+        num_sq, den_sq = t.numerator ** 2, t.denominator ** 2
+        if dist_sq(pts[0], seg_start) * den_sq > num_sq:
             return False
-        if dist_sq(self.points[j], seg_end) > tol_sq:
+        if dist_sq(pts[-1], seg_end) * den_sq > num_sq:
             return False
-        dx = seg_end[0] - seg_start[0]
-        dy = seg_end[1] - seg_start[1]
+        ax, ay = seg_start
+        dx = seg_end[0] - ax
+        dy = seg_end[1] - ay
         len_sq = dx * dx + dy * dy
         if len_sq == 0:
-            # degenerate query segment: farthest hull vertex decides
-            for hull in self.query_cover(i, j):
-                for p in hull.vertices():
-                    if dist_sq(p, seg_start) > tol_sq:
-                        return False
-            return True
-        bound = tol_sq * len_sq  # compare cross^2 <= tol^2 * |seg|^2
-        for hull in self.query_cover(i, j):
-            for nx, ny in ((-dy, dx), (dy, -dx)):
-                p = hull.extreme(nx, ny)
-                cross = dx * (p[1] - seg_start[1]) - dy * (p[0] - seg_start[0])
-                if cross * cross > bound:
-                    return False
+            return all(dist_sq(p, seg_start) * den_sq <= num_sq for p in pts)
+        # an integer cross product c has c^2 <= tol^2 * |seg|^2 exactly when
+        # |c| <= isqrt(floor(tol^2 * |seg|^2)), so the strip is lo <= c <= hi
+        # for c = dx*y - dy*x
+        r = isqrt(num_sq * len_sq // den_sq)
+        c0 = dx * ay - dy * ax
+        lo, hi = c0 - r, c0 + r
+        for x, y in pts:
+            c = dx * y - dy * x
+            if c < lo or c > hi:
+                return False
         return True
 
     def range_min_width_exceeds(self, i: int, j: int, threshold) -> bool:
         """True iff the min width of the hull of vertices [i, j] exceeds
-        threshold, by rotating calipers over the merged cover hulls."""
-        verts = convex_hull(p for h in self.query_cover(i, j) for p in h.vertices())
+        threshold, by rotating calipers."""
+        verts = convex_hull(self._range(i, j))
         if len(verts) < 3:
             return False  # width zero
         thr_sq = Fraction(threshold) ** 2

@@ -332,18 +332,14 @@ def test_criterion_07_dp_optimality():
                    for i in range(n)]
         tol = rng.choice([3, 10, 40])
         got = compress(pts, CompressionParams(tolerance=tol))
-        want_total, _, _ = reference_compress(pts, tol)
+        want_total, _, want_evals = reference_compress(pts, tol)
         assert got.total[0] == want_total[0]
         assert abs(got.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
-        if trial % 10 == 0 and n >= 8:
-            full = compress(pts, CompressionParams(tolerance=tol, pruned=False))
-            assert full.total[0] == got.total[0]
-            np_, nf = (got.stats["segment_evaluations"] + got.stats["arc_evaluations"],
-                       full.stats["segment_evaluations"] + full.stats["arc_evaluations"])
-            assert np_ <= nf
-            evals_saved += nf - np_
+        got_evals = got.stats["segment_evaluations"] + got.stats["arc_evaluations"]
+        assert got_evals <= want_evals
+        evals_saved += want_evals - got_evals
     report("criterion 7: DP optimality vs unpruned reference",
-           f"300 instances equal; pruning saved {evals_saved} evaluations on spot checks")
+           f"300 instances equal; pruning saved {evals_saved} evaluations")
 
 
 def assert_within_tolerance(result, tol):

@@ -139,6 +139,15 @@ def test_annulus_tiny_or_nan_alpha_exits_3(alpha, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("tol", ["0", "-0.0"])
+def test_annulus_zero_tolerance_exits_3(tol, tmp_path, capsys):
+    path = tmp_path / "pts.txt"
+    write_polyline_file(str(path), [(0, 0), (10, 3), (5, 9), (-3, 4), (2, -6)])
+    assert main(["annulus", str(path), "--tolerance", tol]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_gen_hull_deterministic_and_convex(tmp_path):
     out1 = tmp_path / "h1.txt"
     out2 = tmp_path / "h2.txt"

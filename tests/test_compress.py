@@ -9,6 +9,7 @@ from arcline import arcfit
 from arcline.arcfit import FittedArc, fit_arc_by_tolerance, fit_arc_least_squares
 from arcline.compress import (BLOCKER_LISTS, PROBE_POINTS, CompressionParams, _BlockerCache,
                               _evaluate_arc, compress)
+from arcline.feasibility import InfeasiblePairList
 from arcline.pipeline import archimedean_spiral, choose_scale, compress_polyline
 
 from reference_dp import reference_compress
@@ -109,12 +110,11 @@ def test_pruning_reduces_evaluations_not_totals():
     for _ in range(12):
         n = random.randint(8, 24)
         pts = [(random.randint(0, 300), random.randint(0, 300)) for _ in range(n)]
-        pruned = compress(pts, CompressionParams(tolerance=15, pruned=True))
-        full = compress(pts, CompressionParams(tolerance=15, pruned=False))
-        assert pruned.total[0] == full.total[0]
-        assert abs(pruned.total[1] - full.total[1]) <= 1e-9 * max(1.0, abs(full.total[1]))
+        pruned = compress(pts, CompressionParams(tolerance=15))
+        full_total, _, n_full = reference_compress(pts, 15)
+        assert pruned.total[0] == full_total[0]
+        assert abs(pruned.total[1] - full_total[1]) <= 1e-9 * max(1.0, abs(full_total[1]))
         n_pruned = pruned.stats["segment_evaluations"] + pruned.stats["arc_evaluations"]
-        n_full = full.stats["segment_evaluations"] + full.stats["arc_evaluations"]
         assert n_pruned <= n_full
 
 
@@ -383,7 +383,10 @@ def test_best_first_polish_matches_eager_scan_on_cost_ties(case):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(compress_module, "_quick_arc", quick_arc)
             m.setattr(compress_module, "_evaluate_arc", evaluate_arc)
-            return compress(pts, CompressionParams(tolerance=0.5, penalty_arc=1, pruned=False))
+            # no window is infeasible: the table's arcs stand for themselves
+            m.setattr(compress_module, "test_arcs",
+                      lambda pts, *args: InfeasiblePairList.from_pairs([], len(pts)))
+            return compress(pts, CompressionParams(tolerance=0.5, penalty_arc=1))
 
     got, eager = run(True), run(False)
     assert _summary(got) == _summary(eager)

@@ -59,6 +59,26 @@ def test_contains_infeasible_brute_force():
             assert pl.contains_infeasible(i, j) == any(i <= x and y <= j for x, y in ps)
 
 
+def test_from_pairs_keeps_exactly_the_minimal_pairs():
+    random.seed(91)
+    for _ in range(500):
+        n = random.randint(2, 30)
+        raw = []
+        for _ in range(random.randint(0, 12)):
+            i = random.randint(0, n - 2)
+            raw.append((i, random.randint(i + 1, n - 1)))
+        if raw and random.random() < 0.5:
+            i, j = random.choice(raw)  # a shared start, or a nested pair
+            raw.append((i, random.randint(i + 1, n - 1)))
+            raw.append((random.randint(i, j - 1), j))
+        pl = InfeasiblePairList.from_pairs(raw, n)
+        minimal = sorted({(i, j) for i, j in raw
+                          if not any((x, y) != (i, j) and i <= x and y <= j for x, y in raw)})
+        assert pl.pairs() == minimal
+        assert all(a0 < a1 for a0, a1 in zip(pl.a, pl.a[1:]))
+        assert all(b0 < b1 for b0, b1 in zip(pl.b, pl.b[1:]))
+
+
 def test_empty_pair_list_trivial_bounds():
     pl = InfeasiblePairList.from_pairs([], 12)
     arrs = build_fit_index_arrays(pl)

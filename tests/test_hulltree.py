@@ -1,10 +1,9 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from arcline.hulltree import HullTree, RangeHull
+from arcline.hulltree import HullTree
 from arcline.predicates import dist_sq, orientation
 
 
@@ -29,55 +28,6 @@ def gift_wrap_hull(points):
         hull.append(nxt)
 
 
-def test_paper_cover_fixture():
-    # N = 21, range [3, 17]: blocks {3}, {4..7}, {8..15}, {16, 17}
-    t = HullTree([(i, (i * i) % 7) for i in range(21)])
-    assert [(h.lo, h.hi) for h in t.query_cover(3, 17)] == [(3, 3), (4, 7), (8, 15), (16, 17)]
-
-
-def test_cover_singleton_and_properties():
-    random.seed(80)
-    for _ in range(200):
-        n = random.randint(1, 70)
-        t = HullTree([(random.randint(0, 50), random.randint(0, 50)) for _ in range(n)])
-        i = random.randint(0, n - 1)
-        assert [(h.lo, h.hi) for h in t.query_cover(i, i)] == [(i, i)]
-        j = random.randint(i, n - 1)
-        cov = [(h.lo, h.hi) for h in t.query_cover(i, j)]
-        assert cov[0][0] == i and cov[-1][1] == j
-        for a, b in zip(cov, cov[1:]):
-            assert a[1] + 1 == b[0]
-        assert len(cov) <= 2 * math.ceil(math.log2(j - i + 2)) + 1
-
-
-def test_stored_hulls_match_direct_hulls():
-    random.seed(81)
-    for _ in range(60):
-        n = random.randint(1, 64)
-        pts = [(random.randint(0, 30), random.randint(0, 30)) for _ in range(n)]
-        t = HullTree(pts)
-        q = 0
-        while (1 << q) <= n:
-            for k in range(n >> q):
-                hull = t._block(q, k)
-                rng = pts[hull.lo:hull.hi + 1]
-                assert set(hull.vertices()) == set(gift_wrap_hull(rng))
-            q += 1
-
-
-def test_extreme_matches_brute_force():
-    random.seed(83)
-    for _ in range(800):
-        pts = sorted({(random.randint(-20, 20), random.randint(-20, 20))
-                      for _ in range(random.randint(1, 40))})
-        h = RangeHull(0, len(pts) - 1, list(pts))
-        dx, dy = random.randint(-9, 9), random.randint(-9, 9)
-        if dx == dy == 0:
-            continue
-        got = h.extreme(dx, dy)
-        assert dx * got[0] + dy * got[1] == max(dx * p[0] + dy * p[1] for p in pts)
-
-
 def brute_segment_check(pts, i, j, a, b, tol):
     t2 = Fraction(tol) ** 2
     if dist_sq(pts[i], a) > t2 or dist_sq(pts[j], b) > t2:
@@ -99,6 +49,13 @@ def test_segment_tolerance_examples():
     t2 = HullTree(bumped)
     assert not t2.segment_within_tolerance(0, 9, (0, 0), (9, 0), 2)
     assert t2.segment_within_tolerance(0, 9, (0, 0), (9, 0), 4)
+    # grid scale, tilted chord: the middle vertex lies exactly 5 * 205 = 1025
+    # off the chord (0, 0)-(3, 4) * 2^38
+    mid = (3 * 2 ** 37 - 4 * 205, 4 * 2 ** 37 + 3 * 205)
+    t3 = HullTree([(0, 0), mid, (3 * 2 ** 38, 4 * 2 ** 38)])
+    ends = ((0, 0), (3 * 2 ** 38, 4 * 2 ** 38))
+    assert t3.segment_within_tolerance(0, 2, *ends, 1025)
+    assert not t3.segment_within_tolerance(0, 2, *ends, 1024.9999999)
 
 
 def test_segment_tolerance_matches_brute_force():
@@ -113,6 +70,32 @@ def test_segment_tolerance_matches_brute_force():
         b = pts[j] if random.random() < 0.5 else (random.randint(0, 60), random.randint(0, 60))
         tol = random.choice([0, 1, 2, 5, 30])
         assert t.segment_within_tolerance(i, j, a, b, tol) == brute_segment_check(pts, i, j, a, b, tol)
+    # grid scale: coordinates up to 2^40, float tolerances, points scattered
+    # about the chord by up to 1.5 tol per coordinate, anchors at the range
+    # ends as the DP passes them (sometimes moved by about tol)
+    outcomes = set()
+    for _ in range(400):
+        tol = random.choice([0.5, 3.3, 1024.37, 1e6 + 0.1])
+        spread = random.choice([0.5, 1.0, 1.5]) * tol
+        ends = [(random.randint(-2 ** 40, 2 ** 40), random.randint(-2 ** 40, 2 ** 40))
+                for _ in range(2)]
+        n = random.randint(2, 12)
+        pts = []
+        for k in range(n):
+            frac = k / (n - 1)
+            pts.append(tuple(round(e0 + frac * (e1 - e0) + random.uniform(-spread, spread))
+                             for e0, e1 in zip(*ends)))
+        if random.random() < 0.2:
+            pts[-1] = pts[0]  # coincident anchors
+        t = HullTree(pts)
+        i, j = 0, n - 1
+        a, b = pts[i], pts[j]
+        if random.random() < 0.3:
+            a = (a[0] + round(random.uniform(-1.2, 1.2) * tol), a[1])
+        got = t.segment_within_tolerance(i, j, a, b, tol)
+        assert got == brute_segment_check(pts, i, j, a, b, tol)
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def brute_width_exceeds(pts, thr):
@@ -154,3 +137,12 @@ def test_min_width_matches_brute_force():
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         HullTree([])
+
+
+@pytest.mark.parametrize("i, j", [(-1, 2), (3, 2), (0, 5), (5, 5)])
+def test_bad_range_rejected(i, j):
+    t = HullTree([(0, 0), (1, 0), (2, 1), (3, 0), (4, 0)])
+    with pytest.raises(ValueError, match="bad range"):
+        t.segment_within_tolerance(i, j, (0, 0), (4, 0), 1)
+    with pytest.raises(ValueError, match="bad range"):
+        t.range_min_width_exceeds(i, j, 1)

@@ -20,6 +20,12 @@ def test_paper_fixture_first_pops():
     assert [h.pop_min()[0] for _ in range(3)] == [0, 1, 3]
 
 
+def test_paper_cover_fixture():
+    # N = 21, range [3, 17]: blocks {3}, {4..7}, {8..15}, {16, 17}
+    runs = MergeTree(PAPER_ARRAY)._cover_runs(3, 17)
+    assert [(min(r), max(r)) for r in runs] == [(3, 3), (4, 7), (8, 15), (16, 17)]
+
+
 def test_paper_fixture_full_drain_keeps_duplicates():
     t = MergeTree(PAPER_ARRAY)
     values = [v for v, _ in drain(t.open_range(1, 18))]
