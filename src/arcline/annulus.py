@@ -11,17 +11,17 @@ point of two site bisectors.  Candidates are kept in a list sorted by
 (float(x), point), the exact order, and the best one is found by
 branch and bound in floats before the exact selection (`_best_candidate`).
 
-The covering-arc decision (`arc_exists_within_tolerance`) runs that
-machinery only when it must, in four stages.  A witness centre, refined
+The covering-arc test of the dynamic program's feasibility windows
+(`arc_exists_within_tolerance`) asks the DP's own question, about centres
+anywhere in the plane, and needs none of that machinery.  It is one-sided:
+it reports a window only when no centre can work.  A witness centre, refined
 from the algebraic least-squares circle by a few geometric Gauss-Newton and
-Lawson steps, accepts when it lies in the clip square and the annulus about
-it is at most 2*tol wide, decided by a float bound with an exact fallback
-(`_witness_centre`).  When the search finds none, the 3 (then 4) points
-nearest to and farthest from its last centre reject when they are wider
-than 2*tol about every centre in the plane (`_wider_everywhere`: the width
-about a few dozen candidate centres and the strip width, no Voronoi
-diagram).  The annulus of a few extreme-residual points can still reject;
-the full minimum-width annulus settles the rest.
+Lawson steps, accepts when the float width of the annulus about it is at
+most 2*tol (`_witness_centre`).  When the search finds none, the 3 (then 4)
+points nearest to and farthest from its last centre reject when they are
+certainly wider than 2*tol about every centre in the plane
+(`_wider_everywhere`: the width about a few dozen candidate centres and the
+strip width, no Voronoi diagram).  Every other window counts as feasible.
 """
 
 from __future__ import annotations
@@ -114,7 +114,16 @@ def _pairs(indices) -> List[Tuple[int, int]]:
 
 
 def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConfig] = None) -> AnnulusResult:
-    """Smallest-width annulus containing the points, over the clipped region."""
+    """Smallest-width annulus containing the points among the candidate
+    centres in the clip square: the vertices of the overlay of the closest
+    and farthest Voronoi diagrams that lie inside it.
+
+    Only those vertices are searched.  Where the width keeps shrinking
+    towards infinity (nearly collinear sets) the narrowest centre inside the
+    square can lie on its outline or off every vertex, and the reported
+    annulus is then wider than that centre's; exactly collinear sets have no
+    vertex at all and get the annulus about the centre of their bounding
+    box."""
     upts = list(dict.fromkeys(tuple(p) for p in points))
     if len(upts) < 2:
         raise ValueError("degenerate point set")
@@ -302,21 +311,6 @@ def _least_squares_circle(pts) -> Optional[Tuple[float, float, float]]:
     return cx + mx, cy + my, math.sqrt(r_sq)
 
 
-def _far_bisector_point(upts, c0x: float, c0y: float, reach: float) -> Tuple[float, float]:
-    """The point on the perpendicular bisector of the extreme points of a
-    collinear set that lies farthest from their midpoint within
-    |x - c0x|, |y - c0y| <= reach.  The annulus of collinear points about a
-    centre on that bisector narrows as the centre moves out, so this is
-    where a witness for them has the best chance."""
-    (px, py), (qx, qy) = min(upts), max(upts)
-    mx, my = (px + qx) / 2, (py + qy) / 2
-    length = math.hypot(qx - px, qy - py)
-    nx, ny = (py - qy) / length, (qx - px) / length
-    t = min((reach - math.copysign(1.0, n) * (m - c)) / abs(n)
-            for n, m, c in ((nx, mx, c0x), (ny, my, c0y)) if n != 0.0)
-    return mx + t * nx, my + t * ny
-
-
 def _float_width(upts, cx: float, cy: float) -> Tuple[list, float]:
     """Distances of the points from (cx, cy) in floats, and their spread
     max - min."""
@@ -361,42 +355,23 @@ def _refine(upts, cx: float, cy: float, d, weights) -> Optional[Tuple[float, flo
     return cx + (c * p - b * q) / det, cy + (a * q - b * p) / det
 
 
-def _witness_centre(upts, cx: float, cy: float, tol,
-                    last: Optional[list] = None) -> Optional[Tuple[float, float]]:
-    """A float centre about which the annulus of the points is at most
-    2*tol wide, exactly; None when the search finds none, and then `last`,
-    when given, receives the float distances of the points from the last
-    centre tried.
+def _witness_centre(upts, cx: float, cy: float, tol) -> Tuple[bool, list]:
+    """Whether the search finds a float centre about which the float width
+    of the annulus of the points is at most 2*tol, and the float distances
+    of the points from the last centre tried.
 
     The search starts at (cx, cy), takes GEOMETRIC_STEPS Gauss-Newton steps
     of the geometric circle fit, then LAWSON_STEPS reweighted ones that
     multiply each point's weight by its absolute residual (Lawson's
     iteration, which drifts from the least-squares fit towards the minimax
     one, that is, towards the minimum-width annulus).  It stops at the
-    first centre whose float width max d - min d is at most 2*tol, and
-    returns it when the exact width there is at most 2*tol.
-
-    That is decided in floats when certain.  With EPS the unit roundoff
-    and M = |cx| + |cy| + max |x| + max |y|: x - cx is off by at most
-    EPS * (2|x| + |cx|) (rounding x and the difference), so the distance
-    of the rounded differences is within 2 * EPS * M of the exact one, and
-    math.hypot adds less than one ulp (documented since Python 3.10),
-    2 * EPS * M.  Each distance is then
-    off by less than 5 * EPS * M (to first order), their spread fw by less
-    than 11 * EPS * M, and the float difference 2*tol - fw, with the
-    rounding of 2*tol and of the difference, by less than
-    12 * EPS * M + 2 * EPS * (2*tol): below the 6 * EPS * (3M + 2*tol) that
-    `error_bound` turns into a bound.  When the sign is not certain (the
-    width within rounding of 2*tol, huge coordinates, an overflow), the
-    float centre is read as the dyadic rational it is and its squared
-    radii go through the exact test of `AnnulusResult.feasible_for`.
+    first centre whose float width max d - min d is at most 2*tol.
     """
     t = to_float(2 * Fraction(tol))
     d, fw = _float_width(upts, cx, cy)
     weights = [1.0] * len(upts)
-    step = 0
-    while fw > t:
-        if step == GEOMETRIC_STEPS + LAWSON_STEPS:
+    for step in range(GEOMETRIC_STEPS + LAWSON_STEPS):
+        if not fw > t:
             break
         if step >= GEOMETRIC_STEPS:
             r = sum(w * di for w, di in zip(weights, d)) / sum(weights)
@@ -410,20 +385,7 @@ def _witness_centre(upts, cx: float, cy: float, tol,
             break
         cx, cy = centre
         d, fw = _float_width(upts, cx, cy)
-        step += 1
-    else:
-        if math.isfinite(cx) and math.isfinite(cy):
-            m = abs(cx) + abs(cy) + max(abs(x) for x, _ in upts) + max(abs(y) for _, y in upts)
-            s = certain_sign(t - fw, error_bound(3 * m + t))
-            if s == 0:
-                c = (Fraction(cx), Fraction(cy))
-                lo, hi = _radii_sq(c, upts)
-                s = 1 if AnnulusResult(c, lo, hi).feasible_for(tol) else -1
-            if s > 0:
-                return cx, cy
-    if last is not None:
-        last[:] = d
-    return None
+    return fw <= t, d
 
 
 def _wider_everywhere(pts, tol) -> bool:
@@ -456,9 +418,8 @@ def _wider_everywhere(pts, tol) -> bool:
     centre or the limit of such widths, and the minimum of the terms is
     the infimum over the plane of the width of these points.  The points
     are a subset of a window, whose width about any centre is at least
-    theirs; so when this returns True, `min_width_annulus` of the window,
-    which reports the exact width about a real centre, reports one wider
-    than 2*tol.
+    theirs; so when this returns True, no circle, with its centre anywhere
+    in the plane, has the whole window within tol of it.
 
     Rounding.  The points are first moved by an integer offset so that the
     first lies at the origin, which changes no width.  The strip width of
@@ -466,14 +427,21 @@ def _wider_everywhere(pts, tol) -> bool:
     cross products (b - a) x (p - a), divided by |b - a|; it exceeds 2*tol
     iff spread^2 > (2*tol)^2 * |b - a|^2, tested on integers.  A centre is
     the quotient of integers, rounded correctly by int / int, so each
-    coordinate is off by at most EPS times its size, and every distance
-    from it by at most EPS * (|cx| + |cy|), which moves the spread of the
-    distances by 2 * EPS * M at most, M = |cx| + |cy| + max |x| + max |y|.
-    The float width about the rounded centre carries the error derived in
-    `_witness_centre`, below 12 * EPS * M + 2 * EPS * (2*tol); a width
-    counts as wider only when fw - 2*tol exceeds `error_bound(4 * M +
-    2*tol)`, which covers both.  An undecided centre, a float overflow or
-    any strip term at most 2*tol means no certificate.
+    coordinate is off by at most EPS (the unit roundoff) times its size,
+    and every distance from it by at most EPS * (|cx| + |cy|), which moves
+    the spread of the distances by 2 * EPS * M at most, M = |cx| + |cy| +
+    max |x| + max |y|.  About the rounded centre, x - cx is off by at most
+    EPS * (2|x| + |cx|) (rounding x and the difference), so the distance of
+    the rounded differences is within 2 * EPS * M of the exact one, and
+    math.hypot adds less than one ulp (documented since Python 3.10),
+    2 * EPS * M.  Each float distance is then off by less than 5 * EPS * M
+    (to first order), their spread fw by less than 11 * EPS * M, and
+    fw - 2*tol, with the rounding of 2*tol and of the difference, by less
+    than 12 * EPS * M + 2 * EPS * (2*tol).  Both errors together stay below
+    the 6 * EPS * (4 * M + 2*tol) that `error_bound(4 * M + 2*tol)` turns
+    into a bound, and a width counts as wider only when fw - 2*tol exceeds
+    that.  An undecided centre, a float overflow or any strip term at most
+    2*tol means no certificate.
     """
     ox, oy = pts[0]
     pts = [(x - ox, y - oy) for x, y in pts]
@@ -522,71 +490,29 @@ def _extremes_wider_everywhere(upts, d, tol) -> bool:
     return False
 
 
-def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol,
-                                clip: Optional[ClipConfig] = None) -> bool:
-    """True iff one circular arc can cover all points within tol, that is
-    iff the minimum-width annulus with its centre in the clip square is at
-    most 2*tol wide.
+def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol) -> bool:
+    """False only when no circular arc, with its centre anywhere in the
+    plane, can cover all the points within tol, certainly; True otherwise.
 
-    Four stages, each exact.  A witness centre, refined from the
-    least-squares circle (`_witness_centre`), accepts when it lies in the
-    clip square and the annulus about it is certainly at most 2*tol wide;
-    collinear points have no such circle, and their witness search starts
-    from the farthest point of their bisector in the square instead.
-    When the search finds no witness, the CERTIFICATE_SIZES[0] points
-    nearest to and as many farthest from its last centre, then the next
-    size, reject when their annulus is certainly wider than 2*tol about
-    every centre in the plane (`_extremes_wider_everywhere`).  Otherwise
-    a small subset of extreme-residual points goes through the
-    minimum-width annulus.  Both certificates rest on the same fact: the
-    annulus of a subset is never wider than that of the full set about the
-    same centre, so a subset wide about every centre proves what the full
-    annulus would report.  Only the remaining sets reach the full
-    minimum-width annulus.
+    One-sided, which is what pruning needs: a window reported False holds
+    no arc of any radius, and any window that cannot be settled counts as
+    feasible.  A witness centre, refined from the least-squares circle
+    (`_witness_centre`), accepts when the float width about it is at most
+    2*tol.  Collinear points have no such circle; their strip width is 0,
+    so no certificate can reject them, and they are accepted.  When the
+    search finds no witness, the CERTIFICATE_SIZES[0] points nearest to and
+    as many farthest from its last centre, then the next size, reject when
+    their annulus is certainly wider than 2*tol about every centre in the
+    plane (`_extremes_wider_everywhere`); the annulus of a subset is never
+    wider than that of the full set about the same centre.
     """
     if len(points) < 4:
         raise ValueError("too few points for arc")
     upts = list(dict.fromkeys(tuple(p) for p in points))
     if len(upts) <= 2:
         return True  # width zero
-    xs = [p[0] for p in upts]
-    ys = [p[1] for p in upts]
-    eff_alpha = clip.min_arc_angle if clip is not None else DEFAULT_MIN_ARC_ANGLE
-    eff_r = clip.data_radius if clip is not None else data_radius(upts)
-    half_side = eff_r / math.sin(eff_alpha / 2) + 2
-    c0x = (min(xs) + max(xs)) / 2
-    c0y = (min(ys) + max(ys)) / 2
     fit = _least_squares_circle(upts)
-    start = fit[:2] if fit is not None else _far_bisector_point(upts, c0x, c0y, half_side - 2)
-    last = []
-    witness = _witness_centre(upts, *start, tol, last)
-    # the witness must lie inside the clip square for the accept to answer
-    # the clipped question
-    if witness is not None and abs(witness[0] - c0x) <= half_side - 1 \
-            and abs(witness[1] - c0y) <= half_side - 1:
+    if fit is None:
         return True
-    if witness is None and _extremes_wider_everywhere(upts, last, tol):
-        return False
-    if fit is not None:
-        cx, cy, r = fit
-        if len(upts) > 10:
-            residuals = [math.hypot(p[0] - cx, p[1] - cy) - r for p in upts]
-            order = sorted(range(len(upts)), key=lambda i: residuals[i])
-            chosen = set(order[:4]) | set(order[-4:])
-            # stratify: the extreme residual of each quarter, so structured
-            # data (e.g. one spiral arm) still yields a wide certificate
-            m = len(upts)
-            for q in range(4):
-                seg = range(q * m // 4, max(q * m // 4 + 1, (q + 1) * m // 4))
-                chosen.add(max(seg, key=lambda i: abs(residuals[i])))
-            subset = [upts[i] for i in sorted(chosen)]
-            # the subset clip square must cover the full set's square, else
-            # the monotonicity certificate would not be sound
-            diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-            if clip is None:
-                sub_clip = ClipConfig(DEFAULT_MIN_ARC_ANGLE, 1.5 * diag + 2)
-            else:
-                sub_clip = ClipConfig(clip.min_arc_angle, clip.data_radius + diag + 2)
-            if not min_width_annulus(subset, sub_clip).feasible_for(tol):
-                return False
-    return min_width_annulus(upts, clip).feasible_for(tol)
+    found, d = _witness_centre(upts, fit[0], fit[1], tol)
+    return found or not _extremes_wider_everywhere(upts, d, tol)

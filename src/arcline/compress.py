@@ -52,7 +52,6 @@ from .arcfit import (FittedArc, _feasible_centres, arc_within_tolerance, densify
 from .feasibility import build_fit_index_arrays, test_arcs, test_segments
 from .hulltree import HullTree
 from .sortedrange import MergeTree
-from .voronoi import ClipConfig, data_radius
 
 PenaltyPair = Tuple[int, float]
 
@@ -71,7 +70,6 @@ class CompressionParams:
     min_arc_points: int = 4
     max_arc_points: int = 512  # 0 = unlimited
     mode: str = "vertices"  # "vertices" | "segments"
-    min_arc_angle: float = math.radians(0.1)
 
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
@@ -84,7 +82,6 @@ class CompressionParams:
             raise ValueError("min_arc_points must be at least 4")
         if self.max_arc_points < 0 or 0 < self.max_arc_points < self.min_arc_points:
             raise ValueError("max_arc_points must be 0 or at least min_arc_points")
-        ClipConfig(self.min_arc_angle, 1.0)  # raises unless the angle leaves a finite clip radius
 
 
 @dataclass
@@ -171,10 +168,9 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     p_arc = params.penalty_arc
     tree = HullTree(pts)
     sse = _SegSse(pts)
-    clip = ClipConfig(params.min_arc_angle, data_radius(pts))
 
     _, seg_arrays = test_segments(pts, tol, tree)
-    arc_pairs = test_arcs(pts, tol, clip, params.max_arc_points)
+    arc_pairs = test_arcs(pts, tol, params.max_arc_points)
     first_seg_ok = seg_arrays.first  # first k' where a segment may fit
     first_arc_ok = build_fit_index_arrays(arc_pairs, n).first
 

@@ -16,7 +16,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .annulus import arc_exists_within_tolerance
 from .hulltree import HullTree
-from .voronoi import ClipConfig
 
 
 @dataclass
@@ -105,9 +104,10 @@ def _test_part(q: int, i: int, j: int, window_feasible: Callable[[int, int], boo
 
 
 def test_arcs(polyline: Sequence[Tuple[int, int]], tol,
-              clip: Optional[ClipConfig] = None,
               max_arc_points: int = 0) -> InfeasiblePairList:
-    """Ranges that no arc can cover within tol.
+    """Ranges that certainly no arc can cover within tol, whatever its
+    radius (`arc_exists_within_tolerance`); a range that cannot be settled
+    is not reported, so the pairs are a sound bound for the DP.
 
     max_arc_points > 0 additionally fails every window longer than that cap,
     which bounds how far back the DP ever scans for an arc.
@@ -117,7 +117,7 @@ def test_arcs(polyline: Sequence[Tuple[int, int]], tol,
     def feasible(i: int, j: int) -> bool:
         if max_arc_points and j - i + 1 > max_arc_points:
             return False
-        return arc_exists_within_tolerance(polyline[i:j + 1], tol, clip)
+        return arc_exists_within_tolerance(polyline[i:j + 1], tol)
 
     return InfeasiblePairList.from_pairs(_dyadic_scan(n, feasible), n)
 

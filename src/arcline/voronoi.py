@@ -22,8 +22,9 @@ RPoint = Tuple[Fraction, Fraction]
 
 @dataclass(frozen=True)
 class ClipConfig:
-    """Clipping setup: arcs below min_arc_angle never matter, so the diagram
-    can be cut at radius data_radius / sin(alpha / 2)."""
+    """Clipping setup of `min_width_annulus`: centres of arcs below
+    min_arc_angle are left out, so the diagram can be cut at radius
+    data_radius / sin(alpha / 2)."""
 
     min_arc_angle: float  # radians
     data_radius: float  # same units as the coordinates

@@ -28,6 +28,19 @@ def combinatorial_oracle(pts):
     return best
 
 
+def assert_one_sided(pts, tol, exact) -> bool:
+    """`arc_exists_within_tolerance` of distinct pts against their exact
+    annulus: True whenever the annulus is feasible, and when False, on sets
+    small enough for the oracle, every bisector crossing is wider than
+    2*tol.  Returns the verdict."""
+    got = arc_exists_within_tolerance(pts, tol)
+    assert got or not exact.feasible_for(tol)
+    if not got and len(pts) <= 24:
+        hi, lo, _ = combinatorial_oracle(pts)
+        assert not width_leq(hi, lo, 2 * Fraction(tol))
+    return got
+
+
 def test_radical_comparisons():
     assert width_leq(Fraction(4), Fraction(1), Fraction(1))  # 2 - 1 <= 1
     assert not width_leq(Fraction(9), Fraction(1), Fraction(1))  # 3 - 1 > 1
@@ -102,14 +115,19 @@ def test_arc_exists_examples():
     circle = [(round(scale * math.cos(a)), round(scale * math.sin(a)))
               for a in [k * 0.3 for k in range(15)]]
     assert arc_exists_within_tolerance(circle, 5) is True
+    # a rectangle's corners are cocircular; its centre is not on their circle
     thin = [(0, 0), (1000, 0), (1000, 10), (0, 10)]
-    res = min_width_annulus(thin)
     tol_small = Fraction(1, 100)
-    assert arc_exists_within_tolerance(thin, tol_small) == res.feasible_for(tol_small)
+    assert assert_one_sided(thin, tol_small, min_width_annulus(thin)) is True
+    thin.append((500, 5))
+    assert assert_one_sided(thin, tol_small, min_width_annulus(thin)) is False
 
 
 def test_arc_exists_matches_exact_decision():
+    # one-sided: a feasible annulus is always accepted, and a rejection is
+    # always right; the certificate must still fire often enough to prune
     random.seed(63)
+    rejected = 0
     for _ in range(40):
         n = random.randint(4, 60)
         pts = list({(random.randint(-200, 200), random.randint(-200, 200)) for _ in range(n)})
@@ -118,23 +136,25 @@ def test_arc_exists_matches_exact_decision():
         res = min_width_annulus(pts)
         w = res.width
         for tol in (w / 2 * 0.7 + 1e-9, w / 2 * 1.3 + 1e-9):
-            got = arc_exists_within_tolerance(pts, tol)
-            assert got == res.feasible_for(tol)
+            rejected += not assert_one_sided(pts, tol, res)
+    assert rejected >= 22  # of the 40 sets at 0.7 times the half width, at this seed
 
 
 def test_clip_restricts_far_centers():
     # nearly collinear points: a huge-radius arc fits, but its center lies
-    # beyond any modest clip radius, so the clipped test reports infeasible
+    # beyond any modest clip radius, so the clipped annulus is infeasible;
+    # the window test asks about the whole plane and accepts
     pts = [(x, x * x // 800_000) for x in range(0, 2000, 100)]
     tight = ClipConfig(math.radians(30), 3000)
     wide = ClipConfig(math.radians(0.01), 3000)
-    assert arc_exists_within_tolerance(pts, 5, wide) is True
-    assert arc_exists_within_tolerance(pts, 5, tight) is False
+    assert min_width_annulus(pts, wide).feasible_for(5)
+    assert not min_width_annulus(pts, tight).feasible_for(5)
+    assert arc_exists_within_tolerance(pts, 5) is True
 
 
 def test_adversarial_near_cocircular_clusters():
     # many near-cocircular points make the two diagrams cross densely; the
-    # decision must still match the exact annulus verdict
+    # decision must never contradict the exact annulus verdict
     rng = random.Random(64)
     pts = []
     for k in range(40):
@@ -144,5 +164,5 @@ def test_adversarial_near_cocircular_clusters():
     pts = list(dict.fromkeys(pts))
     res = min_width_annulus(pts)
     assert 60 <= res.width <= 170  # ring thickness ~ +-40 noise
-    for tol in (res.width / 2 * 0.8, res.width / 2 * 1.2):
-        assert arc_exists_within_tolerance(pts, tol) == res.feasible_for(tol)
+    verdicts = [assert_one_sided(pts, res.width / 2 * f, res) for f in (0.8, 1.2)]
+    assert verdicts == [False, True]

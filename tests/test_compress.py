@@ -5,12 +5,13 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arcline import arcfit
+from arcline import annulus, arcfit
 from arcline.arcfit import FittedArc, fit_arc_by_tolerance, fit_arc_least_squares
 from arcline.compress import (BLOCKER_LISTS, PROBE_POINTS, CompressionParams, _BlockerCache,
                               _evaluate_arc, compress)
 from arcline.feasibility import InfeasiblePairList
 from arcline.pipeline import archimedean_spiral, choose_scale, compress_polyline
+from arcline.voronoi import ClipConfig
 
 from reference_dp import reference_compress
 from test_acceptance import assert_within_tolerance
@@ -197,10 +198,7 @@ def test_non_finite_coordinate_rejected(bad):
 def test_tiny_or_nan_min_arc_angle_rejected(angle):
     # 1e-320 rad leaves no finite clip radius; NaN is out of every range
     with pytest.raises(ValueError, match="min_arc_angle"):
-        CompressionParams(tolerance=1, min_arc_angle=angle)
-    with pytest.raises(ValueError, match="min_arc_angle"):
-        compress_polyline([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, 3.0)], 0.1,
-                          min_arc_angle=angle)
+        ClipConfig(angle, 1.0)
 
 
 def test_closed_polylines_match_reference():
@@ -221,9 +219,8 @@ def test_closed_polylines_match_reference():
 
 
 def test_collinear_window_is_arc_feasible():
-    # the last four points are collinear: no least-squares circle exists,
-    # and the overlay-vertex annulus falls back to the data centre; the
-    # witness far out on their bisector shows that one arc covers them
+    # the last four points are collinear: their strip width is 0, so no
+    # certificate can reject the window, and an arc of large radius covers it
     pts = [(-26, 29), (-31, 26), (-33, 22), (-35, 18), (-37, 14)]
     res = compress(pts, CompressionParams(tolerance=2))
     want_total, want_count, _ = reference_compress(pts, 2)
@@ -489,3 +486,100 @@ def test_awkward_polylines_within_tolerance_and_optimal(pts, tol, max_arc_points
     want_total, _, _ = reference_compress(pts, tol, max_arc_points=max_arc_points)
     assert res.total[0] == want_total[0]
     assert abs(res.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
+
+
+def test_large_radius_arc_is_found():
+    # an arc of radius 2e7 tolerances over a chord of 2e4: its centre lies
+    # far beyond any square around the data, and the window test must still
+    # leave the one-arc optimum to the DP
+    big_r, chord, n = 2e7, 2e4, 12
+    h = math.asin(chord / 2 / big_r)
+    pts = [(big_r * math.sin(t), big_r * math.cos(t) - big_r)
+           for t in (-h + 2 * h * i / (n - 1) for i in range(n))]
+    res = compress_polyline(pts, 1.0)
+    assert res.t_count == 3 and [p.kind for p in res.primitives] == ["arc"]
+    assert reference_compress(res.grid.points, res.scale)[0][0] == 3
+
+
+@st.composite
+def _large_radius_arcs(draw):
+    """5 to 14 integer points, within tol/2 of an arc of radius 10^6 to 10^9
+    tol whose chord is 10^3 to 10^5 tol, turned by a random angle."""
+    tol = 4
+    radius = tol * 10 ** draw(st.floats(6, 9))
+    chord = tol * 10 ** draw(st.floats(3, 5))
+    n = draw(st.integers(5, 14))
+    noise = draw(st.lists(st.integers(-2, 2), min_size=2 * n, max_size=2 * n))
+    turn = draw(st.floats(0, 2 * math.pi))
+    h = math.asin(chord / 2 / radius)
+    c, s = math.cos(turn), math.sin(turn)
+    pts = []
+    for i in range(n):
+        t = -h + 2 * h * i / (n - 1)
+        x, y = radius * math.sin(t), radius * math.cos(t) - radius
+        pts.append((round(c * x - s * y) + noise[2 * i], round(s * x + c * y) + noise[2 * i + 1]))
+    return pts, tol
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_large_radius_arcs())
+def test_large_radius_arcs_match_reference(case):
+    pts, tol = case
+    res = compress(pts, CompressionParams(tolerance=tol))
+    want_total, _, _ = reference_compress(pts, tol)
+    assert res.total[0] == want_total[0]
+    assert abs(res.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
+
+
+def _rounded_rect(n, w, h, r, turn):
+    """A closed rectangle with quarter-circle corners of radius r, n
+    vertices at equal arc length, turned by `turn` radians."""
+    per = 2 * (w + h) - 8 * r + 2 * math.pi * r
+    corners = ((w / 2 - r, -h / 2 + r, -math.pi / 2, 0, 1, h - 2 * r),
+               (w / 2 - r, h / 2 - r, 0.0, -1, 0, w - 2 * r),
+               (-w / 2 + r, h / 2 - r, math.pi / 2, 0, -1, h - 2 * r),
+               (-w / 2 + r, -h / 2 + r, math.pi, 1, 0, w - 2 * r))
+    pts = []
+    for i in range(n):
+        s = per * i / n
+        for cx, cy, a0, sx, sy, length in corners:
+            if s < math.pi / 2 * r:
+                pts.append((cx + r * math.cos(a0 + s / r), cy + r * math.sin(a0 + s / r)))
+                break
+            s -= math.pi / 2 * r
+            if s < length:
+                pts.append((cx + r * math.cos(a0 + math.pi / 2) + sx * s,
+                            cy + r * math.sin(a0 + math.pi / 2) + sy * s))
+                break
+            s -= length
+    c, s = math.cos(turn), math.sin(turn)
+    pts = [(c * x - s * y, s * x + c * y) for x, y in pts]
+    return pts + pts[:1]
+
+
+def _noisy_track(rng, n, tol):
+    """Unit steps through straight runs and gentle and tight turns, each
+    vertex moved by up to tol/2."""
+    x = y = 0.0
+    heading = 0.3
+    pts = []
+    for i in range(n):
+        heading += (0.0, 1 / 30, -1 / 8)[i // 25 % 3] + rng.gauss(0, 0.01)
+        x += math.cos(heading)
+        y += math.sin(heading)
+        r = tol / 2 * math.sqrt(rng.random())
+        a = rng.uniform(0, 2 * math.pi)
+        pts.append((x + r * math.cos(a), y + r * math.sin(a)))
+    return pts
+
+
+def test_compress_builds_no_minimum_width_annulus(monkeypatch):
+    # the window test decides every window without the Voronoi annulus
+    def no_annulus(*args):
+        raise AssertionError("compress built a minimum-width annulus")
+
+    monkeypatch.setattr(annulus, "min_width_annulus", no_annulus)
+    for pts, tol in ((archimedean_spiral(1.0, 2.0, 0.25), 0.1),
+                     (_noisy_track(random.Random(7), 120, 0.2), 0.2),
+                     (_rounded_rect(60, 20.0, 11.0, 2.5, 0.7), 0.05)):
+        assert compress_polyline(pts, tol).t_count > 0
