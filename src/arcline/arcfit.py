@@ -49,9 +49,6 @@ class FittedArc:
     orientation: str  # "ccw" | "cw"
     sse: float  # approximate sum of squared radial deviations
     segment_like: bool = False
-    # certified lower bound on the sse of every arc through start and end
-    # over the same points (`fit_arc_least_squares`; 0 from other fits)
-    sse_floor: float = 0.0
 
 
 def _chord_frame(a, b):
@@ -135,19 +132,37 @@ def _intersect_sorted(xs: List[Tuple[float, float]],
 def _feasible_centres(a, b, points: Iterable, tol) -> Tuple[List[Tuple[float, float]], int]:
     """Bisector parameters where the arc through a, b is within tol of each
     of `points`, intersected in order until nothing is left, and how many
-    points that took."""
+    points that took.
+
+    While the feasible set is one interval and a point's set is one too,
+    the intersection is a running pair (lo, hi); a set of two rays goes
+    through the list merge."""
     frame = _chord_frame(a, b)
-    feasible = [(-INF, INF)]
+    lo, hi = -INF, INF
+    feasible = None  # the feasible set while it is not the one interval (lo, hi)
     used = 0
     for p in points:
         used += 1
-        feasible = _intersect_sorted(feasible, _frame_intervals(frame, a, b, p, tol))
-        if not feasible:
-            break
-    return feasible, used
+        intervals = _frame_intervals(frame, a, b, p, tol)
+        if feasible is None and len(intervals) == 1:
+            p_lo, p_hi = intervals[0]
+            if p_lo > lo:
+                lo = p_lo
+            if p_hi < hi:
+                hi = p_hi
+            if lo > hi:
+                return [], used
+            continue
+        feasible = _intersect_sorted([(lo, hi)] if feasible is None else feasible, intervals)
+        if len(feasible) == 1:
+            (lo, hi), = feasible
+            feasible = None
+        elif not feasible:
+            return [], used
+    return [(lo, hi)] if feasible is None else feasible, used
 
 
-def _build_arc(a, b, s, points, with_sse: bool = True, sse_floor: float = 0.0) -> FittedArc:
+def _build_arc(a, b, s, points, with_sse: bool = True) -> FittedArc:
     mid, u, length = _chord_frame(a, b)
     radius = math.hypot(length / 2, s)
     segment_like = radius > SEGMENT_LIKE_RADIUS_FACTOR * length or not math.isfinite(s)
@@ -157,8 +172,7 @@ def _build_arc(a, b, s, points, with_sse: bool = True, sse_floor: float = 0.0) -
     center = (mid[0] + s * u[0], mid[1] + s * u[1])
     orientation = _pick_orientation(a, b, center, points)
     sse = _approx_sse(points, center, radius) if with_sse else math.nan
-    return FittedArc(tuple(a), tuple(b), center, radius, orientation, sse, segment_like,
-                     sse_floor)
+    return FittedArc(tuple(a), tuple(b), center, radius, orientation, sse, segment_like)
 
 
 def with_sse(arc: FittedArc, points) -> FittedArc:
@@ -207,7 +221,6 @@ def fit_arc_least_squares(points: Sequence, polish: bool = True,
     mx, my = mid
     sum_gh = 0.0
     sum_hh = 0.0
-    sum_gg = 0.0
     params = []  # (w, e) per point, read only by the polish
     for p in points:
         px = p[0] - mx
@@ -216,16 +229,13 @@ def fit_arc_least_squares(points: Sequence, polish: bool = True,
         e = px * ux + py * uy
         if polish:
             params.append((w, e))
-        g = w - half_sq
-        sum_gh += g * e
+        sum_gh += (w - half_sq) * e
         sum_hh += e * e
-        sum_gg += g * g
-    floor = _sse_floor(len(points), half_sq, sum_gg, sum_gh, sum_hh, mid, length)
     if sum_hh == 0:
-        return _build_arc(a, b, INF, points, with_sse, floor)
+        return _build_arc(a, b, INF, points, with_sse)
     s = sum_gh / (2 * sum_hh)
     if not polish:
-        return _build_arc(a, b, s, points, with_sse, floor)
+        return _build_arc(a, b, s, points, with_sse)
 
     def f_and_fprime(sv):
         f = g = 0.0
@@ -261,76 +271,73 @@ def fit_arc_least_squares(points: Sequence, polish: bool = True,
             if f_cur < best_f:
                 best_s, best_f = cur, f_cur
             break
-    return _build_arc(a, b, best_s, points, with_sse, floor)
+    return _build_arc(a, b, best_s, points, with_sse)
 
 
-def _sse_floor(n: int, h: float, gg: float, gh: float, hh: float, mid, length: float) -> float:
-    """Certified lower bound on the `_approx_sse`, over the same n points,
-    of every arc that `_build_arc` makes through the two anchors and does
-    not report segment-like; 0.0 when a float overflowed.
+def _sse_floor(n: int, a, b, g: int, lp: int, l2e: int) -> float:
+    """Certified lower bound on the `_approx_sse`, over n integer points, of
+    every arc that `_build_arc` makes through the integer anchors a and b
+    and does not report segment-like; 0.0 when no positive bound is
+    certified (always when the points lie on one circle or line through
+    the anchors).
 
-    With m the float chord midpoint (the one `_build_arc` uses too), u the
-    chord's unit normal, L the chord length, h = (L/2)^2, and per point
-    w = |p - m|^2, e = (p - m) . u, g = w - h: the centre m + s*u has
-    radius r = sqrt(h + s^2), and d^2 - r^2 = g - 2*e*s, so `_approx_sse`
-    there is exactly f(s) = (G - 4*s*P + 4*s^2*E) / (4*(h + s^2)) with
-    G = sum g^2, P = sum g*e, E = sum e^2 (the sums gg, gh, hh).
-    f(s) >= lam for all s iff 4*(E - lam)*s^2 - 4*P*s + G - 4*lam*h >= 0
-    for all s, that is iff (E - lam)*(G - 4*lam*h) >= P^2 with both
-    factors >= 0, so the minimum of f (also its limit E at infinity) is
-    the smaller root of 4*h*lam^2 - (G + 4*h*E)*lam + (E*G - P^2) = 0,
-    taken in the stable form
-    lam = 2*(E*G - P^2) / (G + 4*h*E + sqrt((G - 4*h*E)^2 + 16*h*P^2)),
-    whose only cancellation is in E*G - P^2.
+    With m = (a + b)/2 the exact chord midpoint, v = (a_y - b_y, b_x - a_x)
+    the chord's normal of length L, h = (L/2)^2, and per point
+    g = |p - m|^2 - h = (p - a).(p - b) and e = (p - m).v / L: the centre
+    m + s*v/L has radius r = sqrt(h + s^2), and d^2 - r^2 = g - 2*e*s, so
+    `_approx_sse` there is exactly f(s) = (G - 4*s*P + 4*s^2*E) /
+    (4*(h + s^2)) with G = sum g^2, P = sum g*e, E = sum e^2.  The
+    arguments are the integers G, L*P and L^2*E (`compress._Moments`
+    sums them exactly).  f(s) >= lam for all s iff (E - lam)*(G - 4*lam*h)
+    >= P^2 with both factors >= 0, so the minimum of f (also its limit E at
+    infinity) is the smaller root of 4*h*lam^2 - (G + 4*h*E)*lam +
+    (E*G - P^2) = 0, in integers
 
-    Rounding, to first order, with EPS the unit roundoff, n the points,
-    B^2 = h + sqrt(G) (at least every w, since |g| <= sqrt(G)) and
-    M = |m_x| + |m_y|:
+        lam = 2*N / (L^2 * (S + sqrt(D))),  N = L^2E*G - (LP)^2,
+        S = G + L^2E,  D = (G - L^2E)^2 + 4*(LP)^2,
 
-    - The sums.  Each offset p - m is off by 2*EPS*|p - m|, L and so u by
-      5*EPS and h by 7*EPS (hypot is within one ulp), so w is off by
-      6*EPS*w, g by 8*EPS*(w + h) and e by 9*EPS*|p - m|.  With |g| <= 2*B^2,
-      |e| <= B and the summation errors ((n-1)*EPS of a sum of squares, and
-      of sum |g*e| <= sqrt(G*E) for P): dG <= EPS*((n+1)*G + 64*n*B^4),
-      dE <= EPS*((n+1)*E + 18*n*B^2), dP <= EPS*n*(sqrt(G*E) + 34*B^3).
-      They move f(s) by at most dG/(4h), dP/(2*sqrt(h)) (as
-      |s|/(h+s^2) <= 1/(2*sqrt(h))) and dE; h's error moves it by 7*EPS*f;
-      evaluating the root adds 6*EPS*E + 8*EPS*lam (the numerator's
-      6*EPS*E*G over a denominator of at least 2*G).  Their sum, doubled
-      for the first-order terms, is err, and min f >= lam - err.
-    - The arc.  `_build_arc` rounds the centre by at most EPS*(M + 8*r)
-      and the radius by 5*EPS*r, so the arc leaves the family above;
-      `_approx_sse` rounds each d^2 - r^2 by 5*EPS*(d^2 + r^2) and the
-      quotient by EPS.  With d <= B + r and L/2 <= r <= rho =
-      SEGMENT_LIKE_RADIUS_FACTOR * L (any larger radius is segment-like),
-      each residual (d^2 - r^2)/(2r) is off by at most
-      eta = EPS*(2*M*(1 + 2*B/L) + 20*(B + rho) + 11*B^2/L), doubled
-      below, and the root of the sum of their squares, a Euclidean norm,
-      by sqrt(n)*eta.  Summing n squares loses a factor of at most
-      1 - (n+1)*EPS.
+    with N >= 0 exact (Cauchy-Schwarz), so nothing cancels.  Rounding N,
+    L^2, S and D to floats, the square root, the sum, the product and the
+    quotient put the computed lam within 7*EPS*lam of the true one (EPS
+    the unit roundoff, first order); 16*EPS covers it.
+
+    The arc.  With B^2 = h + sqrt(G) (at least every |p - m|^2, since
+    |g| <= sqrt(G)) and M = |m_x| + |m_y|, `_build_arc` puts the centre
+    within EPS*(2*M + 8*r) of m + s*v/L (its float midpoint is off by
+    EPS*M, its unit normal by 5*EPS) and rounds the radius by 5*EPS*r, so
+    the arc leaves the family above; `_approx_sse` rounds each d^2 - r^2
+    by 5*EPS*(d^2 + r^2) and the quotient by EPS.  With d <= B + r and
+    L/2 <= r <= rho = SEGMENT_LIKE_RADIUS_FACTOR * L (any larger radius is
+    segment-like), each residual (d^2 - r^2)/(2r) is off by at most
+    eta = EPS*(2*M*(1 + 2*B/L) + 20*(B + rho) + 11*B^2/L), doubled below,
+    and the root of the sum of their squares, a Euclidean norm, by
+    sqrt(n)*eta.  Summing n squares loses a factor of at most
+    1 - (n+1)*EPS.
 
     Hence every such arc has sse >= (1 - (n+8)*EPS) *
-    (sqrt(lam - err) - sqrt(n)*eta)^2, the extra 7*EPS covering the
-    rounding of this expression.  G grows as the fourth power of the
-    coordinates; a bound that overflowed or came out NaN is 0.
+    (sqrt((1 - 16*EPS)*lam) - sqrt(n)*eta)^2, the extra 7*EPS covering the
+    rounding of this expression.  With coordinates within +-2**53 and n
+    far below 2**200, no float here overflows.
     """
-    eg = hh * gg
-    num = eg - gh * gh
-    if not num > 0.0:
+    num = l2e * g - lp * lp
+    if num <= 0:
         return 0.0
-    diff = gg - 4 * h * hh
-    lam = 2 * num / (gg + 4 * h * hh + math.sqrt(diff * diff + 16 * h * gh * gh))
-    b_sq = h + math.sqrt(gg)
-    b = math.sqrt(b_sq)
-    err = 2 * EPS * (((n + 1) * gg + 64 * n * b_sq * b_sq) / (4 * h)
-                     + n * (math.sqrt(eg) + 34 * b * b_sq) / (2 * math.sqrt(h))
-                     + (n + 13) * hh + 18 * n * b_sq + 15 * lam)
-    m = abs(mid[0]) + abs(mid[1])
-    rho = SEGMENT_LIKE_RADIUS_FACTOR * length
-    eta = 2 * EPS * (2 * m * (1 + 2 * b / length) + 20 * (b + rho) + 11 * b_sq / length)
-    root = math.sqrt(max(0.0, lam - err)) - math.sqrt(n) * eta
-    floor = (1 - (n + 8) * EPS) * root * root if root > 0.0 else 0.0
-    return floor if floor < INF else 0.0
+    ax, ay = a
+    bx, by = b
+    dx = bx - ax
+    dy = by - ay
+    l_sq = dx * dx + dy * dy
+    diff = g - l2e
+    # each integer operand is rounded to a float once, where it meets a float
+    lam = 2 * num / (l_sq * (g + l2e + math.sqrt(diff * diff + 4 * lp * lp)))
+    length = math.sqrt(l_sq)
+    b_sq = l_sq / 4 + math.sqrt(g)
+    b_len = math.sqrt(b_sq)
+    m2 = abs(ax + bx) + abs(ay + by)  # 2*M
+    eta = 2 * EPS * (m2 * (1 + 2 * b_len / length)
+                     + 20 * (b_len + SEGMENT_LIKE_RADIUS_FACTOR * length) + 11 * b_sq / length)
+    root = math.sqrt((1 - 16 * EPS) * lam) - math.sqrt(n) * eta
+    return (1 - (n + 8) * EPS) * root * root if root > 0.0 else 0.0
 
 
 def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,

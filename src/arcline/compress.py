@@ -8,35 +8,37 @@ first candidate whose cost bound already meets the incumbent.  Feasibility
 tables bound the scans: no candidate beyond the first index where an arc
 (or a segment strip) can still cover the range is ever touched.
 
-Most arc candidates that survive those bounds are still infeasible, and
-consecutive candidates share almost all of their range.  The scan keeps a
-blocker cache: for each of the last BLOCKER_LISTS candidates whose
-tolerance-interval fit came out empty, the points it had intersected up to
-that moment.  Before any O(window) work, a candidate intersects the bisector
-centre intervals, for its own anchors, of at most PROBE_POINTS cached points
-strictly inside its range, and is rejected when nothing is left.  The probe
-and `fit_arc_by_tolerance` share one loop, `arcfit._feasible_centres`: the
-probe computes the very float intervals that the fit computes for those
-points on the full window, and intersecting closed intervals does not
-depend on their order, so an empty probe means an empty fit: the candidate
-would have been rejected anyway.  Only the least-squares accept, which
-checks residuals with a slack of about 1e-12 instead of the intervals, could
-have accepted such a candidate, inside that slack's float-dust band.
+Arc candidates are evaluated best-first under a floor.  Exact prefix
+moments of the grid points (`_Moments`) give, in O(1) per candidate, the
+sums behind a certified lower bound on the SSE of every arc through its two
+anchors (`arcfit._sse_floor`), so (cnt + p_arc, acc + floor) bounds the
+candidate's cost.  The scan takes candidates from the range heap while
+their bound (cnt + p_arc, acc) is below the incumbent and at most the
+smallest floor key waiting, and pushes each under its floor key; it
+evaluates the waiting candidate with the smallest key while that key is at
+most the incumbent, and stops once the incumbent is below every key left.
+Every candidate whose key is at most the final incumbent is so evaluated,
+and the tie rule (segments before arcs, then the larger k') does not
+depend on the order of evaluation: the scan ends with the same T and back
+pointers as one that evaluates every candidate below the incumbent.
 
-A candidate that passes the probe gets the quick least-squares fit; when
-that arc is within tolerance the candidate is worth polishing (the secant
-iteration on the geometric residual, then the interval fit if the polished
-arc fails), yet most such candidates lose to the incumbent.  The quick fit
-also yields `sse_floor`, a certified lower bound on the SSE of every arc
-through the two anchors (`arcfit._sse_floor`), so (cnt + p_arc, acc +
-sse_floor) bounds the candidate's cost.  Such candidates wait in a heap
-under that key.  Before the scan takes its next candidate, whose cost is at
-least (cnt + p_arc, acc) of its heap entry, it polishes, smallest key
-first, every waiting candidate whose key is at most that pair, and it drops
-them all once the incumbent is below the smallest key.  Every candidate
-that could win or tie is so polished before the scan passes its bound: the
-scan takes the same candidates and ends with the same T and back pointers
-as one that polishes each candidate at once.
+Most evaluated candidates are still infeasible, and consecutive ones share
+almost all of their range.  The scan keeps a blocker cache: for each of the
+last BLOCKER_LISTS candidates whose tolerance-interval fit came out empty,
+the points it had intersected up to that moment.  Before any O(window)
+work, a candidate intersects the bisector centre intervals, for its own
+anchors, of at most PROBE_POINTS cached points strictly inside its range,
+and is rejected when nothing is left.  The probe and `fit_arc_by_tolerance`
+share one loop, `arcfit._feasible_centres`: the probe computes the very
+float intervals that the fit computes for those points on the full window,
+and intersecting closed intervals does not depend on their order, so an
+empty probe means an empty fit: the candidate would have been rejected
+anyway.  Only the least-squares accept, which checks residuals with a slack
+of about 1e-12 instead of the intervals, could have accepted such a
+candidate, inside that slack's float-dust band.  A candidate that passes
+the probe gets the quick least-squares fit, the secant polish when that arc
+is within tolerance, and the interval fit when the polished arc fails or
+the quick one was not within tolerance (`_evaluate_arc`).
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain
+from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
-from .arcfit import (FittedArc, _feasible_centres, arc_within_tolerance, densify,
+from .arcfit import (FittedArc, _feasible_centres, _sse_floor, arc_within_tolerance, densify,
                      direction_and_endpoint_check, fit_arc_by_tolerance, fit_arc_least_squares)
 from .feasibility import build_fit_index_arrays, test_arcs, test_segments
 from .hulltree import HullTree
@@ -104,22 +107,21 @@ class CompressedPolyline:
     stats: dict = field(default_factory=dict)
 
 
-class _SegSse:
-    """O(1) exact sum of squared line deviations over any vertex range."""
+class _Moments:
+    """Exact prefix sums, as Python ints, of 1, x, y, x^2, xy, y^2,
+    x*|p|^2, y*|p|^2 and |p|^4 over the grid points: O(1) exact sums over
+    any vertex range, for the segment SSE and the arc SSE floor."""
 
     def __init__(self, pts):
-        n = len(pts)
-        self.sx = [0] * (n + 1)
-        self.sy = [0] * (n + 1)
-        self.sxx = [0] * (n + 1)
-        self.syy = [0] * (n + 1)
-        self.sxy = [0] * (n + 1)
-        for i, (x, y) in enumerate(pts):
-            self.sx[i + 1] = self.sx[i] + x
-            self.sy[i + 1] = self.sy[i] + y
-            self.sxx[i + 1] = self.sxx[i] + x * x
-            self.syy[i + 1] = self.syy[i] + y * y
-            self.sxy[i + 1] = self.sxy[i] + x * y
+        row = (0,) * 9
+        rows = [row]
+        for x, y in pts:
+            w = x * x + y * y
+            c, sx, sy, sxx, sxy, syy, sxw, syw, sww = row
+            row = (c + 1, sx + x, sy + y, sxx + x * x, sxy + x * y, syy + y * y,
+                   sxw + x * w, syw + y * w, sww + w * w)
+            rows.append(row)
+        self.rows = rows
         self.pts = pts
 
     def range_sse(self, i: int, j: int) -> float:
@@ -130,20 +132,41 @@ class _SegSse:
         dx = bx - ax
         dy = by - ay
         len_sq = dx * dx + dy * dy
-        cnt = j - i + 1
-        sx = self.sx[j + 1] - self.sx[i]
-        sy = self.sy[j + 1] - self.sy[i]
-        sxx = self.sxx[j + 1] - self.sxx[i]
-        syy = self.syy[j + 1] - self.syy[i]
+        cnt, sx, sy, sxx, sxy, syy, *_ = map(sub, self.rows[j + 1], self.rows[i])
         if len_sq == 0:
             # coincident anchors: no line, the deviation is from the anchor
             return float(sxx - 2 * ax * sx + cnt * ax * ax + syy - 2 * ay * sy + cnt * ay * ay)
-        sxy = self.sxy[j + 1] - self.sxy[i]
         # cross_t = dx*(y_t - ay) - dy*(x_t - ax); sum cross_t^2 expanded
         c = dx * ay - dy * ax  # cross = dx*y - dy*x - c0 with c0 = dx*ay - dy*ax
         total = (dx * dx * syy + dy * dy * sxx - 2 * dx * dy * sxy
                  - 2 * c * (dx * sy - dy * sx) + cnt * c * c)
         return total / len_sq
+
+    def arc_sums(self, i: int, j: int) -> Tuple[int, int, int]:
+        """The integers G = sum g^2, L*P = sum g*f and L^2*E = sum f^2 over
+        i..j of `arcfit._sse_floor`, with anchors a = pts[i], b = pts[j],
+        g = (p - a).(p - b) and f = (p - a).(a_y - b_y, b_x - a_x)."""
+        ax, ay = self.pts[i]
+        bx, by = self.pts[j]
+        cx, cy = ax + bx, ay + by
+        nx, ny = ay - by, bx - ax
+        ab = ax * bx + ay * by  # g = |p|^2 - c.p + ab
+        an = nx * ax + ny * ay  # f = n.p - an
+        cnt, sx, sy, sxx, sxy, syy, sxw, syw, sww = map(sub, self.rows[j + 1], self.rows[i])
+        sw = sxx + syy
+        cp = cx * sx + cy * sy
+        np_ = nx * sx + ny * sy
+        g = (sww - 2 * (cx * sxw + cy * syw) + cx * (cx * sxx + 2 * cy * sxy) + cy * cy * syy
+             + ab * (2 * (sw - cp) + cnt * ab))
+        lp = (nx * sxw + ny * syw - an * sw - cx * (nx * sxx + ny * sxy) - cy * (nx * sxy + ny * syy)
+              + an * cp + ab * (np_ - cnt * an))
+        l2e = nx * (nx * sxx + 2 * ny * sxy) + ny * ny * syy - an * (2 * np_ - cnt * an)
+        return g, lp, l2e
+
+    def arc_floor(self, i: int, j: int) -> float:
+        """`arcfit._sse_floor` of the range i..j: no arc through pts[i] and
+        pts[j] that `_evaluate_arc` can return has a smaller SSE."""
+        return _sse_floor(j - i + 1, self.pts[i], self.pts[j], *self.arc_sums(i, j))
 
 
 def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> CompressedPolyline:
@@ -167,7 +190,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     p_seg = params.penalty_segment
     p_arc = params.penalty_arc
     tree = HullTree(pts)
-    sse = _SegSse(pts)
+    moments = _Moments(pts)
 
     _, seg_arrays = test_segments(pts, tol, tree)
     arc_pairs = test_arcs(pts, tol, params.max_arc_points)
@@ -178,7 +201,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     back: List[Optional[Tuple[int, str, Optional[FittedArc]]]] = [None]
     mtree = MergeTree()
     mtree.append(T[0])
-    seg_evals = arc_evals = arc_polishes = 0
+    seg_evals = arc_evals = floor_drops = 0
     tol_f = float(tol)
     blockers = _BlockerCache()
 
@@ -212,7 +235,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
                     continue
                 if not direction_and_endpoint_check(pts[kp:k + 1], (pts[kp], pts[k])):
                     continue
-                cand = (cnt + p_seg, acc + sse.range_sse(kp, k))
+                cand = (cnt + p_seg, acc + moments.range_sse(kp, k))
                 if cand < best or (cand == best and best_back[1] == "segment" and kp > best_back[0]):
                     best = cand
                     best_back = (kp, "segment", None)
@@ -223,27 +246,26 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
         hi = k - (params.min_arc_points - 1)
         if lo <= hi:
             heap = mtree.open_range(lo, hi)
-            pending: List[tuple] = []
+            item = heap.pop_min()
+            waiting: List[Tuple[PenaltyPair, int]] = []  # (cost bound with floor, kp)
             while True:
-                item = heap.pop_min()
-                limit = None if item is None else (item[0][0] + p_arc, item[0][1])
-                # polish, best key first, the waiting candidates that could
-                # still beat the incumbent or tie the next candidate's bound
-                while (entry := _take_pending(pending, limit, best)) is not None:
-                    arc_polishes += 1
-                    _, kp, quick = entry
-                    offer(kp, _evaluate_arc(pts, kp, k, tol_f, blockers, quick))
-                if item is None or best <= limit:
+                # take candidates in ascending order of their cost bound
+                # while it is below the incumbent and no waiting floor is
+                # smaller
+                while item is not None:
+                    (cnt, acc), kp = item
+                    bound = (cnt + p_arc, acc)
+                    if not bound < best or (waiting and waiting[0][0] < bound):
+                        break
+                    if pts[kp] != pts[k]:  # an arc needs two distinct anchors
+                        heappush(waiting, ((cnt + p_arc, acc + moments.arc_floor(kp, k)), kp))
+                    item = heap.pop_min()
+                if not waiting or best < waiting[0][0]:
                     break
-                (cnt, acc), kp = item
+                kp = heappop(waiting)[1]
                 arc_evals += 1
-                quick = _quick_arc(pts, kp, k, tol_f, blockers)
-                if quick is None:
-                    continue
-                if quick[1]:  # worth polishing: wait under a bound on the cost
-                    heappush(pending, ((cnt + p_arc, acc + quick[0].sse_floor), kp, quick))
-                else:
-                    offer(kp, _evaluate_arc(pts, kp, k, tol_f, blockers, quick))
+                offer(kp, _evaluate_arc(pts, kp, k, tol_f, blockers))
+            floor_drops += len(waiting)
 
         T.append(best)
         back.append(best_back)
@@ -253,22 +275,26 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     return CompressedPolyline(prims, T[n - 1], pts,
                               stats={"segment_evaluations": seg_evals,
                                      "arc_evaluations": arc_evals,
+                                     "arc_floor_drops": floor_drops,
                                      "arc_probe_rejections": blockers.probe_rejections,
-                                     "arc_polishes": arc_polishes})
+                                     "arc_polishes": blockers.polishes})
 
 
 class _BlockerCache:
-    """Points that blocked the arc scan's last rejections (module docstring).
+    """Points that blocked the arc scan's last rejections (module docstring),
+    and the scan's counts of what `_evaluate_arc` did.
 
     `lists` holds, newest first, the blocker lists (indices into the
     compressor's points) of the last BLOCKER_LISTS candidates whose
     tolerance-interval fit came out empty; `probe_rejections` counts the
-    candidates the probe rejected.
+    candidates the probe rejected, `polishes` those whose quick arc was
+    within tolerance and so got the least-squares polish.
     """
 
     def __init__(self):
         self.lists: List[List[int]] = []
         self.probe_rejections = 0
+        self.polishes = 0
 
     def rejects(self, pts, kp, k, tol) -> bool:
         """True when the centre intervals of the first PROBE_POINTS distinct
@@ -288,44 +314,30 @@ class _BlockerCache:
         del self.lists[BLOCKER_LISTS:]
 
 
-def _quick_arc(pts, kp, k, tol,
-               blockers: Optional[_BlockerCache] = None) -> Optional[Tuple[FittedArc, bool]]:
-    """The cheap half of `_evaluate_arc`: None when the anchors coincide or
-    the blocker probe rejects the candidate, else the quick least-squares
-    arc (its `sse_floor` set) and whether it is within tol of every point,
-    which makes the candidate worth polishing."""
-    a, b = pts[kp], pts[k]
-    if a == b:
-        return None  # an arc needs two distinct anchors
-    if blockers is not None and blockers.rejects(pts, kp, k, tol):
-        blockers.probe_rejections += 1
-        return None
-    chunk = pts[kp:k + 1]
-    quick = fit_arc_least_squares(chunk, polish=False, with_sse=False)
-    return quick, not quick.segment_like and arc_within_tolerance(quick, chunk, tol, check_span=False)
-
-
-def _evaluate_arc(pts, kp, k, tol, blockers: Optional[_BlockerCache] = None,
-                  quick: Optional[Tuple[FittedArc, bool]] = None) -> Optional[FittedArc]:
-    """Least-squares fit first; tolerance-interval fit as the fallback.
+def _evaluate_arc(pts, kp, k, tol, blockers: Optional[_BlockerCache] = None) -> Optional[FittedArc]:
+    """The arc from pts[kp] to pts[k] within tol of every point between, or
+    None: the quick least-squares fit, polished when it is within tol, and
+    the tolerance-interval fit when the polished arc fails or the quick one
+    was not within tol.
 
     With a blocker cache, the probe runs first and rejects the candidate
     before any O(window) fit when the cached blockers inside (kp, k) leave
     no centre; the candidate would fail the interval fit for the same
     reason (module docstring).  An interval fit that comes out empty
     records its blockers in the cache.  Without a cache the result is the
-    plain fit's, which the reference DP relies on.  `quick`, when given, is
-    what `_quick_arc` returned for this candidate; the evaluation goes on
-    from there.
+    plain fit's, which the reference DP relies on.
     """
-    if quick is None:
-        quick = _quick_arc(pts, kp, k, tol, blockers)
-        if quick is None:
-            return None
-    seed, viable = quick
+    if pts[kp] == pts[k]:
+        return None  # an arc needs two distinct anchors
+    if blockers is not None and blockers.rejects(pts, kp, k, tol):
+        blockers.probe_rejections += 1
+        return None
     chunk = pts[kp:k + 1]
-    if viable:
-        arc = fit_arc_least_squares(chunk)  # polish only once a fit is viable
+    seed = fit_arc_least_squares(chunk, polish=False, with_sse=False)
+    if not seed.segment_like and arc_within_tolerance(seed, chunk, tol, check_span=False):
+        if blockers is not None:
+            blockers.polishes += 1
+        arc = fit_arc_least_squares(chunk)
         if not arc.segment_like and arc_within_tolerance(arc, chunk, tol) \
                 and direction_and_endpoint_check(chunk, arc):
             return arc
@@ -340,23 +352,6 @@ def _evaluate_arc(pts, kp, k, tol, blockers: Optional[_BlockerCache] = None,
     if not direction_and_endpoint_check(chunk, arc):
         return None
     return arc
-
-
-def _take_pending(pending: list, limit: Optional[PenaltyPair], best: PenaltyPair):
-    """Pop the entry (key, kp, quick) with the smallest key from the heap
-    `pending` when that key is at most both `limit` (None: no limit) and
-    `best`, else None.  Once `best` is below the smallest key, every entry
-    is dropped: keys are lower bounds on what the candidates can cost and
-    the incumbent never gets worse."""
-    if not pending:
-        return None
-    key = pending[0][0]
-    if best < key:
-        pending.clear()
-        return None
-    if limit is not None and limit < key:
-        return None
-    return heappop(pending)
 
 
 def reconstruct(back, pts) -> List[Primitive]:

@@ -1,6 +1,7 @@
 import math
 import random
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from arcline.arcfit import (INF, MAX_DENSIFIED, _build_arc, _chord_frame, arc_within_tolerance,
                             densify, direction_and_endpoint_check, fit_arc_by_tolerance,
                             fit_arc_least_squares, tolerance_intervals_point)
+from arcline.compress import _Moments
 
 
 def deviation(a, b, p, s):
@@ -380,7 +382,7 @@ def _sse_minimiser(pts):
 def test_sse_floor_bounds_every_arc_through_the_anchors(case):
     pts, factor = case
     quick = fit_arc_least_squares(pts, polish=False)
-    floor = quick.sse_floor
+    floor = _Moments(pts).arc_floor(0, len(pts) - 1)
     assert 0.0 <= floor
     a, b = pts[0], pts[-1]
     worst = max(abs(math.dist(p, quick.center) - quick.radius) for p in pts)
@@ -395,3 +397,41 @@ def test_sse_floor_bounds_every_arc_through_the_anchors(case):
     arcs += [_build_arc(a, b, s, pts) for s in params if math.isfinite(s)]
     sses = [arc.sse for arc in arcs if not arc.segment_like]
     assert all(floor <= sse for sse in sses), (floor, min(sses))
+
+
+@st.composite
+def _moment_windows(draw):
+    """A grid-scale polyline with coordinates up to +-2^40, spread over the
+    whole range or clustered far from the origin, and a vertex range i..j
+    of it (anchors may coincide)."""
+    if draw(st.booleans()):
+        corner = st.sampled_from((2 ** 40 - 2 ** 12, -(2 ** 40) + 2 ** 12))
+        ox, oy = draw(corner), draw(corner)
+        coord = st.integers(-(2 ** 12), 2 ** 12)
+    else:
+        ox = oy = 0
+        coord = st.integers(-(2 ** 40), 2 ** 40)
+    pts = [(ox + x, oy + y) for x, y in draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=30))]
+    i = draw(st.integers(0, len(pts) - 2))
+    return pts, i, draw(st.integers(i + 1, len(pts) - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_moment_windows())
+def test_moment_arc_sums_match_direct_fraction_sums(case):
+    # G = sum g^2, L*P = sum g*(e*L) and L^2*E = sum (e*L)^2 with
+    # g = |p - m|^2 - (L/2)^2 and e*L = (p - m).n about the exact chord
+    # midpoint m, summed directly in Fractions
+    pts, i, j = case
+    (ax, ay), (bx, by) = pts[i], pts[j]
+    mx, my = Fraction(ax + bx, 2), Fraction(ay + by, 2)
+    nx, ny = ay - by, bx - ax
+    quarter_l_sq = Fraction(nx * nx + ny * ny, 4)
+    g_sum = lp_sum = l2e_sum = 0
+    for x, y in pts[i:j + 1]:
+        g = (x - mx) ** 2 + (y - my) ** 2 - quarter_l_sq
+        el = (x - mx) * nx + (y - my) * ny
+        g_sum += g * g
+        lp_sum += g * el
+        l2e_sum += el * el
+    assert _Moments(pts).arc_sums(i, j) == (g_sum, lp_sum, l2e_sum)

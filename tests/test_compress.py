@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arcline import annulus, arcfit
+from arcline import annulus
 from arcline.arcfit import FittedArc, fit_arc_by_tolerance, fit_arc_least_squares
 from arcline.compress import (BLOCKER_LISTS, PROBE_POINTS, CompressionParams, _BlockerCache,
                               _evaluate_arc, compress)
@@ -294,64 +294,55 @@ def _spiral_piece(rng, n):
 
 
 def _summary(res):
-    return (res.total, res.stats["arc_evaluations"],
-            [(p.kind, p.start_idx, p.end_idx, p.center, p.radius) for p in res.primitives])
+    return (res.total, [(p.kind, p.start_idx, p.end_idx, p.center, p.radius) for p in res.primitives])
 
 
 def test_blocker_probe_matches_unpruned_reference_on_long_inputs(monkeypatch):
     # the blocker probe rejects arc candidates before any fit; the reference
     # evaluates every candidate without a blocker cache, so it is an oracle
-    # independent of the probe.  The scan polishes only the candidates whose
-    # SSE floor still lets them win, and ends exactly where the eager scan
-    # (every floor 0: each candidate polished before the next is taken) ends
+    # independent of the probe.  The scan evaluates only the candidates
+    # whose SSE floor still lets them win or tie, and ends exactly where the
+    # eager scan (every floor 0: candidates in ascending order of their
+    # accumulated cost) ends
     rng = random.Random(115)
-    quick_arc = compress_module._quick_arc
-    passed = [0]
-
-    def counted(*args):
-        quick = quick_arc(*args)
-        passed[0] += quick is not None and quick[1]
-        return quick
-
+    rejections = drops = 0
     for make, n, tol in ((_noisy_arcs, 60, 6), (_noisy_arcs, 90, 8), (_noisy_arcs, 120, 5),
                          (_spiral_piece, 60, 100), (_spiral_piece, 90, 60),
                          (_spiral_piece, 120, 100)):
         pts = make(rng, n)
-        passed[0] = 0
+        got = compress(pts, CompressionParams(tolerance=tol))
+        rejections += got.stats["arc_probe_rejections"]
+        drops += got.stats["arc_floor_drops"]
         with monkeypatch.context() as m:
-            m.setattr(compress_module, "_quick_arc", counted)
-            got = compress(pts, CompressionParams(tolerance=tol))
-        assert got.stats["arc_probe_rejections"] > 0, (make.__name__, n)
-        assert got.stats["arc_polishes"] < passed[0], (make.__name__, n)
-        with monkeypatch.context() as m:
-            m.setattr(arcfit, "_sse_floor", lambda *args: 0.0)
+            m.setattr(compress_module, "_sse_floor", lambda *args: 0.0)
             eager = compress(pts, CompressionParams(tolerance=tol))
-        assert eager.stats["arc_polishes"] == passed[0]
+        assert got.stats["arc_evaluations"] <= eager.stats["arc_evaluations"], (make.__name__, n)
+        assert got.stats["arc_polishes"] <= eager.stats["arc_polishes"], (make.__name__, n)
         assert _summary(got) == _summary(eager)
         want_total, want_count, _ = reference_compress(pts, tol)
         assert got.total[0] == want_total[0] and len(got.primitives) == want_count, (make.__name__, n)
         assert abs(got.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
+    assert rejections > 0 and drops > 0
 
 
 @st.composite
 def _arc_tables(draw):
     """A zigzag that no segment longer than one step covers, and a table of
     made-up arc candidates with dyadic SSEs and floors, so that costs tie
-    often: per (kp, k) None (rejected before any fit), or (viable, floor,
-    sse) with sse None when the evaluation rejects the candidate."""
+    often: per (kp, k) a floor and the SSE of the evaluated arc, None when
+    the evaluation rejects the candidate."""
     n = draw(st.integers(6, 16))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     pts = [(4 * i, 8 * (i % 2)) for i in range(n)]
     table = {}
     for k in range(3, n):
         for kp in range(k - 2):
-            kind = rng.randint(0, 5)
-            if kind == 0:
-                table[kp, k] = None
-                continue
-            sse = rng.choice((None, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0))
-            floor = 0.0 if sse is None else rng.choice((sse, sse, sse / 2, 0.0))
-            table[kp, k] = (kind > 2, floor, sse)
+            sse = rng.choice((None, None, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0))
+            if sse is None:
+                floor = rng.choice((0.0, 0.5, 2.0))
+            else:
+                floor = rng.choice((sse, sse, sse / 2, 0.0))
+            table[kp, k] = (floor, sse)
     return pts, table
 
 
@@ -359,26 +350,20 @@ def _arc_tables(draw):
 @given(_arc_tables())
 def test_best_first_polish_matches_eager_scan_on_cost_ties(case):
     # made-up arc evaluations whose costs tie often: every candidate that
-    # the eager scan would have evaluated and that can still win or tie is
-    # polished, so T, the back pointers and the candidates taken all match
+    # the eager scan would have evaluated and whose floor can still win or
+    # tie is evaluated, so T, the back pointers and the primitives all match
     pts, table = case
 
     def run(floors: bool):
-        def quick_arc(pts, kp, k, tol, blockers=None):
-            entry = table[kp, k]
-            if entry is None:
-                return None
-            viable, floor, _ = entry
-            arc = FittedArc(pts[kp], pts[k], (0.0, 0.0), 1.0, "ccw", math.nan,
-                            sse_floor=floor if floors else 0.0)
-            return arc, viable
+        def arc_floor(moments, kp, k):
+            return table[kp, k][0] if floors else 0.0
 
-        def evaluate_arc(pts, kp, k, tol, blockers=None, quick=None):
-            sse = table[kp, k][2]
+        def evaluate_arc(pts, kp, k, tol, blockers=None):
+            sse = table[kp, k][1]
             return None if sse is None else FittedArc(pts[kp], pts[k], (0.0, 0.0), 1.0, "ccw", sse)
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(compress_module, "_quick_arc", quick_arc)
+            m.setattr(compress_module._Moments, "arc_floor", arc_floor)
             m.setattr(compress_module, "_evaluate_arc", evaluate_arc)
             # no window is infeasible: the table's arcs stand for themselves
             m.setattr(compress_module, "test_arcs",
@@ -387,7 +372,6 @@ def test_best_first_polish_matches_eager_scan_on_cost_ties(case):
 
     got, eager = run(True), run(False)
     assert _summary(got) == _summary(eager)
-    assert got.stats["arc_polishes"] <= eager.stats["arc_polishes"]
 
 
 @st.composite
