@@ -15,8 +15,7 @@ from .feasibility import (FitIndexArrays, InfeasiblePairList,
 from .hulltree import HullTree
 from .overlaps import remove_overlaps
 from .pipeline import CompressionResult, archimedean_spiral, compress_polyline
-from .predicates import (ExactCircle, circumcircle, incircle,
-                         incircle_farthest, invert_point, orientation)
+from .predicates import incircle, orientation
 from .randomhull import (HullSample, finalize_hull, gen_directions_hull,
                          gen_fdt_hull, gen_random_walk_hull)
 from .segments import IndexedSegment

@@ -1,15 +1,24 @@
 """Minimum-width annulus and the covering-arc feasibility decision.
 
 The optimal annulus center is a vertex of the closest Voronoi diagram, a
-vertex of the farthest one, or an intersection of edges from both.  Vertex
-candidates come straight from the Delaunay duals with exact coordinates.
-Edge-edge crossings are discovered by clipping both diagrams to a square
-(`clip_segments_square`, which also drops the pieces on its outline),
-removing overlaps, and running the plane sweep on the exact rational
-segments; each reported event is then reconstructed exactly as the meeting
-point of two site bisectors.  Candidates are kept in a list sorted by
-(float(x), point), the exact order, and the best one is found by
-branch and bound in floats before the exact selection (`_best_candidate`).
+vertex of the farthest one, or an intersection of edges from both.  The
+points are moved first so that the clip square is centred at the origin.
+Vertex candidates come straight from the Delaunay duals with exact
+coordinates.  Each vertex also gets a float lower bound on the width about
+it, and the exact width about the vertex in the square with the smallest
+bound is a certified upper bound on the optimum.  The width is 2-Lipschitz
+in the centre, so a finite edge whose endpoint bounds, averaged, less its
+length, exceed that upper bound is certainly wider at every point and can
+hold no crossing that wins or ties; such edges are dropped before the
+sweep (`_certainly_wider`).  Rays and full lines are kept and cut at the
+square from their origin and direction (`clip_ray`).  Edge-edge crossings
+are discovered by clipping the rest to the square (`clip_segments_square`,
+which also drops the pieces on its outline), removing overlaps, and running
+the plane sweep on the exact rational segments; each reported event is then
+reconstructed exactly as the meeting point of two site bisectors.
+Candidates are kept in a list sorted by (float(x), point), the exact order,
+and the best one is found by branch and bound in floats, reusing the vertex
+bounds, before the exact selection (`_best_candidate`).
 
 The covering-arc test of the dynamic program's feasibility windows
 (`arc_exists_within_tolerance`) asks the DP's own question, about centres
@@ -33,9 +42,9 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from . import delaunay
-from .clipping import clip_segments_square
+from .clipping import _inside, clip_ray, clip_segments_square
 from .overlaps import remove_overlaps
-from .predicates import certain_sign, compare, dist_sq, error_bound, point_key, to_float
+from .predicates import certain_sign, dist_sq, error_bound, point_key, to_float
 from .radicals import width_compare, width_leq
 from .segments import IndexedSegment
 from .sweep import sweep_intersections
@@ -82,30 +91,53 @@ def _bisector_intersection(p1, q1, p2, q2) -> Optional[Tuple[Fraction, Fraction]
     return (x, y)
 
 
-def _voronoi_segments(diag: VoronoiDiagram, center, half_side: int) -> List[IndexedSegment]:
-    """Voronoi edges as finite segments in square-centered coordinates."""
-    cx, cy = center
+def _certainly_wider(p, q, bounds, upper: float) -> bool:
+    """True when the annulus about every point of the segment [p, q] of
+    Voronoi vertices is certainly wider than upper.
+
+    bounds maps the identity of each vertex to its float coordinates and a
+    float lower bound lb on the width about it (`_width_lower_bound`).  The
+    width is 2-Lipschitz in the centre (each distance is 1-Lipschitz), so
+    about a point x of the segment it is at least lb(p) - 2|xp| and
+    lb(q) - 2|xq|, and so at least their mean (lb(p) + lb(q))/2 - |pq|.
+
+    Rounding.  The float |pq| comes from the rounded coordinates: each
+    difference is off by less than 2 * EPS times the sum of the magnitudes
+    of its two coordinates, and math.hypot adds less than one ulp, so it is
+    within 4 * EPS * M of the exact length, M the sum of the magnitudes of
+    all four coordinates.  The three sums that follow add at most
+    EPS * (|lb(p)| + |lb(q)| + |pq| + |upper|) each.  Together that stays
+    below the 6 * EPS * (2 * M + |lb(p)| + |lb(q)| + |upper|) that
+    `error_bound` turns into a bound; an infinite bound or upper, or a NaN,
+    decides nothing."""
+    px, py, lp = bounds[id(p)]
+    qx, qy, lq = bounds[id(q)]
+    m = abs(px) + abs(py) + abs(qx) + abs(qy)
+    slack = 0.5 * (lp + lq) - math.hypot(px - qx, py - qy) - upper
+    return certain_sign(slack, error_bound(2 * m + abs(lp) + abs(lq) + abs(upper))) > 0
+
+
+def _voronoi_segments(diag: VoronoiDiagram, half_side: int, bounds, upper: float) -> List[IndexedSegment]:
+    """The edges of a diagram of square-centred points as segments for the
+    sweep: each finite edge unless every point of it is certainly wider
+    than upper (`_certainly_wider`), and each ray or full line cut at the
+    square |x|, |y| <= half_side (`clip_ray`)."""
     out = []
     kind_closest = diag.kind == "closest"
     for e in diag.edges:
-        idx_c = frozenset((e.site_a, e.site_b)) if kind_closest else frozenset()
-        idx_f = frozenset() if kind_closest else frozenset((e.site_a, e.site_b))
-        p0 = (e.p0[0] - cx, e.p0[1] - cy)
         if e.is_segment:
-            p1 = (e.p1[0] - cx, e.p1[1] - cy)
-            out.append(IndexedSegment(p0, p1, idx_c, idx_f))
-            continue
-        dx, dy = e.direction
-        # stretch the ray far enough to leave the square for sure
-        m = max(abs(dx), abs(dy))
-        reach = 4 * half_side + int(abs(p0[0])) + int(abs(p0[1])) + 2
-        t = Fraction(reach, m)
-        tip = (p0[0] + t * dx, p0[1] + t * dy)
-        if e.double:
-            tail = (p0[0] - t * dx, p0[1] - t * dy)
-            out.append(IndexedSegment(tail, tip, idx_c, idx_f))
+            if _certainly_wider(e.p0, e.p1, bounds, upper):
+                continue
+            ends = (e.p0, e.p1)
         else:
-            out.append(IndexedSegment(p0, tip, idx_c, idx_f))
+            ends = clip_ray(e.p0, e.direction, half_side, e.double)
+            if ends is None:
+                continue
+        sites = frozenset((e.site_a, e.site_b))
+        if kind_closest:
+            out.append(IndexedSegment(*ends, sites, frozenset()))
+        else:
+            out.append(IndexedSegment(*ends, frozenset(), sites))
     return out
 
 
@@ -123,7 +155,17 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     square can lie on its outline or off every vertex, and the reported
     annulus is then wider than that centre's; exactly collinear sets have no
     vertex at all and get the annulus about the centre of their bounding
-    box."""
+    box.
+
+    The points are first moved by the integer centre of the square, so the
+    square is |x|, |y| <= h and the diagrams come out centred; the result is
+    moved back.  Before anything is clipped, a float lower bound on the
+    width about every Voronoi vertex, and the exact width about the vertex
+    in the square with the smallest bound, give a certified upper bound on
+    the optimum; finite edges whose every point is certainly wider than it
+    can hold no candidate that wins or ties, and are left out of the sweep
+    (`_certainly_wider`).  Rays and full lines are kept, cut at the square
+    from their origin and direction."""
     upts = list(dict.fromkeys(tuple(p) for p in points))
     if len(upts) < 2:
         raise ValueError("degenerate point set")
@@ -140,30 +182,34 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     cy = (min(ys) + max(ys)) // 2
     if clip is None:
         clip = ClipConfig(DEFAULT_MIN_ARC_ANGLE, data_radius(upts))
-    half_side = int(math.ceil(clip.clip_radius)) + 2
-
-    (x0, fx0), (x1, fx1), (y0, fy0), (y1, fy1) = [
-        (v, to_float(v)) for v in (cx - half_side, cx + half_side, cy - half_side, cy + half_side)]
+    h = int(math.ceil(clip.clip_radius)) + 2
+    fh = to_float(h)
+    upts = [(x - cx, y - cy) for x, y in upts]
+    sf, reach = _sample_floats(upts)
     keys = []  # point_key of each candidate in the square
 
     def add_if_in_square(pt) -> None:
-        key = fx, (x, y) = point_key(pt)
-        if compare(x, x0, fx, fx0) >= 0 and compare(x, x1, fx, fx1) <= 0:
-            fy = to_float(y)
-            if compare(y, y0, fy, fy0) >= 0 and compare(y, y1, fy, fy1) <= 0:
-                keys.append(key)
+        if _inside(pt, h, fh):
+            keys.append(point_key(pt))
 
     mesh_c = delaunay.build_closest(upts)
     mesh_f = delaunay.build_farthest(upts)
     diag_c = voronoi_from_delaunay(mesh_c)
     diag_f = voronoi_from_delaunay(mesh_f)
 
+    # float coordinates and width lower bound of each Voronoi vertex, keyed by
+    # the identity of its tuple, which the diagram's edges share: hashing
+    # the exact rational point would cost half as much as the bound itself
+    bounds = {}
     for v in diag_c.vertices + diag_f.vertices:
+        bounds[id(v)] = (to_float(v[0]), to_float(v[1]), _width_lower_bound(v, sf, reach))
         add_if_in_square(v)
+    inside = [v for _, v in keys]
+    upper = _probe_upper(inside, [bounds[id(v)][2] for v in inside], upts)
 
-    segs = _voronoi_segments(diag_c, (cx, cy), half_side)
-    segs += _voronoi_segments(diag_f, (cx, cy), half_side)
-    segs = clip_segments_square(segs, half_side)
+    segs = _voronoi_segments(diag_c, h, bounds, upper)
+    segs += _voronoi_segments(diag_f, h, bounds, upper)
+    segs = clip_segments_square(segs, h)
     # the sweep runs on the exact rational segments: unlike a fixed-precision
     # build there is no need to snap to a grid first, and exactness here is
     # what lets every crossing reconstruct to the true bisector meeting point
@@ -182,10 +228,11 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     if not candidates:
         # collinear or fully clipped configurations: no combinatorial
         # candidate exists inside the square; report the center of the data
-        candidates = [(Fraction(cx), Fraction(cy))]
-
-    center, r_out, r_in = _best_candidate(candidates, upts)
-    return AnnulusResult(center, r_in, r_out)
+        candidates = [(Fraction(0), Fraction(0))]
+    lower = [bounds[id(c)][2] if id(c) in bounds else _width_lower_bound(c, sf, reach)
+             for c in candidates]
+    (x, y), r_out, r_in = _best_candidate(candidates, upts, lower)
+    return AnnulusResult((x + cx, y + cy), r_in, r_out)
 
 
 def _radii_sq(c, upts) -> Tuple[Fraction, Fraction]:
@@ -242,9 +289,31 @@ def _width_lower_bound(c, sample, reach: float) -> float:
     return lower if lower == lower else -math.inf  # NaN: an infinity met another
 
 
-def _best_candidate(candidates, upts):
+def _sample_floats(upts) -> Tuple[list, float]:
+    """The floats of `_sample(upts)` and their reach, max |x| + max |y|:
+    the arguments of `_width_lower_bound`."""
+    sf = [(to_float(x), to_float(y)) for x, y in _sample(upts)]
+    return sf, max(abs(x) for x, _ in sf) + max(abs(y) for _, y in sf)
+
+
+def _probe_upper(candidates, lower, upts) -> float:
+    """A certified upper bound on the smallest width about the candidates:
+    the exact width about the one with the smallest finite lower bound in
+    lower (the first one when none is finite), plus an error bound; +inf
+    without candidates."""
+    if not candidates:
+        return math.inf
+    finite = [i for i, lb in enumerate(lower) if lb > -math.inf] or [0]
+    probe = min(finite, key=lower.__getitem__)
+    lo, hi = _radii_sq(candidates[probe], upts)
+    s_hi, s_lo = math.sqrt(to_float(hi)), math.sqrt(to_float(lo))
+    return s_hi - s_lo + error_bound(s_hi + s_lo)
+
+
+def _best_candidate(candidates, upts, lower):
     """Minimum-width candidate, exact; the first one in the given order wins
-    a tie.
+    a tie.  lower holds a float lower bound on the width about each
+    candidate (`_width_lower_bound`).
 
     Branch and bound in floats narrows the field first.  A subset's annulus
     is never wider than the full set's, so the float width over a sample of
@@ -255,15 +324,7 @@ def _best_candidate(candidates, upts):
     wider and dropped.  The rest go through the exact selection in the
     same order: a rigorously-margined float pass on their exact radii
     shortlists the contenders, exact radical comparison settles them."""
-    sample = _sample(upts)
-    sf = [(to_float(x), to_float(y)) for x, y in sample]
-    reach = max(abs(x) for x, _ in sf) + max(abs(y) for _, y in sf)
-    lower = [_width_lower_bound(c, sf, reach) for c in candidates]
-    finite = [i for i, lb in enumerate(lower) if lb > -math.inf] or [0]
-    probe = min(finite, key=lower.__getitem__)
-    lo, hi = _radii_sq(candidates[probe], upts)
-    s_hi, s_lo = math.sqrt(to_float(hi)), math.sqrt(to_float(lo))
-    upper = s_hi - s_lo + error_bound(s_hi + s_lo)
+    upper = _probe_upper(candidates, lower, upts)
     evals = []
     for c, lb in zip(candidates, lower):
         if lb > upper:

@@ -2,10 +2,12 @@
 
 A segment with both endpoints in the closed square is kept as it is; any
 other one is cut to the square by the parametric clip of Liang and Barsky
-(1984), keeping the endpoints that lie inside.  A piece that lies on the
-square's outline (a part of an edge running along one of its sides, or a
-single boundary point) is dropped, which keeps the sweep small; crossings
-on it, which would lie on the square's boundary, are not searched.
+(1984), keeping the endpoints that lie inside.  A ray or a full line is cut
+the same way from its origin and direction (`clip_ray`), with no far
+endpoint to stretch out first.  A piece that lies on the square's outline
+(a part of an edge running along one of its sides, or a single boundary
+point) is dropped, which keeps the sweep small; crossings on it, which
+would lie on the square's boundary, are not searched.
 
 Whether a point lies in the square is read off the floats of its
 coordinates when none of them ties with the float of the half side; the
@@ -33,22 +35,20 @@ def _inside(p, h, fh: float) -> bool:
     return True
 
 
-def _lerp(p0, p1, t: Fraction):
-    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+def _lerp(p0, d, t: Fraction):
+    return (p0[0] + t * d[0], p0[1] + t * d[1])
 
 
-def _clip_to_square(p0, p1, h):
-    """Clip segment [p0, p1] to the closed square of half side h.  Returns
-    the clipped pair, with p0 and p1 themselves where they lie inside, or
-    None if the segment misses the square."""
-    t0, t1 = 0, 1
-    dx = p1[0] - p0[0]
-    dy = p1[1] - p0[1]
+def _parameter_range(p0, d, h, t0, t1):
+    """The range [t0, t1] of t narrowed to where p0 + t * d lies in the
+    closed square of half side h (the parametric clip of Liang and Barsky),
+    or None if that is empty.  A bound given as None is open; when d is not
+    zero, both come back set."""
     for num, den in (
-        (h - p0[0], dx),  # x <= h
-        (p0[0] + h, -dx),  # x >= -h
-        (h - p0[1], dy),  # y <= h
-        (p0[1] + h, -dy),  # y >= -h
+        (h - p0[0], d[0]),  # x <= h
+        (p0[0] + h, -d[0]),  # x >= -h
+        (h - p0[1], d[1]),  # y <= h
+        (p0[1] + h, -d[1]),  # y >= -h
     ):
         if den == 0:
             if num < 0:
@@ -56,14 +56,44 @@ def _clip_to_square(p0, p1, h):
             continue
         t = Fraction(num, den)
         if den > 0:
-            if t < t1:
+            if t1 is None or t < t1:
                 t1 = t
-        else:
-            if t > t0:
-                t0 = t
+        elif t0 is None or t > t0:
+            t0 = t
     if t0 > t1:
         return None
-    return (p0 if t0 == 0 else _lerp(p0, p1, t0)), (p1 if t1 == 1 else _lerp(p0, p1, t1))
+    return t0, t1
+
+
+def _clip_to_square(p0, p1, h):
+    """Clip segment [p0, p1] to the closed square of half side h.  Returns
+    the clipped pair, with p0 and p1 themselves where they lie inside, or
+    None if the segment misses the square."""
+    d = (p1[0] - p0[0], p1[1] - p0[1])
+    ts = _parameter_range(p0, d, h, 0, 1)
+    if ts is None:
+        return None
+    t0, t1 = ts
+    return (p0 if t0 == 0 else _lerp(p0, d, t0)), (p1 if t1 == 1 else _lerp(p0, d, t1))
+
+
+def clip_ray(p0, direction, half_side: int, double: bool):
+    """The part of the ray from p0 along the nonzero integer direction (of
+    the whole line through p0 when double) in the closed square of half
+    side half_side, as its two ends in the ray's order (the first is p0
+    itself for a ray that starts inside); None if the ray misses the
+    square.
+
+    The far end is where the ray leaves the square: the smallest of the
+    parameters at which it crosses the sides it runs towards, one exact
+    minimum over the two axes, so that end lies on the square's outline.
+    A ray that only touches the outline gives a single point on it, which
+    `clip_segments_square` drops like any piece on the outline."""
+    ts = _parameter_range(p0, direction, half_side, None if double else 0, None)
+    if ts is None:
+        return None
+    t0, t1 = ts
+    return (p0 if t0 == 0 else _lerp(p0, direction, t0)), _lerp(p0, direction, t1)
 
 
 def _on_outline(s: IndexedSegment, h) -> bool:

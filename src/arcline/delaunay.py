@@ -60,9 +60,6 @@ class TriangulationMesh:
         """Undirected edges as (org, dest) pairs; INFINITE marks ghost edges."""
         return [(self.store.org[e], self.store.dest(e)) for e in self.store.primal_edges()]
 
-    def finite_edges(self) -> List[Tuple[int, int]]:
-        return [(a, b) for a, b in self.edges() if a != INFINITE and b != INFINITE]
-
     def triangles(self) -> List[Tuple[int, int, int]]:
         """Finite triangles as vertex index triples in CCW order."""
         store = self.store
@@ -83,10 +80,6 @@ class TriangulationMesh:
                 else:
                     out.append((vs[0], vs[2], vs[1]))
         return out
-
-    def triangle_set(self) -> set:
-        return {tuple(sorted(t)) for t in self.triangles()}
-
 
 def _in_circle_fn(pts, pred_sign: int) -> Callable[[int, int, int, int], int]:
     def f(i, j, k, l):

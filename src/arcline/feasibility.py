@@ -10,7 +10,6 @@ program uses to prune its candidate scans.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -44,14 +43,6 @@ class InfeasiblePairList:
 
     def pairs(self) -> List[Tuple[int, int]]:
         return list(zip(self.a[1:-1], self.b[1:-1]))
-
-    def contains_infeasible(self, i: int, j: int) -> bool:
-        """True iff [i, j] contains a reported pair: position i in the upper
-        array, j in the lower array, and compare."""
-        qa = bisect_left(self.a, i)  # smallest qa with i <= a[qa]
-        qb = bisect_right(self.b, j)  # smallest qb with j < b[qb]
-        return qa < qb
-
 
 @dataclass
 class FitIndexArrays:

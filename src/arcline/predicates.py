@@ -2,7 +2,8 @@
 
 Points are plain (x, y) tuples.  Integer inputs keep every predicate exact
 because Python integers are arbitrary precision; rational inputs (Fraction)
-stay exact as well, which the inversion-based constructions rely on.
+stay exact as well, which the sweep over rational Voronoi vertices
+relies on.
 
 The float filters at the end decide most exact tests of the annulus path
 in floating point and say when they cannot; the caller then runs the exact
@@ -13,7 +14,6 @@ Fast Robust Geometric Predicates", 1997).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -64,21 +64,6 @@ def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
     return sign(det)
 
 
-def incircle_farthest(a: Point, b: Point, c: Point, d: Point) -> int:
-    """In-circle test for the farthest Delaunay diagram: negated incircle."""
-    return -incircle(a, b, c, d)
-
-
-def invert_point(p: Point, o: Point) -> Tuple[Fraction, Fraction]:
-    """Invert p about the unit circle centered at o: o + (p-o)/|p-o|^2."""
-    dx = Fraction(p[0] - o[0])
-    dy = Fraction(p[1] - o[1])
-    norm_sq = dx * dx + dy * dy
-    if norm_sq == 0:
-        raise ValueError("inversion center coincides with point")
-    return (o[0] + dx / norm_sq, o[1] + dy / norm_sq)
-
-
 def common_denominator(values: list) -> Tuple[int, list]:
     """(d, [v * d for v in values]) for the least d making every product an
     integer; integer arithmetic on the scaled values avoids normalizing a
@@ -90,14 +75,6 @@ def common_denominator(values: list) -> Tuple[int, list]:
         if d % v.denominator:
             d = math.lcm(d, v.denominator)
     return d, [v.numerator * (d // v.denominator) for v in values]
-
-
-@dataclass(frozen=True)
-class ExactCircle:
-    """Circle with exact rational center and squared radius."""
-
-    center: Tuple[Fraction, Fraction]
-    radius_sq: Fraction
 
 
 def circumcenter(a: Point, b: Point, c: Point) -> Tuple[Fraction, Fraction]:
@@ -112,44 +89,10 @@ def circumcenter(a: Point, b: Point, c: Point) -> Tuple[Fraction, Fraction]:
             Fraction(na * (c[0] - b[0]) + nb * (a[0] - c[0]) + nc * (b[0] - a[0]), d))
 
 
-def circumcircle(a: Point, b: Point, c: Point) -> ExactCircle:
-    """Exact circumcircle of three non-collinear points."""
-    ux, uy = circumcenter(a, b, c)
-    return ExactCircle((ux, uy), (ux - a[0]) ** 2 + (uy - a[1]) ** 2)
-
-
 def dist_sq(a: Point, b: Point):
     dx = a[0] - b[0]
     dy = a[1] - b[1]
     return dx * dx + dy * dy
-
-
-def incircle_determinant(a: Point, b: Point, c: Point, d: Point):
-    """Raw 4x4 determinant with rows (x, y, x^2+y^2, 1), expanded by minors.
-
-    Independent of :func:`incircle`; used as a cross-check oracle.
-    """
-    rows = [
-        (a[0], a[1], a[0] * a[0] + a[1] * a[1]),
-        (b[0], b[1], b[0] * b[0] + b[1] * b[1]),
-        (c[0], c[1], c[0] * c[0] + c[1] * c[1]),
-        (d[0], d[1], d[0] * d[0] + d[1] * d[1]),
-    ]
-
-    def det3(r0, r1, r2):
-        return (
-            r0[0] * (r1[1] * r2[2] - r2[1] * r1[2])
-            - r0[1] * (r1[0] * r2[2] - r2[0] * r1[2])
-            + r0[2] * (r1[0] * r2[1] - r2[0] * r1[1])
-        )
-
-    # Laplace expansion along the all-ones column.
-    return (
-        -det3(rows[1], rows[2], rows[3])
-        + det3(rows[0], rows[2], rows[3])
-        - det3(rows[0], rows[1], rows[3])
-        + det3(rows[0], rows[1], rows[2])
-    )
 
 
 # -- float filters -------------------------------------------------------

@@ -1,0 +1,87 @@
+"""Exact oracles and mesh views that only the tests use: the inversion
+construction and the expanded in-circle determinant behind the predicate
+checks, exact circumcircles, and set views of meshes and pair lists."""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import List, Tuple
+
+from arcline.delaunay import INFINITE, TriangulationMesh
+from arcline.feasibility import InfeasiblePairList
+from arcline.predicates import Point, circumcenter, incircle
+
+
+def incircle_farthest(a: Point, b: Point, c: Point, d: Point) -> int:
+    """In-circle test for the farthest Delaunay diagram: negated incircle."""
+    return -incircle(a, b, c, d)
+
+
+def invert_point(p: Point, o: Point) -> Tuple[Fraction, Fraction]:
+    """Invert p about the unit circle centered at o: o + (p-o)/|p-o|^2."""
+    dx = Fraction(p[0] - o[0])
+    dy = Fraction(p[1] - o[1])
+    norm_sq = dx * dx + dy * dy
+    if norm_sq == 0:
+        raise ValueError("inversion center coincides with point")
+    return (o[0] + dx / norm_sq, o[1] + dy / norm_sq)
+
+
+@dataclass(frozen=True)
+class ExactCircle:
+    """Circle with exact rational center and squared radius."""
+
+    center: Tuple[Fraction, Fraction]
+    radius_sq: Fraction
+
+
+def circumcircle(a: Point, b: Point, c: Point) -> ExactCircle:
+    """Exact circumcircle of three non-collinear points."""
+    ux, uy = circumcenter(a, b, c)
+    return ExactCircle((ux, uy), (ux - a[0]) ** 2 + (uy - a[1]) ** 2)
+
+
+def incircle_determinant(a: Point, b: Point, c: Point, d: Point):
+    """Raw 4x4 determinant with rows (x, y, x^2+y^2, 1), expanded by minors.
+
+    Independent of `incircle`; used as a cross-check oracle.
+    """
+    rows = [
+        (a[0], a[1], a[0] * a[0] + a[1] * a[1]),
+        (b[0], b[1], b[0] * b[0] + b[1] * b[1]),
+        (c[0], c[1], c[0] * c[0] + c[1] * c[1]),
+        (d[0], d[1], d[0] * d[0] + d[1] * d[1]),
+    ]
+
+    def det3(r0, r1, r2):
+        return (
+            r0[0] * (r1[1] * r2[2] - r2[1] * r1[2])
+            - r0[1] * (r1[0] * r2[2] - r2[0] * r1[2])
+            + r0[2] * (r1[0] * r2[1] - r2[0] * r1[1])
+        )
+
+    # Laplace expansion along the all-ones column.
+    return (
+        -det3(rows[1], rows[2], rows[3])
+        + det3(rows[0], rows[2], rows[3])
+        - det3(rows[0], rows[1], rows[3])
+        + det3(rows[0], rows[1], rows[2])
+    )
+
+
+def contains_infeasible(pairs: InfeasiblePairList, i: int, j: int) -> bool:
+    """True iff [i, j] contains a reported pair: position i in the upper
+    array, j in the lower array, and compare."""
+    qa = bisect_left(pairs.a, i)  # smallest qa with i <= a[qa]
+    qb = bisect_right(pairs.b, j)  # smallest qb with j < b[qb]
+    return qa < qb
+
+
+def finite_edges(mesh: TriangulationMesh) -> List[Tuple[int, int]]:
+    return [(a, b) for a, b in mesh.edges() if a != INFINITE and b != INFINITE]
+
+
+def triangle_set(mesh: TriangulationMesh) -> set:
+    return {tuple(sorted(t)) for t in mesh.triangles()}

@@ -24,13 +24,14 @@ from arcline.delaunay import (build_closest, build_farthest,
 from arcline.feasibility import InfeasiblePairList, build_fit_index_arrays
 from arcline.overlaps import remove_overlaps
 from arcline.pipeline import archimedean_spiral, compress_polyline
-from arcline.predicates import (circumcircle, dist_sq, incircle,
-                                incircle_determinant, invert_point, orientation)
+from arcline.predicates import dist_sq, incircle, orientation
 from arcline.radicals import width_compare, width_leq
 from arcline.randomhull import gen_directions_hull, gen_random_walk_hull
 from arcline.segments import seg
 from arcline.sortedrange import MergeTree
 
+from oracles import (circumcircle, contains_infeasible, incircle_determinant, invert_point,
+                     triangle_set)
 from reference_dp import reference_compress
 
 
@@ -125,7 +126,7 @@ def test_criterion_03_farthest_duality():
         of = (Fraction(o[0]), Fraction(o[1]))
         kept = {tuple(sorted(t)) for t in mc.triangles()
                 if incircle(inv[t[0]], inv[t[1]], inv[t[2]], of) > 0}
-        assert mf.triangle_set() == kept
+        assert triangle_set(mf) == kept
         done += 1
     report("criterion 3: farthest==inverted-closest duality",
            f"100 hulls verified, {ties_skipped} cocircular-tie cases skipped")
@@ -312,7 +313,7 @@ def test_criterion_06_feasibility_tables():
     for _ in range(10_000):
         i = rng.randint(0, 64)
         j = rng.randint(i, 64)
-        assert pl.contains_infeasible(i, j) == any(i <= x and y <= j for x, y in ps)
+        assert contains_infeasible(pl, i, j) == any(i <= x and y <= j for x, y in ps)
     report("criterion 6: feasibility index arrays",
            "65-entry first array exact; 1e4 containment queries")
 

@@ -7,8 +7,10 @@ import pytest
 from arcline import delaunay
 from arcline.delaunay import (INFINITE, build_closest, build_convex_ordered,
                               build_farthest, convex_hull_indices)
-from arcline.predicates import circumcircle, dist_sq, incircle, invert_point
+from arcline.predicates import dist_sq, incircle
 from arcline.quadedge import sym
+
+from oracles import circumcircle, finite_edges, invert_point, triangle_set
 
 
 def check_structure(mesh):
@@ -48,7 +50,7 @@ def test_collinear_chain_edge_count():
     m = build_closest([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])
     assert m.edge_count() == 12  # 3 * (5 - 1)
     assert m.triangles() == []
-    finite = m.finite_edges()
+    finite = finite_edges(m)
     assert len(finite) == 4
     ghosts = sum(1 for a, b in m.edges() if INFINITE in (a, b))
     assert ghosts == 8
@@ -132,7 +134,7 @@ def test_convex_ordered_matches_general():
             check_circle_property(mo)
             mg = builder(hull_pts)
             if mo.cocircular_ties == 0 and mg.cocircular_ties == 0:
-                assert mo.triangle_set() == mg.triangle_set()
+                assert triangle_set(mo) == triangle_set(mg)
             else:
                 def circles(m):
                     return sorted(
@@ -154,7 +156,7 @@ def test_merge_collinear_submeshes():
     m = build_closest([(0, 0), (1, 0), (2, 0), (5, 0), (6, 0)])
     check_structure(m)
     assert m.triangles() == []
-    assert len(m.finite_edges()) == 4
+    assert len(finite_edges(m)) == 4
 
 
 def test_merge_random():
@@ -180,7 +182,7 @@ def test_merge_case_b_candidate_rejected_by_sign():
     m = build_closest(left + right)
     check_structure(m)
     check_circle_property(m)
-    finite = {tuple(sorted((m.points[a], m.points[b]))) for a, b in m.finite_edges()}
+    finite = {tuple(sorted((m.points[a], m.points[b]))) for a, b in finite_edges(m)}
     assert tuple(sorted(((-6, 0), (-4, -6)))) in finite
 
 
@@ -215,7 +217,7 @@ def test_farthest_duality_via_inversion():
                 kept.add(tuple(sorted(t)))
         if mf.cocircular_ties or mc.cocircular_ties:
             continue  # tie choices may legitimately differ
-        assert mf.triangle_set() == kept
+        assert triangle_set(mf) == kept
         done += 1
 
 

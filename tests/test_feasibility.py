@@ -10,6 +10,8 @@ from arcline.feasibility import test_arcs as scan_arcs
 from arcline.feasibility import test_segments as scan_segments
 from arcline.hulltree import HullTree
 
+from oracles import contains_infeasible
+
 PAPER_PAIRS = [(10, 17), (12, 19), (14, 21), (26, 33), (28, 35), (30, 37),
                (42, 49), (44, 51), (46, 53)]
 PAPER_FIRST = ([0] * 17 + [11, 11, 13, 13] + [15] * 12 + [27, 27, 29, 29]
@@ -33,10 +35,10 @@ def test_paper_fixture_index_arrays():
 
 def test_contains_infeasible_fixture():
     pl = InfeasiblePairList.from_pairs(PAPER_PAIRS, 65)
-    assert pl.contains_infeasible(10, 17)
-    assert not pl.contains_infeasible(0, 16)
-    assert pl.contains_infeasible(9, 20)
-    assert not pl.contains_infeasible(11, 17)
+    assert contains_infeasible(pl, 10, 17)
+    assert not contains_infeasible(pl, 0, 16)
+    assert contains_infeasible(pl, 9, 20)
+    assert not contains_infeasible(pl, 11, 17)
 
 
 def test_contains_infeasible_brute_force():
@@ -56,7 +58,7 @@ def test_contains_infeasible_brute_force():
         for _ in range(60):
             i = random.randint(0, n - 1)
             j = random.randint(i, n - 1)
-            assert pl.contains_infeasible(i, j) == any(i <= x and y <= j for x, y in ps)
+            assert contains_infeasible(pl, i, j) == any(i <= x and y <= j for x, y in ps)
 
 
 def test_from_pairs_keeps_exactly_the_minimal_pairs():

@@ -12,7 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from arcline import annulus, sweep
 from arcline.annulus import (_best_candidate, _bisector_intersection, _radii_sq, _sample,
-                             _width_lower_bound, arc_exists_within_tolerance, min_width_annulus)
+                             _sample_floats, _width_lower_bound, arc_exists_within_tolerance,
+                             min_width_annulus)
 from arcline.clipping import _inside
 from arcline.overlaps import remove_overlaps
 from arcline.predicates import (compare, dist_sq, orientation, orientation_filter, point_key,
@@ -211,6 +212,11 @@ def _unfiltered_best(candidates, upts):
     return best
 
 
+def _filtered_best(candidates, upts):
+    sf, reach = _sample_floats(upts)
+    return _best_candidate(candidates, upts, [_width_lower_bound(c, sf, reach) for c in candidates])
+
+
 def _sorted_unique(points):
     out = []
     for p in sorted(points, key=point_key):
@@ -233,7 +239,7 @@ def test_best_candidate_equals_unfiltered_on_random_sets():
                 cands.append(c)
         cands = _sorted_unique(cands)
         if cands:
-            assert _best_candidate(cands, pts) == _unfiltered_best(cands, pts)
+            assert _filtered_best(cands, pts) == _unfiltered_best(cands, pts)
 
 
 def test_best_candidate_equals_unfiltered_on_cocircular_ties():
@@ -246,7 +252,7 @@ def test_best_candidate_equals_unfiltered_on_cocircular_ties():
         for cands in (grid, [c for c in grid if c != (0, 0)],
                       [c for c in grid if abs(c[0]) + abs(c[1]) >= 2]):
             cands = _sorted_unique(cands)
-            assert _best_candidate(cands, pts) == _unfiltered_best(cands, pts)
+            assert _filtered_best(cands, pts) == _unfiltered_best(cands, pts)
 
 
 # -- property test: the whole annulus against the combinatorial oracle --------

@@ -1,25 +1,33 @@
 """Results of `compress_polyline` on the benchmark's spiral, tracks and
 contours inputs of seeds 1 and 2, pinned exactly: `t_count`, `repr(t_sse)`
 and every primitive (kind, indices, `repr` of centre and radius,
-orientation).  The inputs come from `perfbench/workloads.py`, which this
+orientation).  Results of `min_width_annulus` on the benchmark's annulus
+inputs of the same seeds, with the benchmark's clip (0.1 degrees about the
+data radius), pinned as the `str` of both centre coordinates and both
+squared radii.  The inputs come from `perfbench/workloads.py`, which this
 test only reads.  A change that is meant to keep results identical must
 pass it unchanged; one that changes results on purpose rewrites
-`golden_results.json` with `python tests/test_golden.py` (from the repo
-root, `src` on the path) and says why.
+`golden_results.json` and `golden_annulus.json` with
+`python tests/test_golden.py` (from the repo root, `src` on the path) and
+says why.
 """
 
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
 import arcline
+from arcline.annulus import min_width_annulus
 from arcline.pipeline import compress_polyline
+from arcline.voronoi import ClipConfig, data_radius
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_results.json"
+GOLDEN_ANNULUS = HERE / "golden_annulus.json"
 WORKLOADS = ("spiral", "tracks", "contours")
 SEEDS = (1, 2)
 
@@ -33,10 +41,10 @@ def _workloads():
     return module
 
 
-def _cases():
+def _cases(names=WORKLOADS):
     workloads = _workloads()
     return [(f"{name}-{seed}-{case.label}", case)
-            for name in WORKLOADS for seed in SEEDS
+            for name in names for seed in SEEDS
             for case in workloads.all_cases(name, seed, arcline)]
 
 
@@ -47,15 +55,31 @@ def _summary(case) -> dict:
                             p.orientation] for p in result.primitives]}
 
 
-def test_results_match_the_recorded_golden_file():
-    want = json.loads(GOLDEN.read_text())
-    cases = _cases()
+def _annulus_summary(case) -> dict:
+    clip = ClipConfig(math.radians(0.1), data_radius(case.points))
+    result = min_width_annulus(case.points, clip)
+    return {"center": [str(v) for v in result.center],
+            "r_inner_sq": str(result.r_inner_sq), "r_outer_sq": str(result.r_outer_sq)}
+
+
+def _check(golden, cases, summary):
+    want = json.loads(golden.read_text())
     assert sorted(key for key, _ in cases) == sorted(want)
     for key, case in cases:
-        assert _summary(case) == want[key], key
+        assert summary(case) == want[key], key
+
+
+def test_results_match_the_recorded_golden_file():
+    _check(GOLDEN, _cases(), _summary)
+
+
+def test_annulus_results_match_the_recorded_golden_file():
+    _check(GOLDEN_ANNULUS, _cases(("annulus",)), _annulus_summary)
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({key: _summary(case) for key, case in _cases()},
-                                 indent=1, sort_keys=True) + "\n")
+    for golden, cases, summary in ((GOLDEN, _cases(), _summary),
+                                   (GOLDEN_ANNULUS, _cases(("annulus",)), _annulus_summary)):
+        golden.write_text(json.dumps({key: summary(case) for key, case in cases},
+                                     indent=1, sort_keys=True) + "\n")
     sys.exit(0)

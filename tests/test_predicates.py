@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from arcline.predicates import (ExactCircle, circumcircle, dist_sq, incircle,
-                                incircle_determinant, incircle_farthest,
-                                invert_point, orientation)
+from arcline.predicates import dist_sq, incircle, orientation
+
+from oracles import circumcircle, incircle_determinant, incircle_farthest, invert_point
 
 coord = st.integers(min_value=-1000, max_value=1000)
 

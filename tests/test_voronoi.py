@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 from arcline.delaunay import build_closest, build_farthest
-from arcline.predicates import circumcircle, dist_sq
+from arcline.predicates import dist_sq
 from arcline.voronoi import ClipConfig, voronoi_from_delaunay
+
+from oracles import circumcircle
 
 
 def test_clip_radius_formula():
