@@ -6,19 +6,36 @@ points are moved first so that the clip square is centred at the origin.
 Vertex candidates come straight from the Delaunay duals with exact
 coordinates.  Each vertex also gets a float lower bound on the width about
 it, and the exact width about the vertex in the square with the smallest
-bound is a certified upper bound on the optimum.  The width is 2-Lipschitz
-in the centre, so a finite edge whose endpoint bounds, averaged, less its
-length, exceed that upper bound is certainly wider at every point and can
-hold no crossing that wins or ties; such edges are dropped before the
-sweep (`_certainly_wider`).  Rays and full lines are kept and cut at the
-square from their origin and direction (`clip_ray`).  Edge-edge crossings
-are discovered by clipping the rest to the square (`clip_segments_square`,
-which also drops the pieces on its outline), removing overlaps, and running
-the plane sweep on the exact rational segments; each reported event is then
-reconstructed exactly as the meeting point of two site bisectors.
-Candidates are kept in a list sorted by (float(x), point), the exact order,
-and the best one is found by branch and bound in floats, reusing the vertex
-bounds, before the exact selection (`_best_candidate`).
+bound is a certified upper bound on the optimum.  Only the part of the
+overlay where a centre could still be that narrow goes to the sweep, cut
+down in two certified steps:
+
+- Far field.  About a centre at distance D from the origin, beyond the
+  data radius R, the width is at least W - R^2 / (2(D - R)), W the strip
+  width of the points.  When W exceeds the upper bound, every centre
+  beyond R + R^2 / (2(W - upper)) is certainly wider, and the overlay is
+  cut at a square of that half side instead of the clip square
+  (`_far_half_side`).  Nearly collinear sets (W at most the upper bound)
+  keep the clip square.
+- Lipschitz bisection.  The width is 2-Lipschitz in the centre, so a piece
+  of an edge whose end bounds, averaged, less its length, exceed the upper
+  bound is certainly wider at every point.  Every edge piece is bisected in
+  floats down to 2^-BISECT_DEPTH of its length, and only the runs of
+  sub-pieces that may hold a narrower centre are kept, with exact ends
+  (`_kept_runs`); a ray or full line none of whose part in the square can
+  be kept is dropped before it is cut exactly (`_line_certainly_wider`).
+
+Every point left out is certainly wider than a vertex in hand, so every
+crossing on it is too, and the candidate that wins, ties included, is the
+same as over the whole overlay.  Edge-edge crossings are discovered by
+clipping the rest to the square (`clip_segments_square`, which also drops
+the pieces on its outline), removing overlaps, and running the plane sweep
+on the exact rational segments; each reported event is then reconstructed
+exactly as the meeting point of two site bisectors.  Candidates are still
+those inside the clip square.  They are kept in a list sorted by
+(float(x), point), the exact order, and the best one is found by branch and
+bound in floats, reusing the vertex bounds, before the exact selection
+(`_best_candidate`).
 
 The covering-arc test of the dynamic program's feasibility windows
 (`arc_exists_within_tolerance`) asks the DP's own question, about centres
@@ -43,8 +60,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import delaunay
 from .clipping import _inside, clip_ray, clip_segments_square
+from .hulltree import convex_hull
 from .overlaps import remove_overlaps
-from .predicates import certain_sign, dist_sq, error_bound, point_key, to_float
+from .predicates import EPS, certain_sign, dist_sq, error_bound, point_key, to_float
 from .radicals import width_compare, width_leq
 from .segments import IndexedSegment
 from .sweep import sweep_intersections
@@ -55,6 +73,7 @@ SAMPLE_SIZE = 24  # points behind the float lower bounds of candidate selection
 GEOMETRIC_STEPS = 3  # Gauss-Newton steps of the witness search
 LAWSON_STEPS = 4  # reweighted steps after them, towards the minimax annulus
 CERTIFICATE_SIZES = (3, 4)  # nearest and farthest points of each width certificate
+BISECT_DEPTH = 5  # Voronoi edge pieces are pruned in 2^-5 parts of their length
 
 
 @dataclass
@@ -91,58 +110,235 @@ def _bisector_intersection(p1, q1, p2, q2) -> Optional[Tuple[Fraction, Fraction]
     return (x, y)
 
 
-def _certainly_wider(p, q, bounds, upper: float) -> bool:
-    """True when the annulus about every point of the segment [p, q] of
-    Voronoi vertices is certainly wider than upper.
+def _strip_width_floor(points) -> float:
+    """A float lower bound on the strip width of the integer points, the
+    distance between the closest two parallel lines with every point
+    between them; 0 when the points are collinear or a float overflows.
 
-    bounds maps the identity of each vertex to its float coordinates and a
-    float lower bound lb on the width about it (`_width_lower_bound`).  The
-    width is 2-Lipschitz in the centre (each distance is 1-Lipschitz), so
-    about a point x of the segment it is at least lb(p) - 2|xp| and
-    lb(q) - 2|xq|, and so at least their mean (lb(p) + lb(q))/2 - |pq|.
-
-    Rounding.  The float |pq| comes from the rounded coordinates: each
-    difference is off by less than 2 * EPS times the sum of the magnitudes
-    of its two coordinates, and math.hypot adds less than one ulp, so it is
-    within 4 * EPS * M of the exact length, M the sum of the magnitudes of
-    all four coordinates.  The three sums that follow add at most
-    EPS * (|lb(p)| + |lb(q)| + |pq| + |upper|) each.  Together that stays
-    below the 6 * EPS * (2 * M + |lb(p)| + |lb(q)| + |upper|) that
-    `error_bound` turns into a bound; an infinite bound or upper, or a NaN,
-    decides nothing."""
-    px, py, lp = bounds[id(p)]
-    qx, qy, lq = bounds[id(q)]
-    m = abs(px) + abs(py) + abs(qx) + abs(qy)
-    slack = 0.5 * (lp + lq) - math.hypot(px - qx, py - qy) - upper
-    return certain_sign(slack, error_bound(2 * m + abs(lp) + abs(lq) + abs(upper))) > 0
+    The narrowest strip has one side along an edge (a, b) of the convex
+    hull, so its width is the smallest, over the hull edges, of the largest
+    cross product (b - a) x (p - a) over the hull vertices p, divided by
+    |b - a|.  Those are exact integers; rounding both, the square root and
+    the quotient put the float within 4 * EPS of the exact width
+    relatively, and 8 * EPS of it is taken off."""
+    hull = convex_hull(points)
+    if len(hull) < 3:
+        return 0.0
+    width = math.inf
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        far = max(dx * (y - a[1]) - dy * (x - a[0]) for x, y in hull)
+        w = to_float(far) / math.sqrt(to_float(dx * dx + dy * dy))
+        if not w < math.inf:
+            return 0.0
+        width = min(width, w)
+    return width * (1 - 8 * EPS)
 
 
-def _voronoi_segments(diag: VoronoiDiagram, half_side: int, bounds, upper: float) -> List[IndexedSegment]:
+def _far_half_side(upts, sample, h: int, upper: float) -> int:
+    """The half side of a square, at most h, outside which every centre is
+    certainly wider than upper; h itself when no smaller one is certain.
+
+    Let W be the strip width of the points and R >= max |p| (the points are
+    square-centred).  About a centre x with |x| = D > R, write s = p.x / D
+    for the projection of each point p on x's direction.  Then
+    |x - p|^2 = (D - s)^2 + |p|^2 - s^2, so |x - p| lies in
+    [D - s, D - s + R^2 / (2(D - R))], and the width about x, the largest
+    distance less the smallest, is at least the spread of the s less
+    R^2 / (2(D - R)), at least W - R^2 / (2(D - R)).  When W > upper that
+    exceeds upper for every D > R + R^2 / (2(W - upper)).
+
+    The sample's strip width is a lower bound on W (a subset is never
+    wider).  R is the data radius: after the move to the integer centre of
+    the bounding box every |x| is at most half its width plus 1/2, so |p|
+    is at most half its diagonal plus 1.  Each float step below rounds by
+    at most EPS relatively; the radius is raised by 16 * EPS of itself and
+    then to the next integer but one, which covers all of them."""
+    if not upper < math.inf:
+        return h
+    gap = _strip_width_floor(sample) - upper
+    if not gap > 0.0:
+        return h
+    xs = [x for x, _ in upts]
+    ys = [y for _, y in upts]
+    r = (math.hypot(to_float(max(xs) - min(xs)), to_float(max(ys) - min(ys))) / 2 + 1) * (1 + 8 * EPS)
+    far = (r + r * r / (2 * gap * (1 - 4 * EPS))) * (1 + 16 * EPS)
+    if not far < h:
+        return h
+    return min(h, math.ceil(far) + 1)
+
+
+def _kept_runs(fa, fb, err: float, upper: float, sample, reach: float) -> List[List[int]]:
+    """The parts of a piece [a, b] of a Voronoi edge that may hold a centre
+    no wider than upper, as ranges [k0, k1] of its parameter t in units of
+    2^-BISECT_DEPTH, a + t(b - a), in order.
+
+    fa and fb are float coordinates of a and b, each within err of the exact
+    end (err = 0 for correctly rounded ends), and a float lower bound on
+    the width about the exact end.  The width is 2-Lipschitz in the centre
+    (each distance is 1-Lipschitz), so about a point x of a sub-piece
+    [u, v] it is at least lb(u) - 2|xu| and lb(v) - 2|xv|, and so at least
+    their mean, (lb(u) + lb(v))/2 - |uv|; a sub-piece whose mean bound less
+    its length certainly exceeds upper is dropped, ends and all.  A
+    sub-piece with an end bound above upper is bisected, down to
+    2^-BISECT_DEPTH of the piece, unless its halves are too long ever to
+    be dropped: no bound exceeds 2 * reach, which bounds the distance
+    between two points of the sample.  Kept sub-pieces merge into runs.
+
+    Rounding.  A float point a + t(b - a), from the float ends, is within
+    err + 5 * EPS * M of the exact one (M the sum of the magnitudes of the
+    four end coordinates), below m = err + error_bound(M), so the bound
+    about the float point less 2m bounds the width about the exact point.
+    The float |ab| is within 2 * err + 4 * EPS * M of the exact length
+    (`math.hypot` adds less than one ulp), and a sub-piece's length is that
+    times a power of two.  The mean, the length and upper add three more
+    roundings, each within EPS of the sum of the magnitudes, which
+    `error_bound` covers.  A float that overflowed makes a bound infinite
+    or NaN, which drops nothing."""
+    ax, ay, la = fa
+    bx, by, lb = fb
+    m = err + error_bound(abs(ax) + abs(ay) + abs(bx) + abs(by))
+    full = 1 << BISECT_DEPTH
+    if not (upper < math.inf and m < math.inf):
+        return [[0, full]]
+    dx, dy = bx - ax, by - ay
+    unit = (math.hypot(dx, dy) + 2 * m) / full  # the length of the shortest sub-piece
+    runs = []
+    stack = [(0, full, la, lb)]
+    while stack:
+        k0, k1, l0, l1 = stack.pop()
+        length = (k1 - k0) * unit
+        slack = 0.5 * (l0 + l1) - length - upper
+        if certain_sign(slack, error_bound(abs(l0) + abs(l1) + length + abs(upper))) > 0:
+            continue
+        if k1 - k0 > 1 and max(l0, l1) > upper and length < 2 * (2 * reach - upper):
+            km = (k0 + k1) // 2
+            t = km / full
+            lm = _float_width_lower_bound(ax + t * dx, ay + t * dy, sample, reach) - 2 * m
+            stack.append((km, k1, lm, l1))
+            stack.append((k0, km, l0, lm))
+        elif runs and runs[-1][1] == k0:
+            runs[-1][1] = k1
+        else:
+            runs.append([k0, k1])
+    return runs
+
+
+def _at(a, b, k: int):
+    """The exact point a + t(b - a) at t = k / 2^BISECT_DEPTH: a and b
+    themselves at the ends."""
+    if k == 0:
+        return a
+    if k == 1 << BISECT_DEPTH:
+        return b
+    t = Fraction(k, 1 << BISECT_DEPTH)
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+
+def _exit_parameter(fx: float, fy: float, dx: float, dy: float, fh: float) -> float:
+    """An upper bound on the parameter s at which p + s(dx, dy) leaves the
+    square |x|, |y| <= h for good, from the finite floats (fx, fy) of p,
+    (dx, dy) of the integer direction and fh of h: +inf for a zero
+    direction.
+
+    That is the smallest, over the axes the direction moves along, of
+    (+-h - p_i) / d_i.  Rounding h, p_i, d_i, the difference and the
+    quotient puts each float quotient within 4 * EPS * (h + |p_i|) / |d_i|
+    of the exact one, less than the `error_bound` added to it."""
+    s = math.inf
+    for f, d in ((fx, dx), (fy, dy)):
+        if d:
+            s = min(s, ((fh if d > 0 else -fh) - f) / d + error_bound((fh + abs(f)) / abs(d)))
+    return s
+
+
+def _line_certainly_wider(e, fa, fh: float, upper: float, sample, reach: float) -> bool:
+    """True when every point of the ray (or full line) e in the square of
+    half side h, whose float is fh, is certainly wider than upper; fa holds
+    the floats of its origin e.p0 and `_width_lower_bound` about it.
+
+    Decided in floats, without cutting the ray exactly: the piece of it
+    between the parameters s0 <= s1 (`_exit_parameter`, backwards too for a
+    line) covers its part in the square, or shows that there is none
+    (s1 < s0), and `_kept_runs` keeps nothing of it.  Float ends
+    p + s(dx, dy) computed from the floats of p and of the direction are
+    within 4 * EPS * (|px| + |py| + |s| (|dx| + |dy|)) of the exact points
+    with the same parameters, below the error_bound of that sum."""
+    ax, ay, la = fa
+    dx, dy = to_float(e.direction[0]), to_float(e.direction[1])
+    if not abs(ax) + abs(ay) + abs(dx) + abs(dy) < math.inf:
+        return False
+    s1 = _exit_parameter(ax, ay, dx, dy, fh)
+    s0 = -_exit_parameter(ax, ay, -dx, -dy, fh) if e.double else 0.0
+    if s1 < s0:
+        return True
+    if (s1 - s0) * math.hypot(dx, dy) >= 2 * (2 * reach - upper):
+        return False  # too long to drop, and not bisected (`_kept_runs`)
+    err = error_bound(abs(ax) + abs(ay) + max(-s0, s1) * (abs(dx) + abs(dy)))
+    ends = []
+    for s in (s0, s1):
+        if s == 0.0:
+            ends.append(fa)
+        else:
+            x, y = ax + s * dx, ay + s * dy
+            ends.append((x, y, _float_width_lower_bound(x, y, sample, reach) - 2 * err))
+    return not _kept_runs(ends[0], ends[1], err, upper, sample, reach)
+
+
+def _voronoi_segments(diag: VoronoiDiagram, half_side: int, bounds, upper: float,
+                      sample, reach: float) -> List[IndexedSegment]:
     """The edges of a diagram of square-centred points as segments for the
-    sweep: each finite edge unless every point of it is certainly wider
-    than upper (`_certainly_wider`), and each ray or full line cut at the
-    square |x|, |y| <= half_side (`clip_ray`)."""
+    sweep, less the parts whose every point is certainly wider than upper
+    (`_kept_runs`).  Rays and full lines are cut at the square
+    |x|, |y| <= half_side from their origin and direction (`clip_ray`),
+    unless floats show first that none of that part is left
+    (`_line_certainly_wider`); finite edges are cut later, with the rest
+    (`clip_segments_square`)."""
     out = []
     kind_closest = diag.kind == "closest"
+    fh = to_float(half_side)
     for e in diag.edges:
+        fa = bounds.get(id(e.p0)) or _float_bound(e.p0, sample, reach)
         if e.is_segment:
-            if _certainly_wider(e.p0, e.p1, bounds, upper):
-                continue
-            ends = (e.p0, e.p1)
+            a, b, fb = e.p0, e.p1, bounds[id(e.p1)]
         else:
+            if _line_certainly_wider(e, fa, fh, upper, sample, reach):
+                continue
             ends = clip_ray(e.p0, e.direction, half_side, e.double)
             if ends is None:
                 continue
+            a, b = ends
+            if a is not e.p0:
+                fa = _float_bound(a, sample, reach)
+            fb = _float_bound(b, sample, reach)
         sites = frozenset((e.site_a, e.site_b))
-        if kind_closest:
-            out.append(IndexedSegment(*ends, sites, frozenset()))
-        else:
-            out.append(IndexedSegment(*ends, frozenset(), sites))
+        for k0, k1 in _kept_runs(fa, fb, 0.0, upper, sample, reach):
+            if kind_closest:
+                out.append(IndexedSegment(_at(a, b, k0), _at(a, b, k1), sites, frozenset()))
+            else:
+                out.append(IndexedSegment(_at(a, b, k0), _at(a, b, k1), frozenset(), sites))
     return out
 
 
 def _pairs(indices) -> List[Tuple[int, int]]:
     return list(combinations(sorted(indices), 2))
+
+
+def _event_centre(ev, upts) -> Optional[Tuple[Fraction, Fraction]]:
+    """The sweep event's point, rebuilt exactly as the meeting point of the
+    bisectors of a pair of its closest sites and a pair of its farthest
+    ones; None when every such pair of bisectors is parallel.
+
+    Every closest site of the event is a nearest site of its point, and
+    every farthest site a farthest one, so each of those bisectors passes
+    through the point, and the first pair that meets gives it: with k
+    cocircular sites the other (k(k-1)/2)^2 pairs would give it again."""
+    for i, j in _pairs(ev.closest_indices):
+        for m, l in _pairs(ev.farthest_indices):
+            c = _bisector_intersection(upts[i], upts[j], upts[m], upts[l])
+            if c is not None:
+                return c
+    return None
 
 
 def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConfig] = None) -> AnnulusResult:
@@ -162,10 +358,16 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     moved back.  Before anything is clipped, a float lower bound on the
     width about every Voronoi vertex, and the exact width about the vertex
     in the square with the smallest bound, give a certified upper bound on
-    the optimum; finite edges whose every point is certainly wider than it
-    can hold no candidate that wins or ties, and are left out of the sweep
-    (`_certainly_wider`).  Rays and full lines are kept, cut at the square
-    from their origin and direction."""
+    the optimum.  Centres certainly wider than that can be no candidate
+    that wins or ties, and two steps leave them out of the sweep.  The far
+    field: about a centre x with |x| = D > R >= max |p|, each distance
+    |x - p| lies in [D - s, D - s + R^2 / (2(D - R))], s = p.x / D, so the
+    width is at least W - R^2 / (2(D - R)), W the strip width of the
+    points; when W exceeds the upper bound, the overlay is cut at the
+    square beyond which that exceeds it (`_far_half_side`), not at h.  The
+    bisection: every edge piece left is bisected in floats, and sub-pieces
+    certainly wider by the 2-Lipschitz bound are dropped (`_kept_runs`).
+    Candidates are still those in the square of half side h."""
     upts = list(dict.fromkeys(tuple(p) for p in points))
     if len(upts) < 2:
         raise ValueError("degenerate point set")
@@ -185,7 +387,8 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     h = int(math.ceil(clip.clip_radius)) + 2
     fh = to_float(h)
     upts = [(x - cx, y - cy) for x, y in upts]
-    sf, reach = _sample_floats(upts)
+    sample = _sample(upts)
+    sf, reach = _sample_floats(sample)
     keys = []  # point_key of each candidate in the square
 
     def add_if_in_square(pt) -> None:
@@ -202,24 +405,23 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     # the exact rational point would cost half as much as the bound itself
     bounds = {}
     for v in diag_c.vertices + diag_f.vertices:
-        bounds[id(v)] = (to_float(v[0]), to_float(v[1]), _width_lower_bound(v, sf, reach))
+        bounds[id(v)] = _float_bound(v, sf, reach)
         add_if_in_square(v)
     inside = [v for _, v in keys]
     upper = _probe_upper(inside, [bounds[id(v)][2] for v in inside], upts)
 
-    segs = _voronoi_segments(diag_c, h, bounds, upper)
-    segs += _voronoi_segments(diag_f, h, bounds, upper)
-    segs = clip_segments_square(segs, h)
+    hc = _far_half_side(upts, sample, h, upper)
+    segs = _voronoi_segments(diag_c, hc, bounds, upper, sf, reach)
+    segs += _voronoi_segments(diag_f, hc, bounds, upper, sf, reach)
+    segs = clip_segments_square(segs, hc)
     # the sweep runs on the exact rational segments: unlike a fixed-precision
     # build there is no need to snap to a grid first, and exactness here is
     # what lets every crossing reconstruct to the true bisector meeting point
     segs = remove_overlaps(segs)
     for ev in sweep_intersections(segs):
-        for i, j in _pairs(ev.closest_indices):
-            for m, l in _pairs(ev.farthest_indices):
-                c = _bisector_intersection(upts[i], upts[j], upts[m], upts[l])
-                if c is not None:
-                    add_if_in_square(c)
+        c = _event_centre(ev, upts)
+        if c is not None:
+            add_if_in_square(c)
 
     # the float-first keys sort like the points themselves, and duplicates
     # end up next to each other
@@ -282,17 +484,27 @@ def _width_lower_bound(c, sample, reach: float) -> float:
     4 * EPS * (|cx| + |px| + |cy| + |py|) of the exact one, below the
     bound err taken here; the difference of the extremes is then off by
     less than 3 * err."""
-    fx, fy = to_float(c[0]), to_float(c[1])
+    return _float_width_lower_bound(to_float(c[0]), to_float(c[1]), sample, reach)
+
+
+def _float_width_lower_bound(fx: float, fy: float, sample, reach: float) -> float:
+    """`_width_lower_bound` about the float centre (fx, fy)."""
     ds = [math.hypot(fx - px, fy - py) for px, py in sample]
     err = error_bound(reach + abs(fx) + abs(fy))
     lower = max(ds) - min(ds) - 3 * err
     return lower if lower == lower else -math.inf  # NaN: an infinity met another
 
 
-def _sample_floats(upts) -> Tuple[list, float]:
-    """The floats of `_sample(upts)` and their reach, max |x| + max |y|:
-    the arguments of `_width_lower_bound`."""
-    sf = [(to_float(x), to_float(y)) for x, y in _sample(upts)]
+def _float_bound(c, sample, reach: float) -> Tuple[float, float, float]:
+    """The float coordinates of c and `_width_lower_bound` about it."""
+    fx, fy = to_float(c[0]), to_float(c[1])
+    return fx, fy, _float_width_lower_bound(fx, fy, sample, reach)
+
+
+def _sample_floats(sample) -> Tuple[list, float]:
+    """The floats of the points of `_sample` and their reach,
+    max |x| + max |y|: the arguments of `_width_lower_bound`."""
+    sf = [(to_float(x), to_float(y)) for x, y in sample]
     return sf, max(abs(x) for x, _ in sf) + max(abs(y) for _, y in sf)
 
 
@@ -307,6 +519,8 @@ def _probe_upper(candidates, lower, upts) -> float:
     probe = min(finite, key=lower.__getitem__)
     lo, hi = _radii_sq(candidates[probe], upts)
     s_hi, s_lo = math.sqrt(to_float(hi)), math.sqrt(to_float(lo))
+    if not s_hi < math.inf:
+        return math.inf
     return s_hi - s_lo + error_bound(s_hi + s_lo)
 
 
@@ -322,19 +536,25 @@ def _best_candidate(candidates, upts, lower):
     exactly; its width, plus an error bound, is an upper bound on the
     optimum, and candidates whose lower bound exceeds it are certainly
     wider and dropped.  The rest go through the exact selection in the
-    same order: a rigorously-margined float pass on their exact radii
-    shortlists the contenders, exact radical comparison settles them."""
+    same order: a float pass on their exact radii shortlists the
+    contenders, exact radical comparison settles them.
+
+    The shortlist's floats are correctly rounded radii, their square roots
+    and the difference, within 3 * EPS of the sum of the two roots, below
+    its `error_bound`.  A squared radius past the float range gives an
+    infinite root; such a candidate is never left out of the shortlist and
+    does not narrow it, and the exact comparison places it."""
     upper = _probe_upper(candidates, lower, upts)
     evals = []
     for c, lb in zip(candidates, lower):
         if lb > upper:
             continue
         lo, hi = _radii_sq(c, upts)
-        s_lo = math.sqrt(lo)
-        s_hi = math.sqrt(hi)
-        fw = s_hi - s_lo
-        err = 1e-12 * (s_hi + s_lo + 1.0)
-        evals.append((fw, err, c, hi, lo))
+        s_lo, s_hi = math.sqrt(to_float(lo)), math.sqrt(to_float(hi))
+        if s_hi < math.inf:
+            evals.append((s_hi - s_lo, error_bound(s_hi + s_lo), c, hi, lo))
+        else:  # overflowed: only the exact comparison can place it
+            evals.append((0.0, math.inf, c, hi, lo))
     thresh = min(fw + err for fw, err, _, _, _ in evals)
     best = None
     for fw, err, c, hi, lo in evals:

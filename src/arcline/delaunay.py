@@ -49,17 +49,6 @@ class TriangulationMesh:
     hull: List[int] = field(default_factory=list)  # hull cycle vertex ids
     cocircular_ties: int = 0
 
-    @property
-    def n_sites(self) -> int:
-        return len(self.site_indices)
-
-    def edge_count(self) -> int:
-        return sum(1 for _ in self.store.primal_edges())
-
-    def edges(self) -> List[Tuple[int, int]]:
-        """Undirected edges as (org, dest) pairs; INFINITE marks ghost edges."""
-        return [(self.store.org[e], self.store.dest(e)) for e in self.store.primal_edges()]
-
     def triangles(self) -> List[Tuple[int, int, int]]:
         """Finite triangles as vertex index triples in CCW order."""
         store = self.store

@@ -67,7 +67,6 @@ class VoronoiEdge:
 class VoronoiDiagram:
     kind: str
     vertices: List[RPoint]
-    vertex_triangles: List[Tuple[int, int, int]]
     edges: List[VoronoiEdge]
 
 
@@ -124,9 +123,4 @@ def voronoi_from_delaunay(mesh: TriangulationMesh) -> VoronoiDiagram:
             outward = (-outward[0], -outward[1])
         edges.append(VoronoiEdge(a, b, vertices[ci], None, outward))
 
-    return VoronoiDiagram(
-        kind=mesh.kind,
-        vertices=vertices,
-        vertex_triangles=vertex_tris,
-        edges=edges,
-    )
+    return VoronoiDiagram(kind=mesh.kind, vertices=vertices, edges=edges)

@@ -1,6 +1,7 @@
 """Exact oracles and mesh views that only the tests use: the inversion
 construction and the expanded in-circle determinant behind the predicate
-checks, exact circumcircles, and set views of meshes and pair lists."""
+checks, exact circumcircles, and views of meshes, Voronoi diagrams and
+pair lists."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from typing import List, Tuple
 from arcline.delaunay import INFINITE, TriangulationMesh
 from arcline.feasibility import InfeasiblePairList
 from arcline.predicates import Point, circumcenter, incircle
+from arcline.quadedge import sym
 
 
 def incircle_farthest(a: Point, b: Point, c: Point, d: Point) -> int:
@@ -79,8 +81,40 @@ def contains_infeasible(pairs: InfeasiblePairList, i: int, j: int) -> bool:
     return qa < qb
 
 
+def n_sites(mesh: TriangulationMesh) -> int:
+    return len(mesh.site_indices)
+
+
+def edge_count(mesh: TriangulationMesh) -> int:
+    return sum(1 for _ in mesh.store.primal_edges())
+
+
+def mesh_edges(mesh: TriangulationMesh) -> List[Tuple[int, int]]:
+    """Undirected edges as (org, dest) pairs; INFINITE marks ghost edges."""
+    return [(mesh.store.org[e], mesh.store.dest(e)) for e in mesh.store.primal_edges()]
+
+
 def finite_edges(mesh: TriangulationMesh) -> List[Tuple[int, int]]:
-    return [(a, b) for a, b in mesh.edges() if a != INFINITE and b != INFINITE]
+    return [(a, b) for a, b in mesh_edges(mesh) if a != INFINITE and b != INFINITE]
+
+
+def vertex_triangles(mesh: TriangulationMesh) -> List[Tuple[int, int, int]]:
+    """The finite triangle behind each vertex of
+    `voronoi_from_delaunay(mesh)`, in the order of its vertices: the faces
+    are met as it meets them, left of each finite primal edge, then right."""
+    store = mesh.store
+    seen = set()
+    out = []
+    for e in store.primal_edges():
+        if INFINITE in (store.org[e], store.dest(e)):
+            continue
+        for d in (e, sym(e)):
+            cyc = store.face_cycle(d)
+            vs = tuple(store.org[c] for c in cyc)
+            if len(vs) == 3 and INFINITE not in vs and min(cyc) not in seen:
+                seen.add(min(cyc))
+                out.append(vs)
+    return out
 
 
 def triangle_set(mesh: TriangulationMesh) -> set:

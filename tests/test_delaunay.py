@@ -10,14 +10,15 @@ from arcline.delaunay import (INFINITE, build_closest, build_convex_ordered,
 from arcline.predicates import dist_sq, incircle
 from arcline.quadedge import sym
 
-from oracles import circumcircle, finite_edges, invert_point, triangle_set
+from oracles import (circumcircle, edge_count, finite_edges, invert_point, mesh_edges, n_sites,
+                     triangle_set)
 
 
 def check_structure(mesh):
     """Edge-count law and all faces triangular once the infinite point is in."""
-    n = mesh.n_sites
+    n = n_sites(mesh)
     expect = 1 if n == 1 else 3 * (n - 1)
-    assert mesh.edge_count() == expect
+    assert edge_count(mesh) == expect
     store = mesh.store
     seen = set()
     for e in store.primal_edges():
@@ -42,23 +43,23 @@ def check_circle_property(mesh):
 
 def test_three_points_edge_count():
     m = build_closest([(0, 0), (4, 0), (2, 3)])
-    assert m.edge_count() == 6
+    assert edge_count(m) == 6
     assert len(m.triangles()) == 1
 
 
 def test_collinear_chain_edge_count():
     m = build_closest([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])
-    assert m.edge_count() == 12  # 3 * (5 - 1)
+    assert edge_count(m) == 12  # 3 * (5 - 1)
     assert m.triangles() == []
     finite = finite_edges(m)
     assert len(finite) == 4
-    ghosts = sum(1 for a, b in m.edges() if INFINITE in (a, b))
+    ghosts = sum(1 for a, b in mesh_edges(m) if INFINITE in (a, b))
     assert ghosts == 8
 
 
 def test_single_point():
     m = build_closest([(7, 7)])
-    assert m.edge_count() == 1
+    assert edge_count(m) == 1
 
 
 def test_duplicates_rejected():
@@ -91,7 +92,7 @@ def test_full_circle_random_farthest():
 def test_farthest_excludes_interior():
     pts = [(0, 0), (10, 0), (10, 10), (0, 10), (5, 5)]
     m = build_farthest(pts)
-    assert m.n_sites == 4
+    assert n_sites(m) == 4
     assert 4 not in m.site_indices
 
 
@@ -113,7 +114,7 @@ def test_hull_neighbors_separated_by_infinite_edges():
     pts = list({(random.randint(0, 40), random.randint(0, 40)) for _ in range(30)})
     m = build_closest(pts)
     hull = set(m.hull)
-    for a, b in m.edges():
+    for a, b in mesh_edges(m):
         if b == INFINITE:
             assert a in hull
 

@@ -213,7 +213,7 @@ def _unfiltered_best(candidates, upts):
 
 
 def _filtered_best(candidates, upts):
-    sf, reach = _sample_floats(upts)
+    sf, reach = _sample_floats(_sample(upts))
     return _best_candidate(candidates, upts, [_width_lower_bound(c, sf, reach) for c in candidates])
 
 
@@ -319,6 +319,30 @@ def test_annulus_matches_oracle_on_degenerate_sets(pts):
     res = min_width_annulus(pts, ClipConfig(math.radians(1e-6), r))
     hi, lo = best
     assert width_compare(res.r_outer_sq, res.r_inner_sq, hi, lo) == 0
+
+
+def test_annulus_matches_oracle_past_the_float_range():
+    # squared radii past the float range: the float shortlist of the
+    # selection overflows and only the exact comparison can decide
+    rng = random.Random(78)
+    sets = [[(0, 0), (10 ** 200, 0), (0, 10 ** 200), (10 ** 200, 10 ** 200 + 1), (5 * 10 ** 199, 1)]]
+    for _ in range(8):
+        s = 10 ** rng.choice((160, 200))
+        sets.append([(rng.randint(-8, 8) * s + rng.randint(-3, 3),
+                      rng.randint(-8, 8) * s + rng.randint(-3, 3)) for _ in range(rng.randint(4, 7))])
+    checked = 0
+    for pts in sets:
+        upts = list(dict.fromkeys(pts))
+        best = _overlay_vertex_oracle(upts) if len(upts) >= 3 else None
+        if best is None:
+            continue
+        xs = [p[0] for p in upts]
+        ys = [p[1] for p in upts]
+        r = math.hypot(max(xs) - min(xs), max(ys) - min(ys)) / 2 + 1
+        res = min_width_annulus(pts, ClipConfig(math.radians(1e-6), r))
+        assert width_compare(res.r_outer_sq, res.r_inner_sq, *best) == 0, pts
+        checked += 1
+    assert checked >= 6
 
 
 # -- the arc window test ------------------------------------------------------
