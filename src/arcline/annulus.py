@@ -84,7 +84,19 @@ class AnnulusResult:
 
     @property
     def width(self) -> float:
-        return math.sqrt(self.r_outer_sq) - math.sqrt(self.r_inner_sq)
+        """sqrt(r_outer_sq) - sqrt(r_inner_sq) in floats while both squared
+        radii have one; past the float range (o - i)/(sqrt(o) + sqrt(i)),
+        the roots taken after dividing by a power of 4 that brings o near 1
+        and the quotient rounded once from the exact difference, so a width
+        that has a float gets one."""
+        o, i = self.r_outer_sq, self.r_inner_sq
+        try:
+            return math.sqrt(o) - math.sqrt(i)
+        except OverflowError:
+            pass
+        e = (o.numerator.bit_length() - o.denominator.bit_length()) // 2
+        roots = math.sqrt(o / 4 ** e) + math.sqrt(i / 4 ** e)
+        return to_float((o - i) / (Fraction(roots) * 2 ** e))
 
     def feasible_for(self, tol) -> bool:
         """width <= 2*tol, decided exactly on the squared radii."""

@@ -38,6 +38,9 @@ INF = math.inf
 # radius beyond this multiple of the chord length is reported segment-like
 SEGMENT_LIKE_RADIUS_FACTOR = 1e6
 MAX_DENSIFIED = 10 ** 6  # points densify may emit, far more than the DP can take
+# radians added to every arc of directions in `_no_circle_through`: more
+# than the rounding of its angle arithmetic
+ANCHOR_MARGIN = 256 * EPS
 
 
 @dataclass
@@ -160,6 +163,144 @@ def _feasible_centres(a, b, points: Iterable, tol) -> Tuple[List[Tuple[float, fl
         elif not feasible:
             return [], used
     return [(lo, hi)] if feasible is None else feasible, used
+
+
+def _anchor_slack(tol: float, diameter: float, coord: float) -> float:
+    """A distance t such that every arc `compress._evaluate_arc` returns on
+    points with coordinates within +-coord and pairwise distances at most
+    D = diameter is a circle through its end anchor within t of every point
+    it covers.
+
+    Such an arc passed `arc_within_tolerance` and is not segment-like, so
+    its radius r is at most rho = SEGMENT_LIKE_RADIUS_FACTOR * D (up to
+    2*EPS) and every float deviation was at most tol plus the slack
+    1e-12*(max(1, r) + 1).  The float check rounds |p - c| - r by at most
+    3*EPS*(D + rho + tol), since |p - c| <= D + rho.  The circle is the one
+    about the float centre c through the anchor b: `_build_arc` makes |c - b|
+    differ from the float radius by at most EPS*(4*coord + 13*rho)
+    (`_sse_floor`).  The sum is below tol + 1e-12*(max(1, rho) + 1) +
+    64*EPS*(coord + D + rho + tol): the factor 64 is four times what the
+    terms need, which also covers the rounding of this sum and a D that
+    `math.hypot` computed a rounding short.
+    """
+    rho = SEGMENT_LIKE_RADIUS_FACTOR * diameter
+    return tol + 1e-12 * (max(1.0, rho) + 1) + 64 * EPS * (coord + diameter + rho + tol)
+
+
+def _no_circle_through(b, points, t) -> bool:
+    """True when certainly no circle through b lies within t of every one
+    of `points`; False when one may, or when the floats cannot tell.
+
+    The lemma.  A circle through b has the centre c = b + n/kappa, n a
+    unit vector and kappa != 0 its signed curvature.  For a point p with
+    q = p - b, |q| > t and w = (|q|^2 - t^2)/2, p lies within t of the
+    circle iff |q.n - kappa*w| <= t.  Squaring |d - r| <= t gives
+    |d^2 - r^2 - t^2| <= 2*t*r, exact here since d + r >= |q| > t, and
+    d^2 - r^2 = |q|^2 - 2*q.n/kappa.  Divided by w, with p* = q/w and
+    delta = t/w (an inversion about b): the line {x : x.n = kappa} passes
+    within delta of p*.  Arcs through b are line transversals of discs.
+
+    For one n such a line exists iff every pair i, j has
+    |(p*_i - p*_j).n| <= delta_i + delta_j (Helly in one dimension).  With
+    v = p*_i - p*_j, a pair with delta_i + delta_j < |v| allows only the
+    directions n within asin((delta_i + delta_j)/|v|) of the normal of v,
+    one arc of directions modulo pi (n and -n give the same lines).  When
+    those arcs have an empty intersection over the pairs, no circle through
+    b fits the points.  The running intersection is one interval of angles
+    about the first informative pair's direction; where an arc meets it in
+    two pieces it keeps their hull, which can only keep more directions.
+    Points within 2t of b are skipped: that too only keeps more.
+
+    The floats.  For a point with |q|^2 > 4t^2, w >= 3|q|^2/8, so the
+    float w is within 7*EPS*w (|q|^2 within 4*EPS, t^2 within EPS, the
+    difference within EPS), the floats of p* and delta within 10*EPS, and
+    |p*| <= 8/(3|q|) < 4/(3t).  Hence the float v is within
+    err = 64*EPS/t of v (10*EPS on each coordinate of two points of
+    norm below 4/(3t), one rounding for the difference), and with
+    err < |v|/4 its direction is within asin(err/|v|) <= 2*err/|v| of the
+    true one; atan2 adds 2*EPS*pi.  The true sine (delta_i + delta_j)/|v|
+    is at most (delta_i + delta_j)/(|v| - err) * (1 + 32*EPS) in floats
+    (the sum and the norm within 12*EPS, the quotient one rounding).  asin
+    is monotone, so each arc is widened by 2*err/|v| and by ANCHOR_MARGIN,
+    which covers the rounding of atan2, asin, the reduction modulo pi and
+    the interval ends (below 40*EPS each); an arc that reaches pi/2 either
+    side allows everything and is skipped, as is a pair with
+    err >= |v|/4 or a sine >= 1.  An empty intersection of the widened
+    arcs is then certain.
+    """
+    bx, by = b
+    t_sq = t * t
+    near = 4 * t_sq
+    xs: List[float] = []  # the inverted points p* and their delta
+    ys: List[float] = []
+    ds: List[float] = []
+    for px, py in points:
+        qx = px - bx
+        qy = py - by
+        q_sq = qx * qx + qy * qy
+        if q_sq > near:
+            w = (q_sq - t_sq) / 2
+            xs.append(qx / w)
+            ys.append(qy / w)
+            ds.append(t / w)
+    err = 64 * EPS / t
+    err2 = 2 * err
+    err4 = 4 * err
+    up = 1 + 32 * EPS
+    hypot, asin, atan2 = math.hypot, math.asin, math.atan2
+    pi = math.pi
+    half_pi = pi / 2
+    ref = None
+    lo = hi = 0.0
+    for i in range(1, len(xs)):
+        xi, yi, di = xs[i], ys[i], ds[i]
+        for j in range(i):
+            vx = xi - xs[j]
+            vy = yi - ys[j]
+            norm = hypot(vx, vy)
+            if not err4 < norm:
+                continue
+            sine = (di + ds[j]) / (norm - err) * up
+            if not sine < 1:
+                continue
+            half = asin(sine) + err2 / norm + ANCHOR_MARGIN
+            if not half < half_pi:
+                continue
+            # each arc is taken about the direction of v rather than its
+            # normal, the same quarter turn for every pair
+            if ref is None:
+                ref, lo, hi = atan2(vy, vx), -half, half
+                continue
+            d = atan2(vy, vx) - ref  # reduced below to [-pi/2, pi/2]
+            if d > half_pi:
+                d -= pi
+                if d > half_pi:
+                    d -= pi
+            elif d < -half_pi:
+                d += pi
+                if d < -half_pi:
+                    d += pi
+            # the copy of the arc at d, or the one at d -+ pi, or both, meet
+            # [lo, hi]; the copy at d +- pi lies beyond it
+            arc_lo = d - half
+            arc_hi = d + half
+            if arc_lo <= hi and arc_hi >= lo:
+                if d > 0:
+                    if arc_hi - pi >= lo:
+                        arc_lo -= pi
+                elif arc_lo + pi <= hi:
+                    arc_hi += pi
+            else:
+                shift = -pi if d > 0 else pi
+                arc_lo += shift
+                arc_hi += shift
+                if not (arc_lo <= hi and arc_hi >= lo):
+                    return True
+            if arc_lo > lo:
+                lo = arc_lo
+            if arc_hi < hi:
+                hi = arc_hi
+    return False
 
 
 def _build_arc(a, b, s, points, with_sse: bool = True) -> FittedArc:

@@ -39,6 +39,21 @@ candidate, inside that slack's float-dust band.  A candidate that passes
 the probe gets the quick least-squares fit, the secant polish when that arc
 is within tolerance, and the interval fit when the polished arc fails or
 the quick one was not within tolerance (`_evaluate_arc`).
+
+Before the first of these, the scan cuts away the arcs that are too long
+(`_AnchoredCut`).  Every arc the DP can accept from k' to k is a circle
+through pts[k] within `arcfit._anchor_slack` of pts[k'..k]: the tolerance,
+the fit check's radius-proportional slack for a radius up to
+SEGMENT_LIKE_RADIUS_FACTOR times the polyline's diameter, and the rounding
+of that check and of the arc's centre.  When no circle through pts[k] is
+within that distance of ANCHOR_POINTS evenly spaced points of pts[m..k-1]
+(`arcfit._no_circle_through`: an inversion about pts[k] turns such circles
+into lines that cross discs, and a pair of discs allows one arc of line
+directions), no start k' <= m can have an arc, and the scan opens its range
+at m + 1.  The cut relaxes the DP's own arc set, so it changes nothing but
+the work: the candidates at or below m are never popped, floored or
+probed.  The search for m runs only when the first candidate of the range
+is below the incumbent, starting one above the last cut found.
 """
 
 from __future__ import annotations
@@ -50,8 +65,9 @@ from itertools import chain
 from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
-from .arcfit import (FittedArc, _feasible_centres, _sse_floor, arc_within_tolerance, densify,
-                     direction_and_endpoint_check, fit_arc_by_tolerance, fit_arc_least_squares)
+from .arcfit import (FittedArc, _anchor_slack, _feasible_centres, _no_circle_through, _sse_floor,
+                     arc_within_tolerance, densify, direction_and_endpoint_check,
+                     fit_arc_by_tolerance, fit_arc_least_squares)
 from .feasibility import build_fit_index_arrays, test_arcs, test_segments
 from .hulltree import HullTree
 from .sortedrange import MergeTree
@@ -60,6 +76,7 @@ PenaltyPair = Tuple[int, float]
 
 BLOCKER_LISTS = 2  # rejections whose blockers the arc scan remembers
 PROBE_POINTS = 8  # cached blockers a candidate re-tests at most
+ANCHOR_POINTS = 5  # evenly spaced points of pts[m..k-1] the anchored cut tests
 # largest grid coordinate magnitude: the fits and checks compute on floats,
 # which hold every integer up to here exactly
 MAX_GRID_COORD = 2 ** 53
@@ -170,7 +187,16 @@ class _Moments:
 
 
 def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> CompressedPolyline:
-    """Globally optimal decomposition into vertex-anchored segments and arcs."""
+    """Globally optimal decomposition into vertex-anchored segments and arcs.
+
+    `stats` counts the work: `segment_evaluations` and `arc_evaluations`
+    the candidates evaluated, `arc_floor_drops` the arc candidates that got
+    an SSE floor but were never evaluated, `arc_probe_rejections` the
+    evaluated ones the blocker probe rejected before any fit,
+    `arc_polishes` those whose quick least-squares arc got the polish,
+    `arc_anchor_cut` the start indices the anchored cut took out of arc
+    scans, and `anchor_tests` its `_no_circle_through` calls.
+    """
     pts = [tuple(p) for p in polyline]
     if any(abs(c) > MAX_GRID_COORD for p in pts for c in p):
         raise ValueError("grid coordinates must lie within +-2**53: "
@@ -204,6 +230,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     seg_evals = arc_evals = floor_drops = 0
     tol_f = float(tol)
     blockers = _BlockerCache()
+    anchor = _AnchoredCut(pts, tol_f)
 
     def offer(kp: int, arc: Optional[FittedArc]) -> None:
         """Make the arc from kp to k the incumbent when it beats it."""
@@ -247,6 +274,14 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
         if lo <= hi:
             heap = mtree.open_range(lo, hi)
             item = heap.pop_min()
+            if item is not None and (item[0][0] + p_arc, item[0][1]) < best:
+                cut = anchor.below(k, lo, hi)
+                if cut >= lo:
+                    lo = cut + 1
+                    item = None
+                    if lo <= hi:
+                        heap = mtree.open_range(lo, hi)
+                        item = heap.pop_min()
             waiting: List[Tuple[PenaltyPair, int]] = []  # (cost bound with floor, kp)
             while True:
                 # take candidates in ascending order of their cost bound
@@ -277,7 +312,9 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
                                      "arc_evaluations": arc_evals,
                                      "arc_floor_drops": floor_drops,
                                      "arc_probe_rejections": blockers.probe_rejections,
-                                     "arc_polishes": blockers.polishes})
+                                     "arc_polishes": blockers.polishes,
+                                     "arc_anchor_cut": anchor.removed,
+                                     "anchor_tests": anchor.tests})
 
 
 class _BlockerCache:
@@ -312,6 +349,79 @@ class _BlockerCache:
         """Remember the blockers of a window starting at kp (window indices)."""
         self.lists.insert(0, [kp + i for i in blocked])
         del self.lists[BLOCKER_LISTS:]
+
+
+class _AnchoredCut:
+    """The arc scan's anchored cut (module docstring): for an end vertex k,
+    a start m such that no circle through pts[k] is within `slack` of
+    ANCHOR_POINTS evenly spaced points of pts[m..k-1], so that no arc the
+    DP can accept starts at or below m.
+
+    `tests` counts the `_no_circle_through` calls, `removed` the start
+    indices the cuts took out of arc scans.
+    """
+
+    def __init__(self, pts, tol: float):
+        xs = [p[0] for p in pts]
+        ys = [p[1] for p in pts]
+        coord = max(max(map(abs, xs)), max(map(abs, ys)))
+        self.pts = pts
+        self.slack = _anchor_slack(tol, math.hypot(max(xs) - min(xs), max(ys) - min(ys)),
+                                  float(coord))
+        self.last = 0  # the last cut found
+        self.tests = 0
+        self.removed = 0
+
+    def rejects(self, m: int, k: int) -> bool:
+        """True when no circle through pts[k] fits the points tested from
+        pts[m..k-1]."""
+        self.tests += 1
+        pts = self.pts
+        span = k - 1 - m
+        last = ANCHOR_POINTS - 1
+        return _no_circle_through(pts[k], [pts[m + span * i // last] for i in range(ANCHOR_POINTS)],
+                                  self.slack)
+
+    def below(self, k: int, lo: int, hi: int) -> int:
+        """A cut m in [lo, hi] for the end vertex k, or lo - 1 when none is
+        found.  The cut usually moves by a vertex or none from one k to the
+        next, so the search starts one above the last cut and gallops up
+        from there when that start is cut, down when not, then bisects
+        between the highest start found cut and the lowest found not; a
+        start it tests and finds cut is a cut, whether or not the tests are
+        monotone in m."""
+        good = lo - 1
+        bad = min(max(lo, self.last + 1), hi)
+        if self.rejects(bad, k):
+            good, bad = bad, hi + 1
+            step = 1
+            while good < hi:
+                m = min(good + step, hi)
+                if not self.rejects(m, k):
+                    bad = m
+                    break
+                good = m
+                step *= 2
+        else:
+            step = 1
+            while bad > lo:
+                m = max(bad - step, lo)
+                if self.rejects(m, k):
+                    good = m
+                    break
+                bad = m
+                step *= 2
+            if good < lo:
+                return good
+        while bad - good > 1:
+            m = (good + bad) // 2
+            if self.rejects(m, k):
+                good = m
+            else:
+                bad = m
+        self.last = good
+        self.removed += good - lo + 1
+        return good
 
 
 def _evaluate_arc(pts, kp, k, tol, blockers: Optional[_BlockerCache] = None) -> Optional[FittedArc]:

@@ -13,7 +13,7 @@ the determinant is zero (four cocircular points).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .hulltree import convex_hull
@@ -46,29 +46,8 @@ class TriangulationMesh:
     site_indices: List[int]
     store: QuadEdgeStore
     outer_edge: Optional[int]  # hull edge with the outer face on its left
-    hull: List[int] = field(default_factory=list)  # hull cycle vertex ids
     cocircular_ties: int = 0
 
-    def triangles(self) -> List[Tuple[int, int, int]]:
-        """Finite triangles as vertex index triples in CCW order."""
-        store = self.store
-        seen = set()
-        out = []
-        for e in store.primal_edges():
-            for d in (e, sym(e)):
-                if d in seen:
-                    continue
-                cyc = store.face_cycle(d)
-                seen.update(cyc)
-                vs = [store.org[c] for c in cyc]
-                if len(vs) != 3 or INFINITE in vs:
-                    continue
-                p = self.points
-                if orientation(p[vs[0]], p[vs[1]], p[vs[2]]) > 0:
-                    out.append((vs[0], vs[1], vs[2]))
-                else:
-                    out.append((vs[0], vs[2], vs[1]))
-        return out
 
 def _in_circle_fn(pts, pred_sign: int) -> Callable[[int, int, int, int], int]:
     def f(i, j, k, l):
@@ -243,10 +222,8 @@ def _attach_infinite(mesh: TriangulationMesh) -> None:
     store = mesh.store
     if mesh.outer_edge is None:  # single vertex
         store.make_edge(mesh.site_indices[0], INFINITE)
-        mesh.hull = [mesh.site_indices[0]]
         return
     cyc = store.face_cycle(mesh.outer_edge)
-    mesh.hull = [store.org[e] for e in cyc]
     ghosts = []
     for e in cyc:
         g = store.make_edge(store.org[e], INFINITE)

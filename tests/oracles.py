@@ -12,7 +12,8 @@ from typing import List, Tuple
 
 from arcline.delaunay import INFINITE, TriangulationMesh
 from arcline.feasibility import InfeasiblePairList
-from arcline.predicates import Point, circumcenter, incircle
+from arcline.hulltree import convex_hull
+from arcline.predicates import Point, circumcenter, incircle, orientation
 from arcline.quadedge import sym
 
 
@@ -117,5 +118,42 @@ def vertex_triangles(mesh: TriangulationMesh) -> List[Tuple[int, int, int]]:
     return out
 
 
+def triangles(mesh: TriangulationMesh) -> List[Tuple[int, int, int]]:
+    """Finite triangles as vertex index triples in CCW order."""
+    store = mesh.store
+    seen = set()
+    out = []
+    for e in store.primal_edges():
+        for d in (e, sym(e)):
+            if d in seen:
+                continue
+            cyc = store.face_cycle(d)
+            seen.update(cyc)
+            vs = [store.org[c] for c in cyc]
+            if len(vs) != 3 or INFINITE in vs:
+                continue
+            p = mesh.points
+            if orientation(p[vs[0]], p[vs[1]], p[vs[2]]) > 0:
+                out.append((vs[0], vs[1], vs[2]))
+            else:
+                out.append((vs[0], vs[2], vs[1]))
+    return out
+
+
+def hull_boundary(mesh: TriangulationMesh) -> set:
+    """Ids of the sites on the boundary of their convex hull (hull vertices
+    and sites on hull edges), from the points alone."""
+    sites = {mesh.points[i]: i for i in mesh.site_indices}
+    hull = convex_hull(list(sites))
+    if len(hull) < 3:
+        return set(sites.values())
+    out = set()
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        for p, i in sites.items():
+            if orientation(a, b, p) == 0 and min(a, b) <= p <= max(a, b):
+                out.add(i)
+    return out
+
+
 def triangle_set(mesh: TriangulationMesh) -> set:
-    return {tuple(sorted(t)) for t in mesh.triangles()}
+    return {tuple(sorted(t)) for t in triangles(mesh)}

@@ -31,7 +31,7 @@ from arcline.segments import seg
 from arcline.sortedrange import MergeTree
 
 from oracles import (circumcircle, contains_infeasible, edge_count, incircle_determinant,
-                     invert_point, triangle_set)
+                     invert_point, triangle_set, triangles)
 from reference_dp import reference_compress
 
 
@@ -71,7 +71,7 @@ def test_criterion_01_exact_predicates():
 def _brute_circle_check(mesh):
     pts = mesh.points
     sign = 1 if mesh.kind == "closest" else -1
-    for t in mesh.triangles():
+    for t in triangles(mesh):
         for d in mesh.site_indices:
             if d in t:
                 continue
@@ -124,7 +124,7 @@ def test_criterion_03_farthest_duality():
             ties_skipped += 1
             continue
         of = (Fraction(o[0]), Fraction(o[1]))
-        kept = {tuple(sorted(t)) for t in mc.triangles()
+        kept = {tuple(sorted(t)) for t in triangles(mc)
                 if incircle(inv[t[0]], inv[t[1]], inv[t[2]], of) > 0}
         assert triangle_set(mf) == kept
         done += 1

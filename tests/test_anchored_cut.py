@@ -1,0 +1,167 @@
+"""The DP arc scan's anchored cut: the lemma behind `_no_circle_through` in
+exact rationals, and the soundness of the cut against the DP's own arc set
+(`_evaluate_arc` without a blocker cache, the fit the reference DP uses):
+no start at or below a certified cut may have an arc."""
+
+import math
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from arcline.compress import CompressionParams, _AnchoredCut, _evaluate_arc, compress
+from arcline.pipeline import archimedean_spiral, compress_polyline
+
+_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
+
+
+def _unit(rng):
+    """A rational unit vector in a random direction from a Pythagorean triple."""
+    a, b, c = rng.choice(_TRIPLES)
+    if rng.random() < 0.5:
+        a, b = b, a
+    return Fraction(rng.choice((-a, a)), c), Fraction(rng.choice((-b, b)), c)
+
+
+def _within(p, centre, r, t) -> bool:
+    """| |p - centre| - r | <= t, exactly."""
+    d_sq = (p[0] - centre[0]) ** 2 + (p[1] - centre[1]) ** 2
+    return d_sq <= (r + t) ** 2 and (r - t <= 0 or d_sq >= (r - t) ** 2)
+
+
+def test_lemma_in_exact_rationals():
+    # a circle through b with centre b + n/kappa: a point p with |p - b| > t
+    # is within t of it iff |(p - b).n - kappa*w| <= t, w = (|p - b|^2 - t^2)/2;
+    # a point within t of b is within t of every circle through b
+    rng = random.Random(15)
+    near = far_in = far_out = 0
+    for _ in range(4000):
+        b = (Fraction(rng.randint(-50, 50)), Fraction(rng.randint(-50, 50)))
+        n = _unit(rng)
+        kappa = Fraction(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 600))
+        centre = (b[0] + n[0] / kappa, b[1] + n[1] / kappa)
+        r = 1 / abs(kappa)
+        t = Fraction(rng.randint(1, 60), 10)
+        if rng.random() < 0.2:  # a point close to b
+            u = _unit(rng)
+            s = t * Fraction(rng.randint(0, 30), 20)
+            p = (b[0] + s * u[0], b[1] + s * u[1])
+        else:  # a point pushed off the circle radially by up to 2t
+            u = _unit(rng)
+            s = r + t * Fraction(rng.randint(-40, 40), 20)
+            p = (centre[0] + s * u[0], centre[1] + s * u[1])
+        q = (p[0] - b[0], p[1] - b[1])
+        q_sq = q[0] ** 2 + q[1] ** 2
+        inside = _within(p, centre, r, t)
+        if q_sq <= t * t:
+            assert inside
+            near += 1
+            continue
+        w = (q_sq - t * t) / 2
+        assert (abs(q[0] * n[0] + q[1] * n[1] - kappa * w) <= t) == inside
+        far_in += inside
+        far_out += not inside
+    assert near > 100 and far_in > 500 and far_out > 500
+
+
+@st.composite
+def _polylines(draw):
+    """Noisy arcs, spiral pieces, zigzags, nearly collinear runs and runs
+    with repeated points, of 8-28 integer points, scaled by up to 2^40, with
+    a tolerance around the noise."""
+    kind = draw(st.sampled_from(("arc", "spiral", "zigzag", "collinear", "duplicates")))
+    n = draw(st.integers(8, 28))
+    scale = 2 ** draw(st.integers(0, 40))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "arc":
+        r = rng.uniform(50, 5000)
+        t0, sweep = rng.uniform(0, 2 * math.pi), rng.uniform(0.3, 5.0)
+        base = [(r * math.cos(t0 + sweep * i / n), r * math.sin(t0 + sweep * i / n)) for i in range(n)]
+    elif kind == "spiral":
+        sp = archimedean_spiral(1.0, 4.0, 0.3)
+        s = rng.randrange(0, len(sp) - n)
+        base = [(300 * x, 300 * y) for x, y in sp[s:s + n]]
+    elif kind == "zigzag":
+        step, amp = rng.uniform(5, 40), rng.uniform(2, 30)
+        base = [(step * i, amp * (i % 2)) for i in range(n)]
+    elif kind == "collinear":
+        angle = rng.uniform(0, math.pi)
+        base = [(20 * i * math.cos(angle) + rng.uniform(-1, 1), 20 * i * math.sin(angle) + rng.uniform(-1, 1))
+                for i in range(n)]
+    else:
+        base = [(rng.choice((0, 10, 30)), rng.choice((0, 20))) for _ in range(n)]
+    noise = rng.choice((0, 1, 3))
+    pts = [(round(x * scale) + scale * rng.randint(-noise, noise),
+            round(y * scale) + scale * rng.randint(-noise, noise)) for x, y in base]
+    pts = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
+    tol = scale * rng.choice((0.5, 1.0, 2.0, 4.0)) * max(1, noise)
+    return pts, tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_polylines())
+def test_no_start_at_or_below_a_certified_cut_has_an_arc(case):
+    # for every end vertex k, the highest m that the test certifies for k
+    # (the searched cut is one of them) leaves no arc from any kp <= m
+    pts, tol = case
+    cut = _AnchoredCut(pts, tol)
+    for k in range(3, len(pts)):
+        m = max([m for m in range(k - 2) if cut.rejects(m, k)], default=-1)
+        assert cut.below(k, 0, k - 3) <= m
+        for kp in range(m + 1):
+            assert _evaluate_arc(pts, kp, k, tol) is None, (kp, k, m)
+
+
+def test_the_cut_removes_the_arcs_that_are_too_long():
+    # a spiral: most start indices of the arc scans are cut, with the result
+    # of the DP unchanged (the golden results pin that on the benchmark)
+    pts = [(round(1000 * x), round(1000 * y)) for x, y in archimedean_spiral(1.0, 4.0, 0.3)]
+    res = compress(pts, CompressionParams(tolerance=60))
+    assert res.stats["arc_anchor_cut"] > res.stats["arc_evaluations"] > 0
+    assert 0 < res.stats["anchor_tests"] < 3 * len(pts)
+
+
+def test_large_radius_repro_keeps_its_one_arc():
+    big_r, chord, n = 2e7, 2e4, 12
+    h = math.asin(chord / 2 / big_r)
+    pts = [(big_r * math.sin(t), big_r * math.cos(t) - big_r)
+           for t in (-h + 2 * h * i / (n - 1) for i in range(n))]
+    res = compress_polyline(pts, 1.0)
+    assert res.t_count == 3 and [p.kind for p in res.primitives] == ["arc"]
+    assert res.grid.stats["arc_anchor_cut"] == 0
+
+
+def _wide_arc(zigzag: int):
+    """12 integer points on an arc of radius 5e5 chords (chord 4e7), the
+    inner ones moved alternately by +-zigzag across the chord."""
+    chord, n = 4e7, 12
+    big_r = 5e5 * chord
+    h = math.asin(chord / 2 / big_r)
+    pts = []
+    for i in range(n):
+        t = -h + 2 * h * i / (n - 1)
+        off = 0 if i in (0, n - 1) else zigzag * (-1) ** i
+        pts.append((round(big_r * math.sin(t)), round(big_r * math.cos(t) - big_r) + off))
+    return pts
+
+
+def test_wide_arc_is_not_cut():
+    # radius about 5e5 chords: the one-arc result stands, and with the
+    # zigzag the fit's radius-proportional slack accepts deviations of about
+    # 4.6 tolerances, which the cut must leave too
+    res = compress(_wide_arc(0), CompressionParams(tolerance=1.0))
+    assert res.total[0] == 3 and [p.kind for p in res.primitives] == ["arc"]
+    assert 4e5 < res.primitives[0].radius / 4e7 < 6e5
+    assert res.stats["arc_anchor_cut"] == 0
+    pts = _wide_arc(3)
+    arc = _evaluate_arc(pts, 0, len(pts) - 1, 1.0)
+    assert arc is not None and max(abs(math.dist(p, arc.center) - arc.radius) for p in pts) > 2
+    assert _AnchoredCut(pts, 1.0).below(len(pts) - 1, 0, len(pts) - 4) == -1
+
+
+def test_long_spiral_arc_evaluations_stay_bounded():
+    # scale guard, counted rather than timed: the 1 507-vertex spiral made
+    # 177 371 arc evaluations before the anchored cut and 3 290 with it
+    res = compress_polyline(archimedean_spiral(1, 10, 0.25), 0.1)
+    assert len(res.grid.points) == 1507
+    assert res.grid.stats["arc_evaluations"] <= 10_000

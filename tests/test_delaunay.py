@@ -10,8 +10,8 @@ from arcline.delaunay import (INFINITE, build_closest, build_convex_ordered,
 from arcline.predicates import dist_sq, incircle
 from arcline.quadedge import sym
 
-from oracles import (circumcircle, edge_count, finite_edges, invert_point, mesh_edges, n_sites,
-                     triangle_set)
+from oracles import (circumcircle, edge_count, finite_edges, hull_boundary, invert_point,
+                     mesh_edges, n_sites, triangle_set, triangles)
 
 
 def check_structure(mesh):
@@ -34,7 +34,7 @@ def check_structure(mesh):
 def check_circle_property(mesh):
     pts = mesh.points
     sign = 1 if mesh.kind == "closest" else -1
-    for t in mesh.triangles():
+    for t in triangles(mesh):
         for d in mesh.site_indices:
             if d in t:
                 continue
@@ -44,13 +44,13 @@ def check_circle_property(mesh):
 def test_three_points_edge_count():
     m = build_closest([(0, 0), (4, 0), (2, 3)])
     assert edge_count(m) == 6
-    assert len(m.triangles()) == 1
+    assert len(triangles(m)) == 1
 
 
 def test_collinear_chain_edge_count():
     m = build_closest([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])
     assert edge_count(m) == 12  # 3 * (5 - 1)
-    assert m.triangles() == []
+    assert triangles(m) == []
     finite = finite_edges(m)
     assert len(finite) == 4
     ghosts = sum(1 for a, b in mesh_edges(m) if INFINITE in (a, b))
@@ -100,10 +100,10 @@ def test_cocircular_square():
     m = build_closest([(0, 0), (2, 0), (2, 2), (0, 2)])
     check_structure(m)
     assert m.cocircular_ties >= 1
-    assert len(m.triangles()) == 2
+    assert len(triangles(m)) == 2
     mf = build_farthest([(0, 0), (2, 0), (2, 2), (0, 2)])
     check_structure(mf)
-    for t in mf.triangles():
+    for t in triangles(mf):
         c = circumcircle(*(mf.points[i] for i in t))
         for d in mf.site_indices:
             assert dist_sq(c.center, mf.points[d]) <= c.radius_sq
@@ -113,7 +113,7 @@ def test_hull_neighbors_separated_by_infinite_edges():
     random.seed(12)
     pts = list({(random.randint(0, 40), random.randint(0, 40)) for _ in range(30)})
     m = build_closest(pts)
-    hull = set(m.hull)
+    hull = hull_boundary(m)
     for a, b in mesh_edges(m):
         if b == INFINITE:
             assert a in hull
@@ -141,7 +141,7 @@ def test_convex_ordered_matches_general():
                     return sorted(
                         (circumcircle(*(m.points[i] for i in t)).center,
                          circumcircle(*(m.points[i] for i in t)).radius_sq)
-                        for t in m.triangles())
+                        for t in triangles(m))
                 assert circles(mo) == circles(mg)
 
 
@@ -156,7 +156,7 @@ def test_merge_collinear_submeshes():
     # the top-level split puts (0,0), (1,0) left of (2,0), (5,0), (6,0)
     m = build_closest([(0, 0), (1, 0), (2, 0), (5, 0), (6, 0)])
     check_structure(m)
-    assert m.triangles() == []
+    assert triangles(m) == []
     assert len(finite_edges(m)) == 4
 
 
@@ -213,7 +213,7 @@ def test_farthest_duality_via_inversion():
             continue
         of = (Fraction(o[0]), Fraction(o[1]))
         kept = set()
-        for t in mc.triangles():
+        for t in triangles(mc):
             if incircle(inv[t[0]], inv[t[1]], inv[t[2]], of) > 0:
                 kept.add(tuple(sorted(t)))
         if mf.cocircular_ties or mc.cocircular_ties:

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from arcline import annulus, sweep
 from arcline.annulus import (_best_candidate, _bisector_intersection, _radii_sq, _sample,
                              _sample_floats, _width_lower_bound, arc_exists_within_tolerance,
-                             min_width_annulus)
+                             AnnulusResult, min_width_annulus)
 from arcline.clipping import _inside
 from arcline.overlaps import remove_overlaps
 from arcline.predicates import (compare, dist_sq, orientation, orientation_filter, point_key,
@@ -343,6 +343,26 @@ def test_annulus_matches_oracle_past_the_float_range():
         assert width_compare(res.r_outer_sq, res.r_inner_sq, *best) == 0, pts
         checked += 1
     assert checked >= 6
+
+
+def test_annulus_width_past_the_float_range():
+    # the width of the 10^200 repro is a float, within 1e-12 of the exact
+    # sqrt(o) - sqrt(i) (width_compare against annuli of inner radius 0);
+    # below the float range it is sqrt(o) - sqrt(i) in floats, bit for bit
+    pts = [(0, 0), (10 ** 200, 0), (0, 10 ** 200), (10 ** 200, 10 ** 200 + 1), (5 * 10 ** 199, 1)]
+    res = min_width_annulus(pts, ClipConfig(math.radians(1e-6), math.hypot(10 ** 200, 10 ** 200 + 1) / 2 + 1))
+    w = res.width
+    assert 0 < w < math.inf
+    assert width_compare(res.r_outer_sq, res.r_inner_sq, Fraction(w * (1 + 1e-12)) ** 2, 0) < 0
+    assert width_compare(res.r_outer_sq, res.r_inner_sq, Fraction(w * (1 - 1e-12)) ** 2, 0) > 0
+    big = 10 ** 400
+    assert AnnulusResult((0, 0), Fraction(big), Fraction(big + 2 * 10 ** 200 + 1)).width == 1.0
+    rng = random.Random(79)
+    for _ in range(200):
+        inner = Fraction(rng.randint(0, 10 ** 12), rng.randint(1, 10 ** 6))
+        outer = inner + Fraction(rng.randint(0, 10 ** 9), rng.randint(1, 10 ** 3))
+        want = math.sqrt(outer) - math.sqrt(inner)
+        assert AnnulusResult((0, 0), inner, outer).width == want
 
 
 # -- the arc window test ------------------------------------------------------

@@ -8,7 +8,7 @@ from arcline.predicates import incircle, orientation
 from arcline.randomhull import (finalize_hull, gen_directions_hull,
                                 gen_fdt_hull, gen_random_walk_hull)
 
-from oracles import triangle_set
+from oracles import triangle_set, triangles
 
 
 def is_strictly_convex(pts):
@@ -66,7 +66,7 @@ def test_fdt_hull_in_unit_disk_and_full_circle():
         assert all(x * x + y * y <= 1 + 1e-9 for x, y in h.vertices)
         q = finalize_hull(h, grid_scale=10 ** 7).quantized
         m = delaunay.build_farthest(q)
-        for t in m.triangles():
+        for t in triangles(m):
             for d in m.site_indices:
                 if d in t:
                     continue

@@ -6,7 +6,7 @@ from arcline.delaunay import build_closest, build_farthest
 from arcline.predicates import dist_sq
 from arcline.voronoi import ClipConfig, voronoi_from_delaunay
 
-from oracles import circumcircle, vertex_triangles
+from oracles import circumcircle, triangles, vertex_triangles
 
 
 def test_clip_radius_formula():
@@ -29,7 +29,7 @@ def test_dual_vertices_are_circumcenters():
         pts = list({(random.randint(0, 60), random.randint(0, 60)) for _ in range(25)})
         m = build_closest(pts)
         d = voronoi_from_delaunay(m)
-        assert len(d.vertices) == len(m.triangles())
+        assert len(d.vertices) == len(triangles(m))
         for v, tri in zip(d.vertices, vertex_triangles(m)):
             c = circumcircle(*(pts[i] for i in tri))
             assert v == c.center
