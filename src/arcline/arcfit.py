@@ -20,15 +20,22 @@ quadratic; for any other point d + r >= |p - A| > tol, so the quadratic
 condition is exactly the tolerance condition, up to the rounding of its
 roots.  Intersecting the per-point interval sets, one merge per point
 (`_feasible_centres`, which the DP's blocker probe shares), yields all
-tolerance-feasible centers; the returned arc is either the least-squares
-optimum (when feasible) or the best interval endpoint by approximate
-squared deviation.
+tolerance-feasible centers.
+
+The DP's arc cost is the approximate squared deviation `_approx_sse`, which
+about the centre at s is the ratio f(s) = (G - 4*s*P + 4*s^2*E) /
+(4*(h + s^2)) of three sums over the points (`_sse_floor`).  Its minimum
+lam and its minimiser s* = P/(2*(E - lam)) are closed forms in those sums
+(`_sse_minimum`), O(1) once the sums are known: `fit_arc_least_squares`
+returns the arc at s*, and `fit_arc_by_tolerance` the best interval
+endpoint when s* is not feasible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .predicates import EPS
@@ -41,6 +48,9 @@ MAX_DENSIFIED = 10 ** 6  # points densify may emit, far more than the DP can tak
 # radians added to every arc of directions in `_no_circle_through`: more
 # than the rounding of its angle arithmetic
 ANCHOR_MARGIN = 256 * EPS
+# relative allowance of `arc_within_tolerance`: every point an accepted arc
+# covers is, exactly, within tol*(1 + CHECK_ALLOWANCE) of it
+CHECK_ALLOWANCE = 1e-9
 
 
 @dataclass
@@ -173,18 +183,18 @@ def _anchor_slack(tol: float, diameter: float, coord: float) -> float:
 
     Such an arc passed `arc_within_tolerance` and is not segment-like, so
     its radius r is at most rho = SEGMENT_LIKE_RADIUS_FACTOR * D (up to
-    2*EPS) and every float deviation was at most tol plus the slack
-    1e-12*(max(1, r) + 1).  The float check rounds |p - c| - r by at most
-    3*EPS*(D + rho + tol), since |p - c| <= D + rho.  The circle is the one
-    about the float centre c through the anchor b: `_build_arc` makes |c - b|
-    differ from the float radius by at most EPS*(4*coord + 13*rho)
-    (`_sse_floor`).  The sum is below tol + 1e-12*(max(1, rho) + 1) +
-    64*EPS*(coord + D + rho + tol): the factor 64 is four times what the
-    terms need, which also covers the rounding of this sum and a D that
-    `math.hypot` computed a rounding short.
+    2*EPS), and every point it covers is, exactly, within the float
+    tol*(1 + CHECK_ALLOWANCE) of the circle about the float centre c with
+    the float radius.  The circle here is the one about c through the
+    anchor b: `_build_arc` makes |c - b| differ from the float radius by at
+    most EPS*(4*coord + 13*rho) (`_sse_floor`).  The sum is below
+    tol*(1 + 2*CHECK_ALLOWANCE) + 32*EPS*(coord + rho): the second
+    CHECK_ALLOWANCE covers the rounding of the check's limit and of this
+    sum, and the factor 32 is twice what the terms need, which also covers
+    a D that `math.hypot` computed a rounding short.
     """
     rho = SEGMENT_LIKE_RADIUS_FACTOR * diameter
-    return tol + 1e-12 * (max(1.0, rho) + 1) + 64 * EPS * (coord + diameter + rho + tol)
+    return tol * (1 + 2 * CHECK_ALLOWANCE) + 32 * EPS * (coord + rho)
 
 
 def _no_circle_through(b, points, t) -> bool:
@@ -303,7 +313,7 @@ def _no_circle_through(b, points, t) -> bool:
     return False
 
 
-def _build_arc(a, b, s, points, with_sse: bool = True) -> FittedArc:
+def _build_arc(a, b, s, points) -> FittedArc:
     mid, u, length = _chord_frame(a, b)
     radius = math.hypot(length / 2, s)
     segment_like = radius > SEGMENT_LIKE_RADIUS_FACTOR * length or not math.isfinite(s)
@@ -312,15 +322,8 @@ def _build_arc(a, b, s, points, with_sse: bool = True) -> FittedArc:
         radius = math.hypot(length / 2, s)
     center = (mid[0] + s * u[0], mid[1] + s * u[1])
     orientation = _pick_orientation(a, b, center, points)
-    sse = _approx_sse(points, center, radius) if with_sse else math.nan
-    return FittedArc(tuple(a), tuple(b), center, radius, orientation, sse, segment_like)
-
-
-def with_sse(arc: FittedArc, points) -> FittedArc:
-    """Fill in the approximate squared-deviation sum when it was deferred."""
-    if math.isnan(arc.sse):
-        arc.sse = _approx_sse(points, arc.center, arc.radius)
-    return arc
+    return FittedArc(tuple(a), tuple(b), center, radius, orientation,
+                     _approx_sse(points, center, radius), segment_like)
 
 
 def _pick_orientation(a, b, center, points) -> str:
@@ -344,75 +347,75 @@ def _approx_sse(points, center, radius) -> float:
     return total
 
 
-def fit_arc_least_squares(points: Sequence, polish: bool = True,
-                          with_sse: bool = True) -> FittedArc:
-    """Least-squares arc through the first and last point.
+def fit_arc_least_squares(points: Sequence,
+                          sums: Optional[Tuple[float, float, float]] = None) -> FittedArc:
+    """The arc through the first and last point with the least approximate
+    squared deviation `_approx_sse`: the centre at the minimiser s* of f
+    (module docstring, `_sse_minimum`).
 
-    Minimizes the algebraic residual in closed form, then (unless disabled)
-    polishes the result with a few safeguarded secant-Newton steps on the
-    true geometric residual.  Collinear input degenerates to a segment-like
-    arc.
+    `sums` are G, L*P and L^2*E of `_sse_floor` when the caller has them
+    (`compress._Moments.arc_sums` gives them exactly, in O(1)); otherwise
+    they are summed in floats, point by point, about the chord midpoint.
+    When f is least at infinity (collinear input) the arc is segment-like.
     """
     if len(points) < 3:
         raise ValueError("need at least 3 points")
     a, b = points[0], points[-1]
     mid, u, length = _chord_frame(a, b)
-    half_sq = (length / 2) ** 2
-    ux, uy = u
-    mx, my = mid
-    sum_gh = 0.0
-    sum_hh = 0.0
-    params = []  # (w, e) per point, read only by the polish
-    for p in points:
-        px = p[0] - mx
-        py = p[1] - my
-        w = px * px + py * py
-        e = px * ux + py * uy
-        if polish:
-            params.append((w, e))
-        sum_gh += (w - half_sq) * e
-        sum_hh += e * e
-    if sum_hh == 0:
-        return _build_arc(a, b, INF, points, with_sse)
-    s = sum_gh / (2 * sum_hh)
-    if not polish:
-        return _build_arc(a, b, s, points, with_sse)
+    if sums is None:
+        half_sq = (length / 2) ** 2
+        ux, uy = u
+        mx, my = mid
+        sum_gg = sum_ge = sum_ee = 0.0
+        for p in points:
+            px = p[0] - mx
+            py = p[1] - my
+            g = px * px + py * py - half_sq
+            e = px * ux + py * uy
+            sum_gg += g * g
+            sum_ge += g * e
+            sum_ee += e * e
+        sums = (sum_gg, length * sum_ge, length * length * sum_ee)
+    return _build_arc(a, b, length * _sse_minimum(*sums)[1], points)
 
-    def f_and_fprime(sv):
-        f = g = 0.0
-        r = math.sqrt(half_sq + sv * sv)
-        for w, e in params:
-            d = math.sqrt(w - 2 * e * sv + sv * sv) or 1e-150
-            dev = d - r
-            f += dev * dev
-            g += 2 * dev * ((sv - e) / d - sv / r)
-        return f, g
 
-    # polish the algebraic seed on the true geometric residual with a
-    # safeguarded secant iteration on f'
-    best_s, best_f = s, f_and_fprime(s)[0]
-    s_prev = s * (1 + 1e-6) + 1e-9
-    g_prev = f_and_fprime(s_prev)[1]
-    cur = s
-    for _ in range(10):
-        f_cur, g_cur = f_and_fprime(cur)
-        if f_cur < best_f:
-            best_s, best_f = cur, f_cur
-        denom = g_cur - g_prev
-        if denom == 0 or not math.isfinite(denom):
-            break
-        step = g_cur * (cur - s_prev) / denom
-        if not math.isfinite(step):
-            break
-        step = max(-10 * length, min(10 * length, step))
-        s_prev, g_prev = cur, g_cur
-        cur = cur - step
-        if abs(step) <= 1e-12 * (1 + abs(cur)):
-            f_cur = f_and_fprime(cur)[0]
-            if f_cur < best_f:
-                best_s, best_f = cur, f_cur
-            break
-    return _build_arc(a, b, best_s, points, with_sse)
+def _sse_minimum(g, lp, l2e) -> Tuple[float, float]:
+    """(L^2*lam, s*/L): the minimum lam over s of f(s) = (G - 4*s*P +
+    4*s^2*E) / (4*(h + s^2)), h = (L/2)^2, and its minimiser s*, from the
+    sums G, L*P and L^2*E of `_sse_floor`.
+
+    f(s) >= lam for all s iff (E - lam)*(G - 4*lam*h) >= P^2 with both
+    factors >= 0, so the minimum of f (also its limit E at infinity) is
+    the smaller root of 4*h*lam^2 - (G + 4*h*E)*lam + (E*G - P^2) = 0.
+    With 4*h = L^2, mu = L^2*lam is the smaller root of
+    mu^2 - S*mu + N = 0:
+
+        mu = 2*N / (S + sqrt(D)),  N = L^2E*G - (LP)^2,
+        S = G + L^2E,  D = (G - L^2E)^2 + 4*(LP)^2,
+
+    with N >= 0 (Cauchy-Schwarz), so nothing cancels.  Where f' = 0,
+    -4*P + 8*s*E = 8*s*lam, so s* = P/(2*(E - lam)) = L*LP/(2*(L^2E - mu)),
+    and L^2E - mu = (sqrt(D) - (G - L^2E))/2 = 2*(LP)^2/(sqrt(D) + G - L^2E):
+    s*/L is LP/(sqrt(D) - (G - L^2E)) when G < L^2E and
+    (sqrt(D) + G - L^2E)/(4*LP) otherwise, so again nothing cancels.  When
+    LP = 0 and G >= L^2E, f is least at infinity (or constant) and s*/L is
+    inf.
+
+    Integer sums are rounded to floats once each, where they meet a float;
+    float sums give the same formulas, with a negative N (rounding) read as
+    0.
+    """
+    diff = g - l2e
+    root = math.sqrt(diff * diff + 4 * lp * lp)
+    num = l2e * g - lp * lp
+    mu = 2 * num / (g + l2e + root) if num > 0 else 0.0
+    if diff < 0:
+        sigma = lp / (root - diff)
+    elif lp:
+        sigma = (root + diff) / (4 * lp)
+    else:
+        sigma = INF
+    return mu, sigma
 
 
 def _sse_floor(n: int, a, b, g: int, lp: int, l2e: int) -> float:
@@ -429,18 +432,11 @@ def _sse_floor(n: int, a, b, g: int, lp: int, l2e: int) -> float:
     `_approx_sse` there is exactly f(s) = (G - 4*s*P + 4*s^2*E) /
     (4*(h + s^2)) with G = sum g^2, P = sum g*e, E = sum e^2.  The
     arguments are the integers G, L*P and L^2*E (`compress._Moments`
-    sums them exactly).  f(s) >= lam for all s iff (E - lam)*(G - 4*lam*h)
-    >= P^2 with both factors >= 0, so the minimum of f (also its limit E at
-    infinity) is the smaller root of 4*h*lam^2 - (G + 4*h*E)*lam +
-    (E*G - P^2) = 0, in integers
-
-        lam = 2*N / (L^2 * (S + sqrt(D))),  N = L^2E*G - (LP)^2,
-        S = G + L^2E,  D = (G - L^2E)^2 + 4*(LP)^2,
-
-    with N >= 0 exact (Cauchy-Schwarz), so nothing cancels.  Rounding N,
-    L^2, S and D to floats, the square root, the sum, the product and the
-    quotient put the computed lam within 7*EPS*lam of the true one (EPS
-    the unit roundoff, first order); 16*EPS covers it.
+    sums them exactly), and lam, the minimum of f, is L^2*lam from
+    `_sse_minimum` over L^2.  Rounding N, L^2, S and D to floats, the
+    square root, the sum and the two quotients put the computed lam within
+    8*EPS*lam of the true one (EPS the unit roundoff, first order); 16*EPS
+    covers it.
 
     The arc.  With B^2 = h + sqrt(G) (at least every |p - m|^2, since
     |g| <= sqrt(G)) and M = |m_x| + |m_y|, `_build_arc` puts the centre
@@ -460,17 +456,15 @@ def _sse_floor(n: int, a, b, g: int, lp: int, l2e: int) -> float:
     rounding of this expression.  With coordinates within +-2**53 and n
     far below 2**200, no float here overflows.
     """
-    num = l2e * g - lp * lp
-    if num <= 0:
+    mu = _sse_minimum(g, lp, l2e)[0]
+    if not mu > 0.0:
         return 0.0
     ax, ay = a
     bx, by = b
     dx = bx - ax
     dy = by - ay
     l_sq = dx * dx + dy * dy
-    diff = g - l2e
-    # each integer operand is rounded to a float once, where it meets a float
-    lam = 2 * num / (l_sq * (g + l2e + math.sqrt(diff * diff + 4 * lp * lp)))
+    lam = mu / l_sq
     length = math.sqrt(l_sq)
     b_sq = l_sq / 4 + math.sqrt(g)
     b_len = math.sqrt(b_sq)
@@ -498,9 +492,9 @@ def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
     a, b = points[0], points[-1]
     ls = seed_arc
     if ls is None:
-        ls = fit_arc_least_squares(points, polish=False, with_sse=False)
+        ls = fit_arc_least_squares(points)
         if arc_within_tolerance(ls, points, tol, check_span=False):
-            return with_sse(ls, points)
+            return ls
     # intersect per-point interval sets, most constraining points first, so
     # infeasible fits empty out after a handful of points
     cx, cy = ls.center
@@ -518,7 +512,7 @@ def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
     s_ls = (ls.center[0] - mid[0]) * u[0] + (ls.center[1] - mid[1]) * u[1]
     for lo, hi in feasible:
         if lo <= s_ls <= hi:
-            return with_sse(ls, points)  # optimum itself is feasible
+            return ls  # optimum itself is feasible
     candidates = []
     for lo, hi in feasible:
         for s in (lo, hi):
@@ -545,13 +539,31 @@ def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
 
 def arc_within_tolerance(arc: FittedArc, points: Sequence, tol: float,
                          check_span: bool = True) -> bool:
-    """Radial deviation of every point <= tol; optionally every point must
-    also project onto the arc's angular span rather than its complement."""
+    """Every point within tol*(1 + CHECK_ALLOWANCE) of the arc's circle,
+    the float centre c and radius r as they are, decided exactly;
+    optionally every point must also project onto the arc's angular span
+    rather than its complement.
+
+    The float deviation |hypot(p - c) - r| is within 5*EPS*d + EPS*dev of
+    the exact one dev, d = |p - c|: the differences p - c round by EPS,
+    hypot by under one ulp (2*EPS), the subtraction by EPS of its result.
+    With d <= r + dev that is at most 5*EPS*r + 6*EPS*dev.  So a float
+    deviation at most limit - margin, margin = 16*EPS*(r + limit), is
+    certainly within the limit, and one above limit + margin certainly
+    beyond it (the margin is more than the 5*EPS*r + 6*EPS*limit needed,
+    and covers the rounding of the two cuts); between them
+    `_within_exactly` decides in rationals.
+    """
     cx, cy = arc.center
-    slack = 1e-9 * max(1.0, arc.radius) * 1e-3 + 1e-12
+    r = arc.radius
+    limit = tol * (1 + CHECK_ALLOWANCE)
+    margin = 16 * EPS * (r + limit)
+    accept = limit - margin
+    reject = limit + margin
+    hypot = math.hypot
     for p in points:
-        dev = abs(math.hypot(p[0] - cx, p[1] - cy) - arc.radius)
-        if dev > tol + slack:
+        dev = abs(hypot(p[0] - cx, p[1] - cy) - r)
+        if dev > accept and (dev > reject or not _within_exactly(p, arc.center, r, limit)):
             return False
     if not check_span:
         return True
@@ -565,6 +577,18 @@ def arc_within_tolerance(arc: FittedArc, points: Sequence, tol: float,
         if rel > span + eps and 2 * math.pi - rel > eps:
             return False
     return True
+
+
+def _within_exactly(p, c, r, t) -> bool:
+    """| |p - c| - r | <= t in rationals, from the ints or floats as they
+    are: (r - t)^2 <= |p - c|^2 <= (r + t)^2, the lower bound void when
+    r <= t."""
+    dx = Fraction(p[0]) - Fraction(c[0])
+    dy = Fraction(p[1]) - Fraction(c[1])
+    d_sq = dx * dx + dy * dy
+    r = Fraction(r)
+    t = Fraction(t)
+    return d_sq <= (r + t) ** 2 and (r <= t or d_sq >= (r - t) ** 2)
 
 
 def densify(polyline: Sequence, max_step: float) -> List[Tuple[float, float]]:

@@ -33,20 +33,26 @@ share one loop, `arcfit._feasible_centres`: the probe computes the very
 float intervals that the fit computes for those points on the full window,
 and intersecting closed intervals does not depend on their order, so an
 empty probe means an empty fit: the candidate would have been rejected
-anyway.  Only the least-squares accept, which checks residuals with a slack
-of about 1e-12 instead of the intervals, could have accepted such a
-candidate, inside that slack's float-dust band.  A candidate that passes
-the probe gets the quick least-squares fit, the secant polish when that arc
-is within tolerance, and the interval fit when the polished arc fails or
-the quick one was not within tolerance (`_evaluate_arc`).
+anyway.  Only the least-squares accept, which checks residuals against
+tol*(1 + 1e-9) instead of the intervals, could have accepted such a
+candidate, inside that allowance.  A candidate that passes the probe gets
+the arc that minimises its own cost: the same prefix moments give the sums
+behind its SSE as a function of the centre, and its minimiser in closed
+form, in O(1) (`arcfit.fit_arc_least_squares`).  That arc is accepted when
+it passes the tolerance and direction checks, and the interval fit takes
+over when it does not (`_evaluate_arc`).  The tolerance check is exact:
+every vertex an accepted arc covers lies within tol*(1 + 1e-9) of the
+float centre and radius it returns, decided in floats with a derived error
+bound and in rationals where the bound cannot tell
+(`arcfit.arc_within_tolerance`).
 
 Before the first of these, the scan cuts away the arcs that are too long
 (`_AnchoredCut`).  Every arc the DP can accept from k' to k is a circle
-through pts[k] within `arcfit._anchor_slack` of pts[k'..k]: the tolerance,
-the fit check's radius-proportional slack for a radius up to
-SEGMENT_LIKE_RADIUS_FACTOR times the polyline's diameter, and the rounding
-of that check and of the arc's centre.  When no circle through pts[k] is
-within that distance of ANCHOR_POINTS evenly spaced points of pts[m..k-1]
+through pts[k] within `arcfit._anchor_slack` of pts[k'..k]: the fit
+check's tol*(1 + 1e-9), plus the rounding of the arc's centre for a
+radius up to SEGMENT_LIKE_RADIUS_FACTOR times the polyline's diameter.
+When no circle through pts[k] is within that distance of ANCHOR_POINTS
+evenly spaced points of pts[m..k-1]
 (`arcfit._no_circle_through`: an inversion about pts[k] turns such circles
 into lines that cross discs, and a pair of discs allows one arc of line
 directions), no start k' <= m can have an arc, and the scan opens its range
@@ -59,6 +65,7 @@ is below the incumbent, starting one above the last cut found.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain
@@ -122,6 +129,19 @@ class CompressedPolyline:
     total: PenaltyPair
     points: List[Tuple[int, int]]  # the polyline the indices refer to
     stats: dict = field(default_factory=dict)
+
+
+def _grid_coord(c) -> int:
+    """A grid coordinate as an int (see `compress`)."""
+    if isinstance(c, numbers.Integral) or (isinstance(c, float) and c.is_integer()):
+        value = int(c)
+    else:
+        raise ValueError(f"grid coordinates must be integers, got {c!r}: "
+                         "compress_polyline snaps float input to a grid")
+    if abs(value) > MAX_GRID_COORD:
+        raise ValueError("grid coordinates must lie within +-2**53: "
+                         "use a larger tolerance or smaller coordinates")
+    return value
 
 
 class _Moments:
@@ -193,14 +213,14 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     the candidates evaluated, `arc_floor_drops` the arc candidates that got
     an SSE floor but were never evaluated, `arc_probe_rejections` the
     evaluated ones the blocker probe rejected before any fit,
-    `arc_polishes` those whose quick least-squares arc got the polish,
     `arc_anchor_cut` the start indices the anchored cut took out of arc
     scans, and `anchor_tests` its `_no_circle_through` calls.
+
+    Coordinates must be integers within +-MAX_GRID_COORD (floats with an
+    integral value are taken as those integers); anything else raises
+    ValueError.  `pipeline.compress_polyline` snaps float input to a grid.
     """
-    pts = [tuple(p) for p in polyline]
-    if any(abs(c) > MAX_GRID_COORD for p in pts for c in p):
-        raise ValueError("grid coordinates must lie within +-2**53: "
-                         "use a larger tolerance or smaller coordinates")
+    pts = [(_grid_coord(x), _grid_coord(y)) for x, y in polyline]
     if params.mode == "segments":
         dense = densify(pts, params.tolerance)
         pts = [(round(x), round(y)) for x, y in dense]
@@ -299,7 +319,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
                     break
                 kp = heappop(waiting)[1]
                 arc_evals += 1
-                offer(kp, _evaluate_arc(pts, kp, k, tol_f, blockers))
+                offer(kp, _evaluate_arc(pts, kp, k, tol_f, blockers, moments))
             floor_drops += len(waiting)
 
         T.append(best)
@@ -312,7 +332,6 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
                                      "arc_evaluations": arc_evals,
                                      "arc_floor_drops": floor_drops,
                                      "arc_probe_rejections": blockers.probe_rejections,
-                                     "arc_polishes": blockers.polishes,
                                      "arc_anchor_cut": anchor.removed,
                                      "anchor_tests": anchor.tests})
 
@@ -324,14 +343,12 @@ class _BlockerCache:
     `lists` holds, newest first, the blocker lists (indices into the
     compressor's points) of the last BLOCKER_LISTS candidates whose
     tolerance-interval fit came out empty; `probe_rejections` counts the
-    candidates the probe rejected, `polishes` those whose quick arc was
-    within tolerance and so got the least-squares polish.
+    candidates the probe rejected.
     """
 
     def __init__(self):
         self.lists: List[List[int]] = []
         self.probe_rejections = 0
-        self.polishes = 0
 
     def rejects(self, pts, kp, k, tol) -> bool:
         """True when the centre intervals of the first PROBE_POINTS distinct
@@ -424,18 +441,22 @@ class _AnchoredCut:
         return good
 
 
-def _evaluate_arc(pts, kp, k, tol, blockers: Optional[_BlockerCache] = None) -> Optional[FittedArc]:
+def _evaluate_arc(pts, kp, k, tol, blockers: Optional[_BlockerCache] = None,
+                  moments: Optional[_Moments] = None) -> Optional[FittedArc]:
     """The arc from pts[kp] to pts[k] within tol of every point between, or
-    None: the quick least-squares fit, polished when it is within tol, and
-    the tolerance-interval fit when the polished arc fails or the quick one
-    was not within tol.
+    None: the arc at the minimiser of its own SSE when that one passes the
+    tolerance and direction checks, the tolerance-interval fit, seeded with
+    it, when not.
 
-    With a blocker cache, the probe runs first and rejects the candidate
-    before any O(window) fit when the cached blockers inside (kp, k) leave
-    no centre; the candidate would fail the interval fit for the same
-    reason (module docstring).  An interval fit that comes out empty
-    records its blockers in the cache.  Without a cache the result is the
-    plain fit's, which the reference DP relies on.
+    The SSE sums come from `moments` (the compressor's prefix moments) in
+    O(1), or from the window's own moments when none are given, the same
+    exact integers, so both give the same arc.  With a blocker cache, the
+    probe runs first and rejects the candidate before any O(window) fit
+    when the cached blockers inside (kp, k) leave no centre; the candidate
+    would fail the interval fit for the same reason (module docstring).  An
+    interval fit that comes out empty records its blockers in the cache.
+    Without a cache the result is the plain fit's, which the reference DP
+    relies on.
     """
     if pts[kp] == pts[k]:
         return None  # an arc needs two distinct anchors
@@ -443,16 +464,13 @@ def _evaluate_arc(pts, kp, k, tol, blockers: Optional[_BlockerCache] = None) -> 
         blockers.probe_rejections += 1
         return None
     chunk = pts[kp:k + 1]
-    seed = fit_arc_least_squares(chunk, polish=False, with_sse=False)
-    if not seed.segment_like and arc_within_tolerance(seed, chunk, tol, check_span=False):
-        if blockers is not None:
-            blockers.polishes += 1
-        arc = fit_arc_least_squares(chunk)
-        if not arc.segment_like and arc_within_tolerance(arc, chunk, tol) \
-                and direction_and_endpoint_check(chunk, arc):
-            return arc
+    sums = moments.arc_sums(kp, k) if moments is not None else _Moments(chunk).arc_sums(0, k - kp)
+    arc = fit_arc_least_squares(chunk, sums)
+    if not arc.segment_like and arc_within_tolerance(arc, chunk, tol) \
+            and direction_and_endpoint_check(chunk, arc):
+        return arc
     blocked: Optional[List[int]] = None if blockers is None else []
-    arc = fit_arc_by_tolerance(chunk, tol=tol, seed_arc=seed, blockers=blocked)
+    arc = fit_arc_by_tolerance(chunk, tol=tol, seed_arc=arc, blockers=blocked)
     if blocked:
         blockers.record(kp, blocked)
     if arc is None or arc.segment_like:

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from arcline.compress import CompressionParams, _AnchoredCut, _evaluate_arc, compress
 from arcline.pipeline import archimedean_spiral, compress_polyline
 
+from reference_dp import reference_compress
+
 _TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
 
 
@@ -145,18 +147,102 @@ def _wide_arc(zigzag: int):
     return pts
 
 
+def _exactly_within(points, centre, radius, tol) -> bool:
+    """Every point within tol*(1 + 1e-9) of the circle about the float
+    centre with the float radius, in rationals."""
+    t = Fraction(tol) * (1 + Fraction(1, 10 ** 9))
+    c = tuple(map(Fraction, centre))
+    return all(_within(tuple(map(Fraction, p)), c, Fraction(radius), t) for p in points)
+
+
+def _arcs_within_exactly(res, tol) -> bool:
+    """`_exactly_within` for every arc of a `compress` result and the
+    vertices it covers."""
+    return all(_exactly_within(res.points[prim.start_idx:prim.end_idx + 1], prim.center, prim.radius, tol)
+               for prim in res.primitives if prim.kind == "arc")
+
+
 def test_wide_arc_is_not_cut():
     # radius about 5e5 chords: the one-arc result stands, and with the
-    # zigzag the fit's radius-proportional slack accepts deviations of about
-    # 4.6 tolerances, which the cut must leave too
+    # zigzag the window gets no arc or one within the tolerance, exactly,
+    # and the cut takes out no start that has an arc
     res = compress(_wide_arc(0), CompressionParams(tolerance=1.0))
     assert res.total[0] == 3 and [p.kind for p in res.primitives] == ["arc"]
     assert 4e5 < res.primitives[0].radius / 4e7 < 6e5
     assert res.stats["arc_anchor_cut"] == 0
     pts = _wide_arc(3)
     arc = _evaluate_arc(pts, 0, len(pts) - 1, 1.0)
-    assert arc is not None and max(abs(math.dist(p, arc.center) - arc.radius) for p in pts) > 2
-    assert _AnchoredCut(pts, 1.0).below(len(pts) - 1, 0, len(pts) - 4) == -1
+    assert arc is None or _exactly_within(pts, arc.center, arc.radius, 1.0)
+    cut = _AnchoredCut(pts, 1.0).below(len(pts) - 1, 0, len(pts) - 4)
+    assert all(_evaluate_arc(pts, kp, len(pts) - 1, 1.0) is None for kp in range(cut + 1))
+
+
+def _large_radius_zigzag(scale):
+    """30 integer points on an arc of radius 9e5 chords (chord 4e9), the
+    inner ones moved alternately by +-8 across the chord, divided by
+    `scale`."""
+    big_r = 9e5 * 4e9
+    h = math.asin(4e9 / 2 / big_r)
+    pts = []
+    for i in range(30):
+        t = -h + 2 * h * i / 29
+        off = 0 if i in (0, 29) else 8 * (-1) ** i
+        x, y = round(big_r * math.sin(t)), round(big_r * math.cos(t) - big_r) + off
+        pts.append((x / scale, y / scale))
+    return pts
+
+
+def test_large_radius_arcs_stay_within_tolerance_exactly():
+    # radii of 5e5-9e5 chords: a check with a radius-proportional slack
+    # accepted arcs up to 65 tolerances off on these (1.95 on _wide_arc(1),
+    # 8.1 through compress_polyline on the zigzag, whose result had 55
+    # penalty units then).  Every window's arc, and every arc of a result,
+    # is checked
+    grid = [(int(x), int(y)) for x, y in _large_radius_zigzag(1)]
+    for pts in [_wide_arc(zigzag) for zigzag in range(9)] + [grid]:
+        for k in range(3, len(pts)):
+            for kp in range(k - 2):
+                arc = _evaluate_arc(pts, kp, k, 1.0)
+                assert arc is None or _exactly_within(pts[kp:k + 1], arc.center, arc.radius, 1.0)
+        assert _arcs_within_exactly(compress(pts, CompressionParams(tolerance=1.0)), 1.0)
+    res = compress_polyline(_large_radius_zigzag(8), 1.0)
+    assert _arcs_within_exactly(res.grid, res.scale)
+    assert res.t_count == 58
+
+
+@st.composite
+def _wide_noisy_arcs(draw):
+    """8 to 30 integer points within a few units of a nearly straight arc:
+    chord 2^10 to 2^40 units, radius 10^2 to 10^6 chords, turned by a random
+    angle, every point moved by up to +-8; coordinates up to about 2^40."""
+    n = draw(st.integers(8, 30))
+    chord = 2 ** draw(st.floats(10, 40))
+    big_r = chord * 10 ** draw(st.floats(2, 6))
+    turn = draw(st.floats(0, 2 * math.pi))
+    noise = draw(st.integers(0, 8))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    h = math.asin(chord / 2 / big_r)
+    c, s = math.cos(turn), math.sin(turn)
+    pts = []
+    for i in range(n):
+        t = -h + 2 * h * i / (n - 1)
+        x, y = big_r * math.sin(t), big_r * math.cos(t) - big_r
+        pts.append((round(c * x - s * y) + rng.randint(-noise, noise),
+                    round(s * x + c * y) + rng.randint(-noise, noise)))
+    return pts, draw(st.sampled_from((0.5, 1.0, 2.0, 4.0)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_wide_noisy_arcs())
+def test_wide_noisy_arcs_within_tolerance_exactly_and_optimal(case):
+    # every arc of the result covers its vertices within tol*(1 + 1e-9),
+    # in rationals, and the pruned DP reaches the unpruned reference's totals
+    pts, tol = case
+    res = compress(pts, CompressionParams(tolerance=tol))
+    assert _arcs_within_exactly(res, tol)
+    want_total, _, _ = reference_compress(pts, tol)
+    assert res.total[0] == want_total[0]
+    assert abs(res.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
 
 
 def test_long_spiral_arc_evaluations_stay_bounded():

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arcline.arcfit import (INF, MAX_DENSIFIED, _build_arc, _chord_frame, arc_within_tolerance,
-                            densify, direction_and_endpoint_check, fit_arc_by_tolerance,
-                            fit_arc_least_squares, tolerance_intervals_point)
+from arcline.arcfit import (INF, MAX_DENSIFIED, SEGMENT_LIKE_RADIUS_FACTOR, _build_arc, _chord_frame,
+                            arc_within_tolerance, densify, direction_and_endpoint_check,
+                            fit_arc_by_tolerance, fit_arc_least_squares, tolerance_intervals_point)
 from arcline.compress import _Moments
 
 
@@ -365,30 +365,56 @@ def _floor_windows(draw):
 
 def _sse_minimiser(pts):
     """The bisector parameter where the approximate SSE is least,
-    recomputed independently of the library in floats."""
-    (mx, my), (ux, uy), length = _chord_frame(pts[0], pts[-1])
-    h = (length / 2) ** 2
-    g = [(x - mx) ** 2 + (y - my) ** 2 - h for x, y in pts]
-    e = [(x - mx) * ux + (y - my) * uy for x, y in pts]
-    gg = sum(v * v for v in g)
-    gh = sum(v * w for v, w in zip(g, e))
-    hh = sum(w * w for w in e)
-    lam = ((gg + 4 * h * hh) - math.sqrt((gg - 4 * h * hh) ** 2 + 16 * h * gh * gh)) / (8 * h)
-    return gh / (2 * (hh - lam)) if hh > lam else INF
+    recomputed independently of the library: the sums G, P and E about the
+    exact chord midpoint in rationals, then the smaller root lam of
+    4*h*lam^2 - (G + 4*h*E)*lam + (E*G - P^2) = 0 and P/(2*(E - lam)) in
+    120-digit decimals; inf when f is least at infinity."""
+    (ax, ay), (bx, by) = pts[0], pts[-1]
+    mx, my = Fraction(ax + bx, 2), Fraction(ay + by, 2)
+    nx, ny = ay - by, bx - ax  # the chord's normal, of length L
+    l_sq = nx * nx + ny * ny
+    h = Fraction(l_sq, 4)
+    gg = ge = ee = 0  # ge and ee carry the factors L and L^2
+    for x, y in pts:
+        g = (x - mx) ** 2 + (y - my) ** 2 - h
+        el = (x - mx) * nx + (y - my) * ny
+        gg += g * g
+        ge += g * el
+        ee += el * el
+
+    def dec(q):
+        return Decimal(q.numerator) / Decimal(q.denominator)
+
+    with localcontext() as ctx:
+        ctx.prec = 120
+        length = Decimal(l_sq).sqrt()
+        G, P, E, H = dec(gg), dec(ge) / length, dec(ee) / l_sq, dec(h)
+        bq = G + 4 * H * E
+        lam = (bq - (bq * bq - 16 * H * (E * G - P * P)).sqrt()) / (8 * H)
+        if E - lam <= 0:
+            return INF
+        return float(P / (2 * (E - lam)))
+
+
+def _bisector_param(arc):
+    """The arc's centre as a signed distance along the chord's unit normal
+    from the chord midpoint."""
+    (mx, my), (ux, uy), _ = _chord_frame(arc.start, arc.end)
+    return (arc.center[0] - mx) * ux + (arc.center[1] - my) * uy
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_floor_windows())
 def test_sse_floor_bounds_every_arc_through_the_anchors(case):
     pts, factor = case
-    quick = fit_arc_least_squares(pts, polish=False)
+    fit = fit_arc_least_squares(pts)
     floor = _Moments(pts).arc_floor(0, len(pts) - 1)
     assert 0.0 <= floor
     a, b = pts[0], pts[-1]
-    worst = max(abs(math.dist(p, quick.center) - quick.radius) for p in pts)
+    worst = max(abs(math.dist(p, fit.center) - fit.radius) for p in pts)
     tol = max(0.5, worst * factor)
-    arcs = [quick, fit_arc_least_squares(pts)]
-    fitted = fit_arc_by_tolerance(pts, tol=tol, seed_arc=quick)
+    arcs = [fit, fit_arc_least_squares(pts, _Moments(pts).arc_sums(0, len(pts) - 1))]
+    fitted = fit_arc_by_tolerance(pts, tol=tol, seed_arc=fit)
     if fitted is not None:
         arcs.append(fitted)
     # the interval fit picks its centre among these endpoints (nudged)
@@ -397,6 +423,29 @@ def test_sse_floor_bounds_every_arc_through_the_anchors(case):
     arcs += [_build_arc(a, b, s, pts) for s in params if math.isfinite(s)]
     sses = [arc.sse for arc in arcs if not arc.segment_like]
     assert all(floor <= sse for sse in sses), (floor, min(sses))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_floor_windows())
+def test_least_squares_fit_is_the_sse_minimiser(case):
+    # the centre of `fit_arc_least_squares` is the minimiser s* of the
+    # approximate SSE, from the exact moment sums and from its own float
+    # sums alike, up to the rounding of a centre far from the origin
+    pts, _ = case
+    want = _sse_minimiser(pts)
+    (mx, my), _, length = _chord_frame(pts[0], pts[-1])
+    exact = fit_arc_least_squares(pts, _Moments(pts).arc_sums(0, len(pts) - 1))
+    for arc in (exact, fit_arc_least_squares(pts)):
+        if not abs(want) < SEGMENT_LIKE_RADIUS_FACTOR * length:
+            assert arc.segment_like
+            continue
+        slack = 1e-9 * (abs(want) + length) + 1e-15 * (abs(mx) + abs(my))
+        assert abs(_bisector_param(arc) - want) <= slack, (_bisector_param(arc), want)
+    # and no arc through the anchors, at s* itself or elsewhere, is
+    # cheaper than the floor
+    floor = _Moments(pts).arc_floor(0, len(pts) - 1)
+    if not exact.segment_like:
+        assert floor <= exact.sse
 
 
 @st.composite

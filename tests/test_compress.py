@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -246,6 +247,27 @@ def test_grid_bound_and_huge_tolerance():
     assert (res.t_count, res.t_sse, res.primitives) == (0, 0.0, [])
 
 
+@pytest.mark.parametrize("bad", [0.5, 1e-300, math.inf, math.nan, Fraction(1, 2), "3"])
+def test_non_integer_grid_coordinates_rejected(bad):
+    # the grid API takes integers (floats with an integral value count as
+    # those integers); anything else is a documented ValueError, not a
+    # TypeError from deep inside the exact arithmetic
+    pts = [(0, 0), (1, bad), (2, 0), (3, 1), (4, 0)]
+    with pytest.raises(ValueError, match="must be integers"):
+        compress(pts, CompressionParams(tolerance=1.0))
+    with pytest.raises(ValueError, match="must be integers"):
+        compress([(bad, 0), (1, 1)], CompressionParams(tolerance=1.0, mode="segments"))
+
+
+def test_integral_float_grid_coordinates_taken_as_integers():
+    pts = [(0, 0), (1, 1), (2, 0), (3, 1), (4, 0), (5, 1)]
+    floats = [(float(x), float(y)) for x, y in pts]
+    want = compress(pts, CompressionParams(tolerance=1.0))
+    got = compress(floats, CompressionParams(tolerance=1.0))
+    assert got.total == want.total and got.points == want.points == pts
+    assert all(type(c) is int for p in got.points for c in p)
+
+
 def test_segment_with_coincident_anchors_charged_its_deviation():
     # a chord from a vertex back to itself has no line: every vertex it
     # covers is charged its squared distance from the shared anchor
@@ -317,7 +339,6 @@ def test_blocker_probe_matches_unpruned_reference_on_long_inputs(monkeypatch):
             m.setattr(compress_module, "_sse_floor", lambda *args: 0.0)
             eager = compress(pts, CompressionParams(tolerance=tol))
         assert got.stats["arc_evaluations"] <= eager.stats["arc_evaluations"], (make.__name__, n)
-        assert got.stats["arc_polishes"] <= eager.stats["arc_polishes"], (make.__name__, n)
         assert _summary(got) == _summary(eager)
         want_total, want_count, _ = reference_compress(pts, tol)
         assert got.total[0] == want_total[0] and len(got.primitives) == want_count, (make.__name__, n)
@@ -358,7 +379,7 @@ def test_best_first_polish_matches_eager_scan_on_cost_ties(case):
         def arc_floor(moments, kp, k):
             return table[kp, k][0] if floors else 0.0
 
-        def evaluate_arc(pts, kp, k, tol, blockers=None):
+        def evaluate_arc(pts, kp, k, tol, blockers=None, moments=None):
             sse = table[kp, k][1]
             return None if sse is None else FittedArc(pts[kp], pts[k], (0.0, 0.0), 1.0, "ccw", sse)
 
@@ -399,7 +420,7 @@ def _probe_cases(draw):
     kp, k = before, before + n - 1
     window = pts[kp:k + 1]
     assume(window[0] != window[-1])
-    fit = fit_arc_least_squares(window, polish=False, with_sse=False)
+    fit = fit_arc_least_squares(window)
     worst = max(abs(math.dist(p, fit.center) - fit.radius) for p in window)
     tol = max(0.5, worst * draw(st.floats(0.3, 1.5)))
     cache = _BlockerCache()
