@@ -8,8 +8,8 @@ from .arcfit import (FittedArc, arc_within_tolerance, densify,
 from .clipping import clip_segments_square
 from .compress import (CompressedPolyline, CompressionParams, Primitive,
                        compress, reconstruct)
-from .delaunay import (TriangulationMesh, build_closest, build_convex_ordered,
-                       build_farthest, convex_hull_indices)
+from .delaunay import (TriangulationMesh, build_closest, build_farthest,
+                       convex_hull_indices)
 from .feasibility import (FitIndexArrays, InfeasiblePairList,
                           build_fit_index_arrays, test_arcs, test_segments)
 from .hulltree import HullTree

@@ -328,7 +328,7 @@ def _build_arc(a, b, s, points) -> FittedArc:
 
 def _pick_orientation(a, b, center, points) -> str:
     # the middle point decides which of the two arcs the data follows; the
-    # span and direction checks reject the pick when the data disagrees
+    # direction check rejects the pick when the data disagrees
     ta = math.atan2(a[1] - center[1], a[0] - center[0])
     tb = math.atan2(b[1] - center[1], b[0] - center[0])
     ccw_span = (tb - ta) % (2 * math.pi)
@@ -493,7 +493,7 @@ def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
     ls = seed_arc
     if ls is None:
         ls = fit_arc_least_squares(points)
-        if arc_within_tolerance(ls, points, tol, check_span=False):
+        if arc_within_tolerance(ls, points, tol):
             return ls
     # intersect per-point interval sets, most constraining points first, so
     # infeasible fits empty out after a handful of points
@@ -524,11 +524,11 @@ def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
     for s in candidates:
         arc = _build_arc(a, b, s, points)
         # nudge inward when float dust pushes a boundary center outside
-        if not arc_within_tolerance(arc, points, tol, check_span=False):
+        if not arc_within_tolerance(arc, points, tol):
             for shrink in (1e-12, 1e-9, 1e-6):
                 s_in = s + math.copysign(shrink * (1 + abs(s)), s_ls - s)
                 arc = _build_arc(a, b, s_in, points)
-                if arc_within_tolerance(arc, points, tol, check_span=False):
+                if arc_within_tolerance(arc, points, tol):
                     break
             else:
                 continue
@@ -537,12 +537,11 @@ def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
     return best
 
 
-def arc_within_tolerance(arc: FittedArc, points: Sequence, tol: float,
-                         check_span: bool = True) -> bool:
+def arc_within_tolerance(arc: FittedArc, points: Sequence, tol: float) -> bool:
     """Every point within tol*(1 + CHECK_ALLOWANCE) of the arc's circle,
-    the float centre c and radius r as they are, decided exactly;
-    optionally every point must also project onto the arc's angular span
-    rather than its complement.
+    the float centre c and radius r as they are, decided exactly.  Whether
+    the points lie on the arc's span rather than its complement is
+    `direction_and_endpoint_check`'s question.
 
     The float deviation |hypot(p - c) - r| is within 5*EPS*d + EPS*dev of
     the exact one dev, d = |p - c|: the differences p - c round by EPS,
@@ -564,17 +563,6 @@ def arc_within_tolerance(arc: FittedArc, points: Sequence, tol: float,
     for p in points:
         dev = abs(hypot(p[0] - cx, p[1] - cy) - r)
         if dev > accept and (dev > reject or not _within_exactly(p, arc.center, r, limit)):
-            return False
-    if not check_span:
-        return True
-    ta = math.atan2(arc.start[1] - cy, arc.start[0] - cx)
-    tb = math.atan2(arc.end[1] - cy, arc.end[0] - cx)
-    span = (tb - ta) % (2 * math.pi) if arc.orientation == "ccw" else (ta - tb) % (2 * math.pi)
-    eps = 1e-9
-    for p in points:
-        tp = math.atan2(p[1] - cy, p[0] - cx)
-        rel = (tp - ta) % (2 * math.pi) if arc.orientation == "ccw" else (ta - tp) % (2 * math.pi)
-        if rel > span + eps and 2 * math.pi - rel > eps:
             return False
     return True
 
@@ -621,7 +609,10 @@ def direction_and_endpoint_check(points: Sequence, primitive) -> bool:
     """Projections of the points onto the primitive's natural parameter must
     be non-decreasing.
 
-    primitive: a FittedArc, or a (start, end) tuple for a segment.
+    primitive: a FittedArc, or a (start, end) tuple for a segment.  On a
+    window from the start anchor to the end anchor this also keeps every
+    point on the arc's span rather than its complement: the positions start
+    at 0 and end at the end anchor's.
     """
     if isinstance(primitive, FittedArc):
         cx, cy = primitive.center

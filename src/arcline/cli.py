@@ -1,7 +1,8 @@
 """Command-line interface: compress, annulus, gen-hull, bench.
 
-Exit codes: 0 success, 2 malformed input, 3 invalid parameters.  Documents
-go to stdout; timing goes to stderr so output stays byte-deterministic.
+Exit codes: 0 success, 2 malformed input, 3 invalid parameters (also an
+output path that cannot be written).  Documents go to stdout; timing goes
+to stderr so output stays byte-deterministic.
 """
 
 from __future__ import annotations
@@ -77,11 +78,14 @@ def cmd_compress(args) -> int:
                          float(p.end[0]), float(p.end[1]),
                          float(p.center[0]), float(p.center[1]),
                          float(p.radius), p.orientation])
+    if args.svg:
+        try:
+            with open(args.svg, "w") as f:
+                f.write(render_svg(result))
+        except OSError as e:
+            return _fail(EXIT_BAD_PARAMS, str(e))
     sys.stdout.write(render(doc))
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    if args.svg:
-        with open(args.svg, "w") as f:
-            f.write(render_svg(result))
     return 0
 
 
@@ -148,7 +152,10 @@ def cmd_gen_hull(args) -> int:
         return _fail(EXIT_BAD_PARAMS, "need n >= 3")
     sample = _GENERATORS[args.algo](args.n, args.seed)
     sample = finalize_hull(sample)
-    write_polyline_file(args.out, sample.vertices)
+    try:
+        write_polyline_file(args.out, sample.vertices)
+    except OSError as e:
+        return _fail(EXIT_BAD_PARAMS, str(e))
     print(f"wrote {len(sample.vertices)} hull vertices to {args.out}", file=sys.stderr)
     return 0
 
@@ -156,6 +163,8 @@ def cmd_gen_hull(args) -> int:
 def cmd_bench(args) -> int:
     if any(n < 3 for n in args.n):
         return _fail(EXIT_BAD_PARAMS, "need n >= 3")
+    if args.repeat < 1:
+        return _fail(EXIT_BAD_PARAMS, "need repeat >= 1")
     import random as _random
 
     print(f"algo={args.algo} gen={args.gen} repeat={args.repeat}")
@@ -174,10 +183,8 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             if args.algo == "closest":
                 delaunay.build_closest(pts)
-            elif args.algo == "farthest":
-                delaunay.build_farthest(pts)
             else:
-                delaunay.build_convex_ordered(pts)
+                delaunay.build_farthest(pts)
             times.append(time.perf_counter() - t0)
         best = min(times)
         ratio = "" if prev is None else f"  x{best / prev:.2f}"
@@ -216,7 +223,7 @@ def main(argv=None) -> int:
     g.set_defaults(func=cmd_gen_hull)
 
     b = sub.add_parser("bench", help="time the Delaunay builders")
-    b.add_argument("--algo", choices=["closest", "farthest", "convex-ordered"], default="closest")
+    b.add_argument("--algo", choices=["closest", "farthest"], default="closest")
     b.add_argument("--gen", choices=["uniform", "walk", "directions", "fdt"], default="uniform")
     b.add_argument("--n", type=int, action="append", required=True)
     b.add_argument("--repeat", type=int, default=1)

@@ -1,14 +1,19 @@
 """Divide-and-conquer Delaunay triangulation over a quad-edge mesh.
 
-Builds the closest or the farthest triangulation with the same recursion;
-the farthest kind only swaps the sign of the in-circle predicate and runs
-on convex hull vertices.  A synthetic infinite vertex closes the outer face
-so that every mesh is a combinatorial sphere with 3(n-1) edges.
+One recursion per kind.  The closest triangulation halves the sites at the
+median of the wider axis and finds each merge's common tangents by a walk.
+The farthest triangulation has only the convex hull vertices as sites and
+halves the hull in its counterclockwise order, where both tangents of a
+merge are known from the order alone (the idea behind Aggarwal, Guibas,
+Saxe and Shor's linear-time Voronoi diagram of a convex polygon); its merge
+only swaps the sign of the in-circle predicate.  A synthetic infinite
+vertex closes the outer face so that every mesh is a combinatorial sphere
+with 3(n-1) edges.
 
-The merge finds both common tangents up front and rises from the lower to
-the upper one.  Candidate edges are accepted or deleted on the in-circle
-determinant sign alone; the above-base-edge orientation test runs only when
-the determinant is zero (four cocircular points).
+Both merges (Guibas and Stolfi) rise from the lower to the upper tangent.
+Candidate edges are accepted or deleted on the in-circle determinant sign
+alone; the above-base-edge orientation test runs only when the determinant
+is zero (four cocircular points).
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ class TriangulationMesh:
     site_indices: List[int]
     store: QuadEdgeStore
     outer_edge: Optional[int]  # hull edge with the outer face on its left
-    cocircular_ties: int = 0
 
 
 def _in_circle_fn(pts, pred_sign: int) -> Callable[[int, int, int, int], int]:
@@ -110,17 +114,7 @@ def _tangent_walk(store, pts, ldi: int, rdi: int) -> Tuple[int, int]:
             return ldi, rdi
 
 
-class _MergeState:
-    __slots__ = ("ties", "check_selection")
-
-    def __init__(self, check_selection: bool = False):
-        self.ties = 0
-        # cross-check the determinant-only candidate selection against the
-        # classical validity-guarded rule on every merge step
-        self.check_selection = check_selection
-
-
-def _merge_rise(store, pts, in_circle, basel: int, ul: int, ur: int, state: _MergeState) -> int:
+def _merge_rise(store, pts, in_circle, basel: int, ul: int, ur: int) -> int:
     """Create cross edges above basel until the upper tangent (ur -> ul).
 
     Returns the reversed upper tangent, whose left face is the outer face.
@@ -144,40 +138,25 @@ def _merge_rise(store, pts, in_circle, basel: int, ul: int, ur: int, state: _Mer
             rcand = t
 
         s = in_circle(store.dest(lcand), store.org[lcand], store.org[rcand], store.dest(rcand))
-        if s > 0:
-            use_right = True
-        elif s < 0:
-            use_right = False
-        else:
-            lvalid = _rightof(pts, store.dest(lcand), store, basel)
-            rvalid = _rightof(pts, store.dest(rcand), store, basel)
-            if lvalid and rvalid:
-                state.ties += 1
-                use_right = False
-            else:
-                use_right = not lvalid
-
-        if state.check_selection and s != 0:
-            lvalid = _rightof(pts, store.dest(lcand), store, basel)
-            rvalid = _rightof(pts, store.dest(rcand), store, basel)
-            classic = (not lvalid) or (rvalid and s > 0)
-            assert classic == use_right, "determinant-only selection disagrees with classic rule"
-
+        if s != 0:
+            use_right = s > 0
+        else:  # cocircular: take the left candidate unless it is below basel
+            use_right = not _rightof(pts, store.dest(lcand), store, basel)
         if use_right:
             basel = store.connect(rcand, sym(basel))
         else:
             basel = store.connect(sym(basel), sym(lcand))
 
 
-def _merge_core(store, pts, in_circle, ldi: int, rdi: int, ul: int, ur: int, state: _MergeState) -> int:
+def _merge_core(store, pts, in_circle, ldi: int, rdi: int, ul: int, ur: int) -> int:
     ll, lr = store.org[ldi], store.org[rdi]
     basel = store.connect(sym(rdi), ldi)
     if ll == ul and lr == ur:
         return basel  # lower and upper tangents coincide: all points collinear
-    return _merge_rise(store, pts, in_circle, basel, ul, ur, state)
+    return _merge_rise(store, pts, in_circle, basel, ul, ur)
 
 
-def _merge_by_walk(store, pts, in_circle, left_outer: int, right_outer: int, vkey, state) -> int:
+def _merge_by_walk(store, pts, in_circle, left_outer: int, right_outer: int, vkey) -> int:
     li = _cycle_info(store, left_outer, vkey)
     ri = _cycle_info(store, right_outer, vkey)
     # Lower tangent: descend from L's key-max and R's key-min.
@@ -186,7 +165,7 @@ def _merge_by_walk(store, pts, in_circle, left_outer: int, right_outer: int, vke
     # which swaps the two sides and both key extremes.
     ldi2, rdi2 = _tangent_walk(store, pts, ri["out_of_min"], sym(li["into_max"]))
     ur, ul = store.org[ldi2], store.org[rdi2]
-    return _merge_core(store, pts, in_circle, ldi, rdi, ul, ur, state)
+    return _merge_core(store, pts, in_circle, ldi, rdi, ul, ur)
 
 
 def _key_x(p):
@@ -197,7 +176,7 @@ def _key_y(p):
     return (p[1], -p[0])
 
 
-def _build_recursive(store, pts, by_a, by_b, in_circle, state) -> int:
+def _build_recursive(store, pts, by_a, by_b, in_circle) -> int:
     """by_a / by_b: the same index set sorted by the two axis keys."""
     n = len(by_a)
     if n <= 3:
@@ -212,10 +191,34 @@ def _build_recursive(store, pts, by_a, by_b, in_circle, state) -> int:
     a_r = [i for i in by_a if i not in left_ids]
     b_l = [i for i in by_b if i in left_ids]
     b_r = [i for i in by_b if i not in left_ids]
-    left_outer = _build_recursive(store, pts, a_l, b_l, in_circle, state)
-    right_outer = _build_recursive(store, pts, a_r, b_r, in_circle, state)
+    left_outer = _build_recursive(store, pts, a_l, b_l, in_circle)
+    right_outer = _build_recursive(store, pts, a_r, b_r, in_circle)
     return _merge_by_walk(store, pts, in_circle, left_outer, right_outer,
-                          lambda v: key(pts[v]), state)
+                          lambda v: key(pts[v]))
+
+
+def _build_hull_order(store, pts, hull: List[int], in_circle) -> int:
+    """Triangulate the strictly convex polygon hull (counterclockwise) by
+    halving it into contiguous arcs, which are linearly separated and whose
+    common tangents are known without any search: the polygon edge between
+    the two arcs and the chord from the last vertex back to the first.
+
+    Each arc's mesh is returned as its edge from the first vertex to the
+    last, with the outer face on its left: the next edge of that face
+    leaves the last vertex, and the previous one enters the first.
+    """
+
+    def rec(lo: int, hi: int) -> int:
+        if hi - lo <= 3:
+            e = _base_case(store, pts, hull[lo:hi])
+            return e if hi - lo == 2 else store.lnext(e)
+        mid = (lo + hi) // 2
+        left = rec(lo, mid)
+        right = rec(mid, hi)
+        return _merge_core(store, pts, in_circle, store.lnext(left), store.onext[right],
+                           hull[lo], hull[hi - 1])
+
+    return rec(0, len(hull))
 
 
 def _attach_infinite(mesh: TriangulationMesh) -> None:
@@ -233,88 +236,39 @@ def _attach_infinite(mesh: TriangulationMesh) -> None:
         store.splice(sym(ghosts[i]), sym(ghosts[i - 1]))
 
 
-def _build(points, kind: str, site_indices: List[int],
-           check_selection: bool = False) -> TriangulationMesh:
-    """Triangulation of the given sites; check_selection asserts on every
-    merge step that the candidate choice matches the classical rule."""
-    pred = 1 if kind == "closest" else -1
-    store = QuadEdgeStore()
-    state = _MergeState(check_selection)
-    pts = list(points)
-    if len(site_indices) == 1:
-        mesh = TriangulationMesh(pts, kind, site_indices, store, None)
-        _attach_infinite(mesh)
-        return mesh
-    by_a = sorted(site_indices, key=lambda i: _key_x(pts[i]))
-    by_b = sorted(site_indices, key=lambda i: _key_y(pts[i]))
-    outer = _build_recursive(store, pts, by_a, by_b, _in_circle_fn(pts, pred), state)
-    mesh = TriangulationMesh(pts, kind, site_indices, store, outer, cocircular_ties=state.ties)
+def _checked(points: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    if not points:
+        raise ValueError("no points")
+    if len(set(points)) != len(points):
+        raise DuplicatePointError("duplicate points")
+    return list(points)
+
+
+def _mesh(pts, kind: str, site_indices: List[int], store, outer) -> TriangulationMesh:
+    mesh = TriangulationMesh(pts, kind, site_indices, store, outer)
     _attach_infinite(mesh)
     return mesh
 
 
 def build_closest(points: Sequence[Tuple[int, int]]) -> TriangulationMesh:
     """Closest Delaunay triangulation (empty-circle property)."""
-    if not points:
-        raise ValueError("no points")
-    if len(set(points)) != len(points):
-        raise DuplicatePointError("duplicate points")
-    return _build(points, "closest", list(range(len(points))))
+    pts = _checked(points)
+    sites = list(range(len(pts)))
+    store = QuadEdgeStore()
+    outer = None
+    if len(pts) > 1:
+        by_a = sorted(sites, key=lambda i: _key_x(pts[i]))
+        by_b = sorted(sites, key=lambda i: _key_y(pts[i]))
+        outer = _build_recursive(store, pts, by_a, by_b, _in_circle_fn(pts, 1))
+    return _mesh(pts, "closest", sites, store, outer)
 
 
 def build_farthest(points: Sequence[Tuple[int, int]]) -> TriangulationMesh:
     """Farthest Delaunay triangulation: hull vertices only, full-circle property."""
-    if not points:
-        raise ValueError("no points")
-    if len(set(points)) != len(points):
-        raise DuplicatePointError("duplicate points")
-    hull = convex_hull_indices(points)
-    return _build(points, "farthest", hull)
-
-
-def build_convex_ordered(hull_points: Sequence[Tuple[int, int]], kind: str = "closest") -> TriangulationMesh:
-    """Triangulate a strictly convex polygon given in hull order.
-
-    Skips the median splits entirely: contiguous arcs of the polygon are
-    already linearly separated, and the common tangents of two adjacent arcs
-    are known without any search.
-    """
-    n = len(hull_points)
-    if n < 3:
-        raise ValueError("input not in convex position")
-    pts = list(hull_points)
-    turn = 0
-    for i in range(n):
-        o = orientation(pts[i], pts[(i + 1) % n], pts[(i + 2) % n])
-        if o == 0 or (turn and o != turn):
-            raise ValueError("input not in convex position")
-        turn = o
-    order = list(range(n))
-    if turn < 0:
-        order.reverse()  # normalize to counterclockwise
-    pred = 1 if kind == "closest" else -1
+    pts = _checked(points)
+    hull = convex_hull_indices(pts)
     store = QuadEdgeStore()
-    state = _MergeState()
-    in_circle = _in_circle_fn(pts, pred)
-
-    def rec(lo: int, hi: int) -> int:
-        """Build the arc order[lo:hi]; returns an outer-left hull edge."""
-        k = hi - lo
-        if k <= 3:
-            return _base_case(store, pts, order[lo:hi])
-        mid = lo + k // 2
-        left_outer = rec(lo, mid)
-        right_outer = rec(mid, hi)
-        vm1, vm = order[mid - 1], order[mid]
-        lcyc = store.face_cycle(left_outer)
-        rcyc = store.face_cycle(right_outer)
-        ldi = next(e for e in lcyc if store.org[e] == vm1)
-        rorgs = [store.org[e] for e in rcyc]
-        rdi = sym(rcyc[rorgs.index(vm) - 1])
-        # the other tangent wraps around: last vertex of the arc to its first
-        return _merge_core(store, pts, in_circle, ldi, rdi, order[lo], order[hi - 1], state)
-
-    outer = rec(0, n)
-    mesh = TriangulationMesh(pts, kind, list(range(n)), store, outer, cocircular_ties=state.ties)
-    _attach_infinite(mesh)
-    return mesh
+    outer = None
+    if len(hull) > 1:
+        outer = _build_hull_order(store, pts, hull, _in_circle_fn(pts, -1))
+    return _mesh(pts, "farthest", hull, store, outer)

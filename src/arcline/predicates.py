@@ -129,15 +129,6 @@ def point_key(p) -> Tuple:
     return (to_float(p[0]), p)
 
 
-def compare(a, b, fa: float, fb: float) -> int:
-    """Sign of a - b, where fa and fb are the floats of a and b."""
-    if fa < fb:
-        return NEGATIVE
-    if fa > fb:
-        return POSITIVE
-    return sign(a - b)
-
-
 def error_bound(magnitude: float) -> float:
     """Bound on the rounding error of a float expression whose caller shows
     an error below 6 * EPS * magnitude; the margin to 8 * EPS covers the

@@ -1,7 +1,7 @@
 """Exact oracles and mesh views that only the tests use: the inversion
 construction and the expanded in-circle determinant behind the predicate
-checks, exact circumcircles, and views of meshes, Voronoi diagrams and
-pair lists."""
+checks, exact circumcircles, exact distance-to-circle checks, and views of
+meshes, Voronoi diagrams and pair lists."""
 
 from __future__ import annotations
 
@@ -44,6 +44,21 @@ def circumcircle(a: Point, b: Point, c: Point) -> ExactCircle:
     """Exact circumcircle of three non-collinear points."""
     ux, uy = circumcenter(a, b, c)
     return ExactCircle((ux, uy), (ux - a[0]) ** 2 + (uy - a[1]) ** 2)
+
+
+def within(p, centre, r, t) -> bool:
+    """| |p - centre| - r | <= t, exactly."""
+    d_sq = (p[0] - centre[0]) ** 2 + (p[1] - centre[1]) ** 2
+    return d_sq <= (r + t) ** 2 and (r - t <= 0 or d_sq >= (r - t) ** 2)
+
+
+def exactly_within(points, centre, radius, tol) -> bool:
+    """Every point within the float tol*(1 + 1e-9), the limit of
+    `arc_within_tolerance`, of the circle about the float centre with the
+    float radius, in rationals."""
+    t = Fraction(tol * (1 + 1e-9))
+    c = tuple(map(Fraction, centre))
+    return all(within(tuple(map(Fraction, p)), c, Fraction(radius), t) for p in points)
 
 
 def incircle_determinant(a: Point, b: Point, c: Point, d: Point):
@@ -157,3 +172,16 @@ def hull_boundary(mesh: TriangulationMesh) -> set:
 
 def triangle_set(mesh: TriangulationMesh) -> set:
     return {tuple(sorted(t)) for t in triangles(mesh)}
+
+
+def has_cocircular_neighbours(mesh: TriangulationMesh) -> bool:
+    """True iff two finite triangles share an edge and their four vertices
+    are cocircular, exactly where the triangulation is not unique."""
+    store, pts = mesh.store, mesh.points
+    # with the infinite vertex in, every face is a triangle
+    for e in store.primal_edges():
+        quad = (store.org[e], store.dest(e),
+                store.dest(store.lnext(e)), store.dest(store.lnext(sym(e))))
+        if INFINITE not in quad and incircle(*(pts[v] for v in quad)) == 0:
+            return True
+    return False

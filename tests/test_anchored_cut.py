@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from arcline.compress import CompressionParams, _AnchoredCut, _evaluate_arc, compress
 from arcline.pipeline import archimedean_spiral, compress_polyline
 
+from oracles import exactly_within, within
 from reference_dp import reference_compress
 
 _TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
@@ -23,12 +24,6 @@ def _unit(rng):
     if rng.random() < 0.5:
         a, b = b, a
     return Fraction(rng.choice((-a, a)), c), Fraction(rng.choice((-b, b)), c)
-
-
-def _within(p, centre, r, t) -> bool:
-    """| |p - centre| - r | <= t, exactly."""
-    d_sq = (p[0] - centre[0]) ** 2 + (p[1] - centre[1]) ** 2
-    return d_sq <= (r + t) ** 2 and (r - t <= 0 or d_sq >= (r - t) ** 2)
 
 
 def test_lemma_in_exact_rationals():
@@ -54,7 +49,7 @@ def test_lemma_in_exact_rationals():
             p = (centre[0] + s * u[0], centre[1] + s * u[1])
         q = (p[0] - b[0], p[1] - b[1])
         q_sq = q[0] ** 2 + q[1] ** 2
-        inside = _within(p, centre, r, t)
+        inside = within(p, centre, r, t)
         if q_sq <= t * t:
             assert inside
             near += 1
@@ -147,18 +142,10 @@ def _wide_arc(zigzag: int):
     return pts
 
 
-def _exactly_within(points, centre, radius, tol) -> bool:
-    """Every point within tol*(1 + 1e-9) of the circle about the float
-    centre with the float radius, in rationals."""
-    t = Fraction(tol) * (1 + Fraction(1, 10 ** 9))
-    c = tuple(map(Fraction, centre))
-    return all(_within(tuple(map(Fraction, p)), c, Fraction(radius), t) for p in points)
-
-
 def _arcs_within_exactly(res, tol) -> bool:
-    """`_exactly_within` for every arc of a `compress` result and the
+    """`exactly_within` for every arc of a `compress` result and the
     vertices it covers."""
-    return all(_exactly_within(res.points[prim.start_idx:prim.end_idx + 1], prim.center, prim.radius, tol)
+    return all(exactly_within(res.points[prim.start_idx:prim.end_idx + 1], prim.center, prim.radius, tol)
                for prim in res.primitives if prim.kind == "arc")
 
 
@@ -172,7 +159,7 @@ def test_wide_arc_is_not_cut():
     assert res.stats["arc_anchor_cut"] == 0
     pts = _wide_arc(3)
     arc = _evaluate_arc(pts, 0, len(pts) - 1, 1.0)
-    assert arc is None or _exactly_within(pts, arc.center, arc.radius, 1.0)
+    assert arc is None or exactly_within(pts, arc.center, arc.radius, 1.0)
     cut = _AnchoredCut(pts, 1.0).below(len(pts) - 1, 0, len(pts) - 4)
     assert all(_evaluate_arc(pts, kp, len(pts) - 1, 1.0) is None for kp in range(cut + 1))
 
@@ -203,7 +190,7 @@ def test_large_radius_arcs_stay_within_tolerance_exactly():
         for k in range(3, len(pts)):
             for kp in range(k - 2):
                 arc = _evaluate_arc(pts, kp, k, 1.0)
-                assert arc is None or _exactly_within(pts[kp:k + 1], arc.center, arc.radius, 1.0)
+                assert arc is None or exactly_within(pts[kp:k + 1], arc.center, arc.radius, 1.0)
         assert _arcs_within_exactly(compress(pts, CompressionParams(tolerance=1.0)), 1.0)
     res = compress_polyline(_large_radius_zigzag(8), 1.0)
     assert _arcs_within_exactly(res.grid, res.scale)

@@ -255,7 +255,7 @@ def test_fit_by_tolerance_soundness_and_oracle_agreement():
         oracle_feasible = bool(feas_samples.any())
         if arc is not None:
             # returned arcs satisfy the radial tolerance
-            assert arc_within_tolerance(arc, pts, tol * (1 + 1e-9), check_span=False)
+            assert arc_within_tolerance(arc, pts, tol * (1 + 1e-9))
             if not oracle_feasible:
                 continue  # oracle grid can miss a feasible sliver; fit proves it
             agree += 1
@@ -276,12 +276,14 @@ def test_arc_within_tolerance_examples():
 
 def test_arc_span_check_rejects_complement():
     # a point diametrically opposite the arc is radially fine but lies on
-    # the complement arc
+    # the complement arc; inside a window from anchor to anchor, the only
+    # windows the DP builds, the direction check rejects it
     pts = _circle_points(0, 0, 10, [0.0, 0.3, 0.6, 0.9])
     arc = fit_arc_least_squares(pts)
-    bad = pts + [(-10.0, 0.0)]
-    assert arc_within_tolerance(arc, pts, 0.1)
-    assert not arc_within_tolerance(arc, bad, 0.1)
+    bad = pts[:2] + [(-10.0, 0.0)] + pts[2:]
+    assert arc_within_tolerance(arc, bad, 0.1)
+    assert direction_and_endpoint_check(pts, arc)
+    assert not direction_and_endpoint_check(bad, arc)
 
 
 def test_densify():
@@ -327,10 +329,10 @@ def test_fallback_accepts_when_least_squares_violates():
         pts = [(r * math.cos(t0 + 0.25 * k) + rng.gauss(0, 1.0),
                 r * math.sin(t0 + 0.25 * k) + rng.gauss(0, 1.0)) for k in range(8)]
         ls = fit_arc_least_squares(pts)
-        assert not arc_within_tolerance(ls, pts, tol, check_span=False)
+        assert not arc_within_tolerance(ls, pts, tol)
         arc = fit_arc_by_tolerance(pts, tol=tol)
         assert arc is not None
-        assert arc_within_tolerance(arc, pts, tol * (1 + 1e-9), check_span=False)
+        assert arc_within_tolerance(arc, pts, tol * (1 + 1e-9))
         hit += 1
     assert hit == 3
 

@@ -167,9 +167,26 @@ def test_bench_runs_and_threads_do_not_change_results(tmp_path):
                             "--n", "64", "--n", "128"])
     assert code == 0
     assert "seconds" in out
-    code2, out2, _ = run_cli(["bench", "--algo", "convex-ordered", "--gen", "directions",
+    code2, out2, _ = run_cli(["bench", "--algo", "farthest", "--gen", "directions",
                               "--n", "64"])
     assert code2 == 0
+
+
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_bench_without_repeats_exits_3(repeat, capsys):
+    assert main(["bench", "--n", "10", "--repeat", repeat]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_unwritable_output_paths_exit_3(spiral_file, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["gen-hull", "--algo", "walk", "--n", "10", "--out", str(missing / "h.txt")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert main(["compress", spiral_file, "--tolerance", "0.5", "--svg", str(missing / "x.svg")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_scale_header_respected(tmp_path):

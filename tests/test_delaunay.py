@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from arcline import delaunay
-from arcline.delaunay import (INFINITE, build_closest, build_convex_ordered,
-                              build_farthest, convex_hull_indices)
+from arcline.delaunay import INFINITE, build_closest, build_farthest, convex_hull_indices
 from arcline.predicates import dist_sq, incircle
 from arcline.quadedge import sym
 
-from oracles import (circumcircle, edge_count, finite_edges, hull_boundary, invert_point,
-                     mesh_edges, n_sites, triangle_set, triangles)
+from oracles import (circumcircle, edge_count, finite_edges, has_cocircular_neighbours,
+                     hull_boundary, invert_point, mesh_edges, n_sites, triangle_set, triangles)
 
 
 def check_structure(mesh):
@@ -74,7 +72,7 @@ def test_empty_circle_random():
     for _ in range(60):
         n = random.randint(2, 80)
         pts = list({(random.randint(0, 50), random.randint(0, 50)) for _ in range(n)})
-        m = delaunay._build(pts, "closest", list(range(len(pts))), check_selection=True)
+        m = build_closest(pts)
         check_structure(m)
         check_circle_property(m)
 
@@ -99,7 +97,7 @@ def test_farthest_excludes_interior():
 def test_cocircular_square():
     m = build_closest([(0, 0), (2, 0), (2, 2), (0, 2)])
     check_structure(m)
-    assert m.cocircular_ties >= 1
+    assert has_cocircular_neighbours(m)
     assert len(triangles(m)) == 2
     mf = build_farthest([(0, 0), (2, 0), (2, 2), (0, 2)])
     check_structure(mf)
@@ -119,37 +117,56 @@ def test_hull_neighbors_separated_by_infinite_edges():
             assert a in hull
 
 
-def test_convex_ordered_matches_general():
-    random.seed(13)
-    for trial in range(40):
-        pts = list({(random.randint(-500, 500), random.randint(-500, 500)) for _ in range(40)})
-        hull_idx = convex_hull_indices(pts)
-        if len(hull_idx) < 3:
-            continue
-        hull_pts = [pts[i] for i in hull_idx]
-        if trial % 2:
-            hull_pts.reverse()  # clockwise input is normalized internally
-        for kind, builder in (("closest", build_closest), ("farthest", build_farthest)):
-            mo = build_convex_ordered(hull_pts, kind)
-            check_structure(mo)
-            check_circle_property(mo)
-            mg = builder(hull_pts)
-            if mo.cocircular_ties == 0 and mg.cocircular_ties == 0:
-                assert triangle_set(mo) == triangle_set(mg)
-            else:
-                def circles(m):
-                    return sorted(
-                        (circumcircle(*(m.points[i] for i in t)).center,
-                         circumcircle(*(m.points[i] for i in t)).radius_sq)
-                        for t in triangles(m))
-                assert circles(mo) == circles(mg)
+def test_farthest_small_and_degenerate_sets():
+    # one point, two points, a collinear set (its hull is the 2 extremes),
+    # a triangle and the 2x2 square
+    for pts in ([(7, 7)], [(0, 0), (3, 1)], [(2, 2), (0, 0), (4, 4), (1, 1), (3, 3)],
+                [(0, 0), (4, 0), (2, 3)], [(0, 0), (2, 0), (2, 2), (0, 2)]):
+        m = build_farthest(pts)
+        assert m.site_indices == convex_hull_indices(pts)
+        check_structure(m)
+        check_circle_property(m)
+    assert build_farthest([(2, 2), (0, 0), (4, 4), (1, 1), (3, 3)]).site_indices == [1, 2]
 
 
-def test_convex_ordered_rejects_non_convex():
-    with pytest.raises(ValueError):
-        build_convex_ordered([(0, 0), (10, 0), (2, 1), (0, 10)])
-    with pytest.raises(ValueError):
-        build_convex_ordered([(0, 0), (1, 0), (2, 0)])
+def _circles(m):
+    """The exact circumcircles of the finite triangles, by coordinates."""
+    out = []
+    for t in triangles(m):
+        c = circumcircle(*(m.points[i] for i in t))
+        out.append((c.center, c.radius_sq))
+    return sorted(out)
+
+
+def _coordinate_triangles(m):
+    return {frozenset(m.points[i] for i in t) for t in triangles(m)}
+
+
+def test_farthest_independent_of_input_order():
+    # small grids give cocircular hull vertices, large ones generic hulls
+    rng = random.Random(13)
+    for _ in range(100):
+        r = rng.choice((3, 60))
+        pts = list({(rng.randint(-r, r), rng.randint(-r, r)) for _ in range(rng.randint(1, 40))})
+        shuffled = pts[:]
+        rng.shuffle(shuffled)
+        ma, mb = build_farthest(pts), build_farthest(shuffled)
+        check_structure(mb)
+        check_circle_property(mb)
+        assert {pts[i] for i in ma.site_indices} == {shuffled[i] for i in mb.site_indices}
+        if has_cocircular_neighbours(ma) or has_cocircular_neighbours(mb):
+            assert _circles(ma) == _circles(mb)
+        else:
+            assert _coordinate_triangles(ma) == _coordinate_triangles(mb)
+
+
+def test_cocircular_neighbours_oracle():
+    square = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    assert has_cocircular_neighbours(build_closest(square))
+    assert has_cocircular_neighbours(build_farthest(square))
+    generic = [(0, 0), (7, 1), (9, 6), (3, 8), (4, 3)]
+    assert not has_cocircular_neighbours(build_closest(generic))
+    assert not has_cocircular_neighbours(build_farthest(generic))
 
 
 def test_merge_collinear_submeshes():
@@ -216,7 +233,7 @@ def test_farthest_duality_via_inversion():
         for t in triangles(mc):
             if incircle(inv[t[0]], inv[t[1]], inv[t[2]], of) > 0:
                 kept.add(tuple(sorted(t)))
-        if mf.cocircular_ties or mc.cocircular_ties:
+        if has_cocircular_neighbours(mf) or has_cocircular_neighbours(mc):
             continue  # tie choices may legitimately differ
         assert triangle_set(mf) == kept
         done += 1

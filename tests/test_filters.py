@@ -16,8 +16,7 @@ from arcline.annulus import (_best_candidate, _bisector_intersection, _radii_sq,
                              AnnulusResult, min_width_annulus)
 from arcline.clipping import _inside
 from arcline.overlaps import remove_overlaps
-from arcline.predicates import (compare, dist_sq, orientation, orientation_filter, point_key,
-                                sign, to_float)
+from arcline.predicates import dist_sq, orientation, orientation_filter, point_key, sign, to_float
 from arcline.radicals import sqrt_diff_vs_rational, width_compare, width_leq
 from arcline.segments import seg
 from arcline.voronoi import ClipConfig
@@ -53,12 +52,6 @@ def test_to_float_is_monotone_and_clamps():
     vals = sorted(a for pair in _near_pairs(rng) for a in pair)
     floats = [to_float(v) for v in vals]
     assert floats == sorted(floats)
-
-
-def test_compare_equals_exact():
-    rng = random.Random(71)
-    for a, b in _near_pairs(rng):
-        assert compare(a, b, to_float(a), to_float(b)) == sign(a - b)
 
 
 def _orientation_cases(rng):

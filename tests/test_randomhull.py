@@ -8,7 +8,7 @@ from arcline.predicates import incircle, orientation
 from arcline.randomhull import (finalize_hull, gen_directions_hull,
                                 gen_fdt_hull, gen_random_walk_hull)
 
-from oracles import triangle_set, triangles
+from oracles import triangles
 
 
 def is_strictly_convex(pts):
@@ -96,12 +96,18 @@ def test_finalize_degenerate_raises():
 
 
 def test_generators_feed_convex_ordered():
+    # quantized outlines are in strictly convex position and in hull order:
+    # every vertex is on the strict hull, met in the outline's cyclic order,
+    # and the farthest builder takes them all as sites
     for gen, seed in ((gen_random_walk_hull, 1), (gen_directions_hull, 2), (gen_fdt_hull, 3)):
         q = finalize_hull(gen(48, seed), grid_scale=10 ** 6).quantized
-        mo = delaunay.build_convex_ordered(q)
-        mg = delaunay.build_closest(q)
-        if mo.cocircular_ties == 0 and mg.cocircular_ties == 0:
-            assert triangle_set(mo) == triangle_set(mg)
+        n = len(q)
+        hull = delaunay.convex_hull_indices(q)
+        assert sorted(hull) == list(range(n))
+        step = (hull[1] - hull[0]) % n
+        assert step in (1, n - 1)
+        assert all((b - a) % n == step for a, b in zip(hull, hull[1:]))
+        assert delaunay.build_farthest(q).site_indices == hull
 
 
 def test_deterministic_per_seed():
