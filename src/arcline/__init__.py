@@ -1,8 +1,7 @@
 """arcline: minimum-penalty polyline compression with segments and arcs."""
 
-from .annulus import (AnnulusResult, arc_exists_within_tolerance,
-                      min_width_annulus)
-from .arcfit import (FittedArc, arc_within_tolerance, densify,
+from .annulus import AnnulusResult, min_width_annulus
+from .arcfit import (FittedArc, arc_exists_within_tolerance, arc_within_tolerance, densify,
                      direction_and_endpoint_check, fit_arc_by_tolerance,
                      fit_arc_least_squares, tolerance_intervals_point)
 from .clipping import clip_segments_square

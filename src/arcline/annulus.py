@@ -1,4 +1,4 @@
-"""Minimum-width annulus and the covering-arc feasibility decision.
+"""Minimum-width annulus of a point set.
 
 The optimal annulus center is a vertex of the closest Voronoi diagram, a
 vertex of the farthest one, or an intersection of edges from both.  The
@@ -36,18 +36,6 @@ those inside the clip square.  They are kept in a list sorted by
 (float(x), point), the exact order, and the best one is found by branch and
 bound in floats, reusing the vertex bounds, before the exact selection
 (`_best_candidate`).
-
-The covering-arc test of the dynamic program's feasibility windows
-(`arc_exists_within_tolerance`) asks the DP's own question, about centres
-anywhere in the plane, and needs none of that machinery.  It is one-sided:
-it reports a window only when no centre can work.  A witness centre, refined
-from the algebraic least-squares circle by a few geometric Gauss-Newton and
-Lawson steps, accepts when the float width of the annulus about it is at
-most 2*tol (`_witness_centre`).  When the search finds none, the 3 (then 4)
-points nearest to and farthest from its last centre reject when they are
-certainly wider than 2*tol about every centre in the plane
-(`_wider_everywhere`: the width about a few dozen candidate centres and the
-strip width, no Voronoi diagram).  Every other window counts as feasible.
 """
 
 from __future__ import annotations
@@ -70,9 +58,6 @@ from .voronoi import ClipConfig, VoronoiDiagram, data_radius, voronoi_from_delau
 
 DEFAULT_MIN_ARC_ANGLE = math.radians(0.1)
 SAMPLE_SIZE = 24  # points behind the float lower bounds of candidate selection
-GEOMETRIC_STEPS = 3  # Gauss-Newton steps of the witness search
-LAWSON_STEPS = 4  # reweighted steps after them, towards the minimax annulus
-CERTIFICATE_SIZES = (3, 4)  # nearest and farthest points of each width certificate
 BISECT_DEPTH = 5  # Voronoi edge pieces are pruned in 2^-5 parts of their length
 
 
@@ -575,237 +560,3 @@ def _best_candidate(candidates, upts, lower):
         if best is None or width_compare(hi, lo, best[1], best[2]) < 0:
             best = (c, hi, lo)
     return best
-
-
-def _least_squares_circle(pts) -> Optional[Tuple[float, float, float]]:
-    """Unconstrained algebraic circle fit; None when degenerate."""
-    n = len(pts)
-    mx = sum(p[0] for p in pts) / n
-    my = sum(p[1] for p in pts) / n
-    sxx = sxy = syy = sxz = syz = sz = 0.0
-    for p in pts:
-        x = p[0] - mx
-        y = p[1] - my
-        z = x * x + y * y
-        sxx += x * x
-        sxy += x * y
-        syy += y * y
-        sxz += x * z
-        syz += y * z
-        sz += z
-    det = sxx * syy - sxy * sxy
-    if det == 0:
-        return None
-    cx = (sxz * syy - syz * sxy) / (2 * det)
-    cy = (syz * sxx - sxz * sxy) / (2 * det)
-    r_sq = cx * cx + cy * cy + sz / n
-    if r_sq <= 0:
-        return None
-    return cx + mx, cy + my, math.sqrt(r_sq)
-
-
-def _float_width(upts, cx: float, cy: float) -> Tuple[list, float]:
-    """Distances of the points from (cx, cy) in floats, and their spread
-    max - min."""
-    d = [math.hypot(x - cx, y - cy) for x, y in upts]
-    return d, max(d) - min(d)
-
-
-def _refine(upts, cx: float, cy: float, d, weights) -> Optional[Tuple[float, float]]:
-    """One weighted Gauss-Newton step on sum w_i (d_i - r)^2 over the
-    centre, r the weighted mean distance; None when singular.
-
-    Moving the centre by s changes d_i by about -u_i . s (u_i the unit
-    vector from the centre to point i) and r by the weighted mean of that,
-    so the residual d_i - r changes by -(u_i - mean u) . s; the step solves
-    the 2x2 normal equations of that linear model."""
-    sw = su = sv = suu = suv = svv = sud = svd = sd = 0.0
-    for (x, y), di, w in zip(upts, d, weights):
-        if di == 0.0:
-            continue
-        u = (x - cx) / di
-        v = (y - cy) / di
-        sw += w
-        su += w * u
-        sv += w * v
-        suu += w * u * u
-        suv += w * u * v
-        svv += w * v * v
-        sud += w * u * di
-        svd += w * v * di
-        sd += w * di
-    if sw == 0.0:
-        return None
-    r = sd / sw
-    a = suu - su * su / sw
-    b = suv - su * sv / sw
-    c = svv - sv * sv / sw
-    p = sud - r * su
-    q = svd - r * sv
-    det = a * c - b * b
-    if not det > 0.0:
-        return None
-    return cx + (c * p - b * q) / det, cy + (a * q - b * p) / det
-
-
-def _witness_centre(upts, cx: float, cy: float, tol) -> Tuple[bool, list]:
-    """Whether the search finds a float centre about which the float width
-    of the annulus of the points is at most 2*tol, and the float distances
-    of the points from the last centre tried.
-
-    The search starts at (cx, cy), takes GEOMETRIC_STEPS Gauss-Newton steps
-    of the geometric circle fit, then LAWSON_STEPS reweighted ones that
-    multiply each point's weight by its absolute residual (Lawson's
-    iteration, which drifts from the least-squares fit towards the minimax
-    one, that is, towards the minimum-width annulus).  It stops at the
-    first centre whose float width max d - min d is at most 2*tol.
-    """
-    t = to_float(2 * Fraction(tol))
-    d, fw = _float_width(upts, cx, cy)
-    weights = [1.0] * len(upts)
-    for step in range(GEOMETRIC_STEPS + LAWSON_STEPS):
-        if not fw > t:
-            break
-        if step >= GEOMETRIC_STEPS:
-            r = sum(w * di for w, di in zip(weights, d)) / sum(weights)
-            weights = [w * abs(di - r) for w, di in zip(weights, d)]
-            top = max(weights)
-            if not top > 0.0:
-                break
-            weights = [w / top for w in weights]
-        centre = _refine(upts, cx, cy, d, weights)
-        if centre is None:
-            break
-        cx, cy = centre
-        d, fw = _float_width(upts, cx, cy)
-    return fw <= t, d
-
-
-def _wider_everywhere(pts, tol) -> bool:
-    """True when the annulus of `pts`, at least two distinct integer
-    points, is wider than 2*tol about every centre in the plane, certainly;
-    False when that is not so or cannot be decided.
-
-    The test takes the minimum of three kinds of terms: the width about
-    the circumcentre of every triple of the points, the width about the
-    crossing of the bisectors of every two disjoint pairs, and the
-    minimum strip width of the set.
-
-    Why that minimum is a lower bound on the width about any centre.  Lay
-    the closest and the farthest Voronoi diagrams of the points over each
-    other.  In a cell of the overlay, with nearest point i and farthest
-    point j, the width is w = d_j - d_i >= 0.  For s > 0 its superlevel
-    set {d_j - d_i >= s} is the inside of a hyperbola branch around p_i,
-    and for s <= 0 it is the whole cell, so each superlevel set is convex
-    and w is quasi-concave on the convex cell.  Any point of the cell is a
-    convex combination of cell vertices plus a recession direction, so w
-    there is at least the smaller of the widths at the cell's vertices and
-    the limit of w out along that direction.  That limit is the width of
-    the projection of the points on the direction, at least the strip
-    width.  (A cell with no vertex holds a line, and the same holds along
-    it.)  Every overlay vertex meets two bisectors of the cell's boundary:
-    two of the same diagram meet at the circumcentre of a triple, and a
-    closest and a farthest bisector meet at the crossing of two disjoint
-    pairs, or, when they share a point, at a circumcentre again.  So every
-    overlay vertex is among the terms, every term is the width about a real
-    centre or the limit of such widths, and the minimum of the terms is
-    the infimum over the plane of the width of these points.  The points
-    are a subset of a window, whose width about any centre is at least
-    theirs; so when this returns True, no circle, with its centre anywhere
-    in the plane, has the whole window within tol of it.
-
-    Rounding.  The points are first moved by an integer offset so that the
-    first lies at the origin, which changes no width.  The strip width of
-    the set is the minimum over every pair (a, b) of the spread of the
-    cross products (b - a) x (p - a), divided by |b - a|; it exceeds 2*tol
-    iff spread^2 > (2*tol)^2 * |b - a|^2, tested on integers.  A centre is
-    the quotient of integers, rounded correctly by int / int, so each
-    coordinate is off by at most EPS (the unit roundoff) times its size,
-    and every distance from it by at most EPS * (|cx| + |cy|), which moves
-    the spread of the distances by 2 * EPS * M at most, M = |cx| + |cy| +
-    max |x| + max |y|.  About the rounded centre, x - cx is off by at most
-    EPS * (2|x| + |cx|) (rounding x and the difference), so the distance of
-    the rounded differences is within 2 * EPS * M of the exact one, and
-    math.hypot adds less than one ulp (documented since Python 3.10),
-    2 * EPS * M.  Each float distance is then off by less than 5 * EPS * M
-    (to first order), their spread fw by less than 11 * EPS * M, and
-    fw - 2*tol, with the rounding of 2*tol and of the difference, by less
-    than 12 * EPS * M + 2 * EPS * (2*tol).  Both errors together stay below
-    the 6 * EPS * (4 * M + 2*tol) that `error_bound(4 * M + 2*tol)` turns
-    into a bound, and a width counts as wider only when fw - 2*tol exceeds
-    that.  An undecided centre, a float overflow or any strip term at most
-    2*tol means no certificate.
-    """
-    ox, oy = pts[0]
-    pts = [(x - ox, y - oy) for x, y in pts]
-    t2 = 2 * Fraction(tol)
-    tn2, td2 = t2.numerator ** 2, t2.denominator ** 2
-    lines = []  # (i, j, a, b, c): the bisector a*x + b*y = c of points i < j
-    for (i, (ax, ay)), (j, (bx, by)) in combinations(enumerate(pts), 2):
-        dx, dy = bx - ax, by - ay
-        crosses = [dx * (y - ay) - dy * (x - ax) for x, y in pts]
-        spread = max(crosses) - min(crosses)
-        if spread * spread * td2 <= tn2 * (dx * dx + dy * dy):
-            return False
-        lines.append((i, j, 2 * dx, 2 * dy, bx * bx + by * by - ax * ax - ay * ay))
-    reach = max(abs(x) for x, _ in pts) + max(abs(y) for _, y in pts)
-    t = to_float(t2)
-    for (i1, j1, a1, b1, c1), (i2, j2, a2, b2, c2) in combinations(lines, 2):
-        # two disjoint pairs, or the two pairs (i, j), (i, l) of a triple,
-        # once per triple: the pairs are in lexicographic order
-        if i1 != i2 and (j1 == i2 or j1 == j2):
-            continue
-        den = a1 * b2 - a2 * b1
-        if den == 0:
-            continue
-        try:
-            cx = (c1 * b2 - c2 * b1) / den
-            cy = (a1 * c2 - a2 * c1) / den
-        except OverflowError:
-            return False
-        _, fw = _float_width(pts, cx, cy)
-        if certain_sign(fw - t, error_bound(4 * (abs(cx) + abs(cy) + reach) + t)) <= 0:
-            return False
-    return True
-
-
-def _extremes_wider_everywhere(upts, d, tol) -> bool:
-    """The certificate of `_wider_everywhere` on the CERTIFICATE_SIZES[0]
-    nearest and as many farthest points by the distances d, then on the
-    next size while points are left out."""
-    order = sorted(range(len(upts)), key=d.__getitem__)
-    for k in CERTIFICATE_SIZES:
-        chosen = sorted(set(order[:k] + order[-k:]))
-        if _wider_everywhere([upts[i] for i in chosen], tol):
-            return True
-        if len(chosen) == len(upts):
-            break
-    return False
-
-
-def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol) -> bool:
-    """False only when no circular arc, with its centre anywhere in the
-    plane, can cover all the points within tol, certainly; True otherwise.
-
-    One-sided, which is what pruning needs: a window reported False holds
-    no arc of any radius, and any window that cannot be settled counts as
-    feasible.  A witness centre, refined from the least-squares circle
-    (`_witness_centre`), accepts when the float width about it is at most
-    2*tol.  Collinear points have no such circle; their strip width is 0,
-    so no certificate can reject them, and they are accepted.  When the
-    search finds no witness, the CERTIFICATE_SIZES[0] points nearest to and
-    as many farthest from its last centre, then the next size, reject when
-    their annulus is certainly wider than 2*tol about every centre in the
-    plane (`_extremes_wider_everywhere`); the annulus of a subset is never
-    wider than that of the full set about the same centre.
-    """
-    if len(points) < 4:
-        raise ValueError("too few points for arc")
-    upts = list(dict.fromkeys(tuple(p) for p in points))
-    if len(upts) <= 2:
-        return True  # width zero
-    fit = _least_squares_circle(upts)
-    if fit is None:
-        return True
-    found, d = _witness_centre(upts, fit[0], fit[1], tol)
-    return found or not _extremes_wider_everywhere(upts, d, tol)

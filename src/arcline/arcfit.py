@@ -51,6 +51,7 @@ ANCHOR_MARGIN = 256 * EPS
 # relative allowance of `arc_within_tolerance`: every point an accepted arc
 # covers is, exactly, within tol*(1 + CHECK_ALLOWANCE) of it
 CHECK_ALLOWANCE = 1e-9
+ANCHOR_POINTS = 5  # evenly spaced points of pts[m..k-1] a circle through pts[k] is tested on
 
 
 @dataclass
@@ -209,6 +210,9 @@ def _no_circle_through(b, points, t) -> bool:
     d^2 - r^2 = |q|^2 - 2*q.n/kappa.  Divided by w, with p* = q/w and
     delta = t/w (an inversion about b): the line {x : x.n = kappa} passes
     within delta of p*.  Arcs through b are line transversals of discs.
+    With kappa = 0 the same condition |q.n| <= t says that p lies within t
+    of the line through b with normal n, so everything below covers the
+    lines through b too.
 
     For one n such a line exists iff every pair i, j has
     |(p*_i - p*_j).n| <= delta_i + delta_j (Helly in one dimension).  With
@@ -311,6 +315,57 @@ def _no_circle_through(b, points, t) -> bool:
             if arc_hi < hi:
                 hi = arc_hi
     return False
+
+
+def _anchor_sample(pts, m: int, k: int) -> list:
+    """The ANCHOR_POINTS evenly spaced points of pts[m..k-1], pts[m] and
+    pts[k-1] included, that `_no_circle_through` tests the circles through
+    pts[k] on."""
+    span = k - 1 - m
+    last = ANCHOR_POINTS - 1
+    return [pts[m + span * i // last] for i in range(ANCHOR_POINTS)]
+
+
+def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol) -> bool:
+    """False only when certainly no circular arc, with its centre anywhere
+    in the plane, and no line covers all the integer points within tol;
+    True otherwise.
+
+    One-sided, which is what pruning needs: a window reported False holds
+    no arc of any radius, and any window that cannot be settled counts as
+    feasible.  The test is the anchored cut's: no circle through b, the
+    last point, within t = 2*tol*(1 + 2*CHECK_ALLOWANCE) of the points of
+    `_anchor_sample` (`_no_circle_through`).  Its Helly argument holds for
+    every signed curvature kappa, kappa = 0 included, so a certificate
+    excludes the lines through b as well as the circles.
+
+    Why t covers every arc.  An arc within tol of the points has a centre
+    c and radius r with | |p - c| - r | <= tol for each point p, b
+    included, so | |b - c| - r | <= tol, and every point is within 2*tol of
+    the circle about c through b.  When c = b, that circle has radius 0 and
+    every point is within 2*tol of b; `_no_circle_through` skips points
+    within 2t of b and cannot certify.  The same holds for the DP's arcs,
+    with L, the float tol*(1 + CHECK_ALLOWANCE) of `arc_within_tolerance`,
+    in place of tol: an arc the DP accepts over a range [kp, k] that
+    contains the window has float centre c and radius r with
+    | |p - c| - r | <= L exactly for every point p of the window, so every
+    one is within 2*L of the circle about c through b, and t >= 2*L covers
+    the rounding of L too.  A False therefore means that no DP arc covers
+    any range containing the window, which is what the dyadic scan's
+    poisoning of supersets needs.
+
+    Fewer than 4 points raise ValueError.  A tol whose float is not
+    positive and finite, and coordinates whose squares pass the float
+    range, cannot be decided in floats; they give True.
+    """
+    if len(points) < 4:
+        raise ValueError("too few points for arc")
+    k = len(points) - 1
+    try:
+        t = 2 * float(tol) * (1 + 2 * CHECK_ALLOWANCE)
+        return not (t > 0.0 and _no_circle_through(points[k], _anchor_sample(points, 0, k), t))
+    except OverflowError:  # past the float range
+        return True
 
 
 def _build_arc(a, b, s, points) -> FittedArc:

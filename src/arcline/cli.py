@@ -171,7 +171,7 @@ def cmd_bench(args) -> int:
     print(f"{'n':>10} {'seconds':>12}")
     prev = None
     for n in args.n:
-        times = []
+        runs = []  # (seconds, input size) per repeat; the inputs differ in size
         for rep in range(args.repeat):
             rng = _random.Random(10_000 * rep + n)
             if args.gen == "uniform":
@@ -185,10 +185,10 @@ def cmd_bench(args) -> int:
                 delaunay.build_closest(pts)
             else:
                 delaunay.build_farthest(pts)
-            times.append(time.perf_counter() - t0)
-        best = min(times)
+            runs.append((time.perf_counter() - t0, len(pts)))
+        best, size = min(runs)
         ratio = "" if prev is None else f"  x{best / prev:.2f}"
-        print(f"{len(pts):>10} {best:>12.4f}{ratio}")
+        print(f"{size:>10} {best:>12.4f}{ratio}")
         prev = best
     return 0
 

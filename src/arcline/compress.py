@@ -6,7 +6,10 @@ end vertex k the scan over start candidates k' runs in ascending order of
 their accumulated cost through a mergesort-tree range heap and stops at the
 first candidate whose cost bound already meets the incumbent.  Feasibility
 tables bound the scans: no candidate beyond the first index where an arc
-(or a segment strip) can still cover the range is ever touched.
+(or a segment strip) can still cover the range is ever touched.  The arc
+table's windows are decided by the anchored cut's test below, at twice the
+check's limit and about the window's last vertex
+(`arcfit.arc_exists_within_tolerance`).
 
 Arc candidates are evaluated best-first under a floor.  Exact prefix
 moments of the grid points (`_Moments`) give, in O(1) per candidate, the
@@ -51,15 +54,16 @@ Before the first of these, the scan cuts away the arcs that are too long
 through pts[k] within `arcfit._anchor_slack` of pts[k'..k]: the fit
 check's tol*(1 + 1e-9), plus the rounding of the arc's centre for a
 radius up to SEGMENT_LIKE_RADIUS_FACTOR times the polyline's diameter.
-When no circle through pts[k] is within that distance of ANCHOR_POINTS
-evenly spaced points of pts[m..k-1]
-(`arcfit._no_circle_through`: an inversion about pts[k] turns such circles
-into lines that cross discs, and a pair of discs allows one arc of line
-directions), no start k' <= m can have an arc, and the scan opens its range
-at m + 1.  The cut relaxes the DP's own arc set, so it changes nothing but
-the work: the candidates at or below m are never popped, floored or
-probed.  The search for m runs only when the first candidate of the range
-is below the incumbent, starting one above the last cut found.
+When no circle through pts[k] is within that distance of
+`arcfit.ANCHOR_POINTS` evenly spaced points of pts[m..k-1]
+(`arcfit._anchor_sample`; `arcfit._no_circle_through`: an inversion about
+pts[k] turns such circles into lines that cross discs, and a pair of discs
+allows one arc of line directions), no start k' <= m can have an arc, and
+the scan opens its range at m + 1.  The cut relaxes the DP's own arc set,
+so it changes nothing but the work: the candidates at or below m are never
+popped, floored or probed.  The search for m runs only when the first
+candidate of the range is below the incumbent, starting one above the last
+cut found.
 """
 
 from __future__ import annotations
@@ -72,9 +76,9 @@ from itertools import chain
 from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
-from .arcfit import (FittedArc, _anchor_slack, _feasible_centres, _no_circle_through, _sse_floor,
-                     arc_within_tolerance, densify, direction_and_endpoint_check,
-                     fit_arc_by_tolerance, fit_arc_least_squares)
+from .arcfit import (FittedArc, _anchor_sample, _anchor_slack, _feasible_centres,
+                     _no_circle_through, _sse_floor, arc_within_tolerance, densify,
+                     direction_and_endpoint_check, fit_arc_by_tolerance, fit_arc_least_squares)
 from .feasibility import build_fit_index_arrays, test_arcs, test_segments
 from .hulltree import HullTree
 from .sortedrange import MergeTree
@@ -83,7 +87,6 @@ PenaltyPair = Tuple[int, float]
 
 BLOCKER_LISTS = 2  # rejections whose blockers the arc scan remembers
 PROBE_POINTS = 8  # cached blockers a candidate re-tests at most
-ANCHOR_POINTS = 5  # evenly spaced points of pts[m..k-1] the anchored cut tests
 # largest grid coordinate magnitude: the fits and checks compute on floats,
 # which hold every integer up to here exactly
 MAX_GRID_COORD = 2 ** 53
@@ -371,8 +374,8 @@ class _BlockerCache:
 class _AnchoredCut:
     """The arc scan's anchored cut (module docstring): for an end vertex k,
     a start m such that no circle through pts[k] is within `slack` of
-    ANCHOR_POINTS evenly spaced points of pts[m..k-1], so that no arc the
-    DP can accept starts at or below m.
+    `arcfit.ANCHOR_POINTS` evenly spaced points of pts[m..k-1], so that no
+    arc the DP can accept starts at or below m.
 
     `tests` counts the `_no_circle_through` calls, `removed` the start
     indices the cuts took out of arc scans.
@@ -393,11 +396,7 @@ class _AnchoredCut:
         """True when no circle through pts[k] fits the points tested from
         pts[m..k-1]."""
         self.tests += 1
-        pts = self.pts
-        span = k - 1 - m
-        last = ANCHOR_POINTS - 1
-        return _no_circle_through(pts[k], [pts[m + span * i // last] for i in range(ANCHOR_POINTS)],
-                                  self.slack)
+        return _no_circle_through(self.pts[k], _anchor_sample(self.pts, m, k), self.slack)
 
     def below(self, k: int, lo: int, hi: int) -> int:
         """A cut m in [lo, hi] for the end vertex k, or lo - 1 when none is
@@ -469,13 +468,14 @@ def _evaluate_arc(pts, kp, k, tol, blockers: Optional[_BlockerCache] = None,
     if not arc.segment_like and arc_within_tolerance(arc, chunk, tol) \
             and direction_and_endpoint_check(chunk, arc):
         return arc
+    seed = arc
     blocked: Optional[List[int]] = None if blockers is None else []
-    arc = fit_arc_by_tolerance(chunk, tol=tol, seed_arc=arc, blockers=blocked)
+    arc = fit_arc_by_tolerance(chunk, tol=tol, seed_arc=seed, blockers=blocked)
     if blocked:
         blockers.record(kp, blocked)
-    if arc is None or arc.segment_like:
-        return None
-    if not arc_within_tolerance(arc, chunk, tol):
+    # the fit returns the seed, which failed the checks above, or an
+    # interval-end arc that passed `arc_within_tolerance` inside it
+    if arc is None or arc is seed or arc.segment_like:
         return None
     if not direction_and_endpoint_check(chunk, arc):
         return None

@@ -67,7 +67,7 @@ def read_polyline_file(path: str) -> Tuple[List[Tuple[float, float]], Optional[i
     points: List[Tuple[float, float]] = []
     scale: Optional[int] = None
     with open(path) as f:
-        for raw in f:
+        for number, raw in enumerate(f, 1):
             line = raw.strip()
             if not line:
                 continue
@@ -78,8 +78,11 @@ def read_polyline_file(path: str) -> Tuple[List[Tuple[float, float]], Optional[i
                     if not 0 < scale <= sys.float_info.max:
                         raise ValueError("scale must be a positive integer within the float range")
                 continue
-            xs, ys = line.split(",")
-            x, y = float(xs), float(ys)
+            try:
+                xs, ys = line.split(",")
+                x, y = float(xs), float(ys)
+            except ValueError:
+                raise ValueError(f"line {number}: expected 'x,y', got {line!r}") from None
             if not (x == x and y == y) or abs(x) == float("inf") or abs(y) == float("inf"):
                 raise ValueError("non-finite coordinate")
             points.append((x, y))

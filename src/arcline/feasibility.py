@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .annulus import arc_exists_within_tolerance
+from .arcfit import arc_exists_within_tolerance
 from .hulltree import HullTree
 
 
@@ -97,7 +97,10 @@ def _test_part(q: int, i: int, j: int, window_feasible: Callable[[int, int], boo
 def test_arcs(polyline: Sequence[Tuple[int, int]], tol,
               max_arc_points: int = 0) -> InfeasiblePairList:
     """Ranges that certainly no arc can cover within tol, whatever its
-    radius (`arc_exists_within_tolerance`); a range that cannot be settled
+    radius, and that no arc the DP accepts covers either: a window is
+    reported when no circle through its last vertex is within twice the
+    fit check's limit of the anchored cut's sample of it
+    (`arcfit.arc_exists_within_tolerance`).  A range that cannot be settled
     is not reported, so the pairs are a sound bound for the DP.
 
     max_arc_points > 0 additionally fails every window longer than that cap,

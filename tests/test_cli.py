@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import arcline
+from arcline import cli
 from arcline.cli import main
 from arcline.document import parse, render, read_polyline_file, write_polyline_file
 from arcline.pipeline import archimedean_spiral
@@ -75,6 +76,16 @@ def test_compress_svg(spiral_file, tmp_path):
     assert dom.documentElement.tagName == "svg"
     text = svg.read_text()
     assert "polyline" in text and "red" in text and "blue" in text
+
+
+@pytest.mark.parametrize("line", ["foo", "1,2,3", "1,abc"])
+def test_malformed_line_exits_2_with_its_location(line, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"0,0\n\n{line}\n2,1\n")
+    assert main(["compress", str(path), "--tolerance", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 3: expected 'x,y', got '{line}'\n"
 
 
 def test_exit_codes(tmp_path):
@@ -170,6 +181,22 @@ def test_bench_runs_and_threads_do_not_change_results(tmp_path):
     code2, out2, _ = run_cli(["bench", "--algo", "farthest", "--gen", "directions",
                               "--n", "64"])
     assert code2 == 0
+
+
+def test_bench_reports_the_size_of_the_fastest_input(monkeypatch, capsys):
+    # each repeat draws a hull of a different size; a fake clock makes the
+    # second repeat the fastest, and its size is the one printed
+    sizes, clock = [], [0.0]
+
+    def build(pts):
+        clock[0] += (3.0, 1.0, 2.0)[len(sizes)]
+        sizes.append(len(pts))
+
+    monkeypatch.setattr(cli.delaunay, "build_closest", build)
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+    assert main(["bench", "--gen", "walk", "--n", "40", "--repeat", "3"]) == 0
+    assert len(set(sizes)) > 1
+    assert capsys.readouterr().out.splitlines()[-1].split() == [str(sizes[1]), "1.0000"]
 
 
 @pytest.mark.parametrize("repeat", ["0", "-1"])

@@ -2,8 +2,10 @@ import gc
 import math
 import random
 import weakref
+from fractions import Fraction
 
-from arcline.annulus import arc_exists_within_tolerance
+from arcline.arcfit import arc_exists_within_tolerance
+from arcline.compress import _evaluate_arc
 from arcline.feasibility import (InfeasiblePairList, _dyadic_scan,
                                  build_fit_index_arrays)
 from arcline.feasibility import test_arcs as scan_arcs
@@ -95,6 +97,13 @@ def test_circle_polyline_no_infeasible_pairs():
     assert pl.pairs() == []
 
 
+def _dp_arcs(pts, tol):
+    """Every range (kp, k) of at least 4 points that the DP's own arc fit,
+    without a blocker cache, covers with an arc."""
+    return [(kp, k) for kp in range(len(pts)) for k in range(kp + 3, len(pts))
+            if _evaluate_arc(pts, kp, k, tol) is not None]
+
+
 def test_reported_windows_are_infeasible_and_bounds_sound():
     random.seed(91)
     scale = 1000
@@ -104,13 +113,59 @@ def test_reported_windows_are_infeasible_and_bounds_sound():
         pts = [(i * scale, (i % 2) * 8 * scale + random.randint(-50, 50)) for i in range(n)]
         tol = scale // 2
         pl = scan_arcs(pts, tol)
+        assert pl.pairs()
+        arcs = _dp_arcs(pts, tol)
         for i, j in pl.pairs():
-            assert not arc_exists_within_tolerance(pts[i:j + 1], tol)
+            assert not any(kp <= i and j <= k for kp, k in arcs), (i, j)
         arrs = build_fit_index_arrays(pl)
         for k in range(n):
-            f = arrs.first[k]
-            if f > 0 and k - (f - 1) + 1 >= 4:
-                assert not arc_exists_within_tolerance(pts[f - 1:k + 1], tol)
+            assert not any(kp < arrs.first[k] for kp, end in arcs if end == k), k
+
+
+def test_rejected_windows_hold_no_dp_arc():
+    # the pruning argument against the DP itself: no arc that the DP's fit
+    # accepts covers a range containing a window the test rejects, or starts
+    # below the bound the scan's table gives its end
+    rng = random.Random(92)
+    rejected = covered = 0
+    for case in range(60):
+        n = rng.randint(8, 20)
+        if case % 2:
+            x = y = 0
+            pts = []
+            for _ in range(n):
+                x += rng.randint(-20, 20)
+                y += rng.randint(-20, 20)
+                pts.append((x, y))
+        else:
+            r = rng.uniform(20, 500)
+            t0, sweep = rng.uniform(0, 2 * math.pi), rng.uniform(0.3, 5.0)
+            noise = rng.choice((0, 1, 3))
+            pts = [(round(r * math.cos(t0 + sweep * i / n)) + rng.randint(-noise, noise),
+                    round(r * math.sin(t0 + sweep * i / n)) + rng.randint(-noise, noise))
+                   for i in range(n)]
+        pts = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
+        tol = rng.choice((0.5, 1.0, 2.0, 4.0, 8.0))
+        arcs = _dp_arcs(pts, tol)
+        covered += len(arcs)
+        first = build_fit_index_arrays(scan_arcs(pts, tol)).first
+        assert not any(kp < first[k] for kp, k in arcs), (pts, tol)
+        for i in range(len(pts)):
+            for j in range(i + 3, len(pts)):
+                if arc_exists_within_tolerance(pts[i:j + 1], tol):
+                    continue
+                rejected += 1
+                assert not any(kp <= i and j <= k for kp, k in arcs), (pts, tol, i, j)
+    assert rejected > 1000 and covered > 1000
+
+
+def test_window_past_the_float_range_cannot_be_told():
+    assert arc_exists_within_tolerance([(0, 0), (10 ** 200, 1), (2 * 10 ** 200, 5),
+                                        (3 * 10 ** 200, 0)], 1)
+    zigzag = [(0, 0), (10, 10), (20, 0), (30, 10), (40, 0)]
+    assert not arc_exists_within_tolerance(zigzag, 1)
+    for tol in (Fraction(1, 10 ** 400), 10 ** 400, math.inf):
+        assert arc_exists_within_tolerance(zigzag, tol)
 
 
 def test_dyadic_scan_window_schedule():
