@@ -5,11 +5,16 @@ deviations): a segment costs 2, an arc 3, so segments win ties.  For each
 end vertex k the scan over start candidates k' runs in ascending order of
 their accumulated cost through a mergesort-tree range heap and stops at the
 first candidate whose cost bound already meets the incumbent.  Feasibility
-tables bound the scans: no candidate beyond the first index where an arc
-(or a segment strip) can still cover the range is ever touched.  The arc
-table's windows are decided by the anchored cut's test below, at twice the
-check's limit and about the window's last vertex
-(`arcfit.arc_exists_within_tolerance`).
+tables bound the scans: no candidate below the first index where an arc or
+a segment can still cover the range is ever touched.  The arc table's
+windows are decided by the anchored cut's test below, at twice the check's
+limit and about the window's last vertex
+(`arcfit.arc_exists_within_tolerance`).  The segment table comes from a
+cone walk back from each end vertex (`feasibility.test_segments`), which
+also decides each segment candidate: certainly in, certainly out, or
+unsure.  The scan answers a certain verdict in O(1), and only an unsure
+one runs the exact strip test and the direction check, so a candidate is
+accepted exactly when those checks would accept it.
 
 Arc candidates are evaluated best-first under a floor.  Exact prefix
 moments of the grid points (`_Moments`) give, in O(1) per candidate, the
@@ -79,7 +84,8 @@ from typing import List, Optional, Sequence, Tuple
 from .arcfit import (FittedArc, _anchor_sample, _anchor_slack, _feasible_centres,
                      _no_circle_through, _sse_floor, arc_within_tolerance, densify,
                      direction_and_endpoint_check, fit_arc_by_tolerance, fit_arc_least_squares)
-from .feasibility import build_fit_index_arrays, test_arcs, test_segments
+from .feasibility import (SEGMENT_OUT, SEGMENT_UNSURE, build_fit_index_arrays, test_arcs,
+                          test_segments)
 from .hulltree import HullTree
 from .sortedrange import MergeTree
 
@@ -213,11 +219,13 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     """Globally optimal decomposition into vertex-anchored segments and arcs.
 
     `stats` counts the work: `segment_evaluations` and `arc_evaluations`
-    the candidates evaluated, `arc_floor_drops` the arc candidates that got
-    an SSE floor but were never evaluated, `arc_probe_rejections` the
-    evaluated ones the blocker probe rejected before any fit,
-    `arc_anchor_cut` the start indices the anchored cut took out of arc
-    scans, and `anchor_tests` its `_no_circle_through` calls.
+    the candidates evaluated, `segment_fallbacks` the evaluated segment
+    candidates the cone walk left unsure, which ran the exact checks,
+    `arc_floor_drops` the arc candidates that got an SSE floor but were
+    never evaluated, `arc_probe_rejections` the evaluated ones the blocker
+    probe rejected before any fit, `arc_anchor_cut` the start indices the
+    anchored cut took out of arc scans, and `anchor_tests` its
+    `_no_circle_through` calls.
 
     Coordinates must be integers within +-MAX_GRID_COORD (floats with an
     integral value are taken as those integers); anything else raises
@@ -241,16 +249,16 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     tree = HullTree(pts)
     moments = _Moments(pts)
 
-    _, seg_arrays = test_segments(pts, tol, tree)
+    segs = test_segments(pts, tol)
     arc_pairs = test_arcs(pts, tol, params.max_arc_points)
-    first_seg_ok = seg_arrays.first  # first k' where a segment may fit
+    first_seg_ok = segs.first  # first k' where a segment may fit
     first_arc_ok = build_fit_index_arrays(arc_pairs, n).first
 
     T: List[PenaltyPair] = [(0, 0.0)]
     back: List[Optional[Tuple[int, str, Optional[FittedArc]]]] = [None]
     mtree = MergeTree()
     mtree.append(T[0])
-    seg_evals = arc_evals = floor_drops = 0
+    seg_evals = seg_fallbacks = arc_evals = floor_drops = 0
     tol_f = float(tol)
     blockers = _BlockerCache()
     anchor = _AnchoredCut(pts, tol_f)
@@ -281,10 +289,15 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
                 if best <= (cnt + p_seg, acc):
                     break
                 seg_evals += 1
-                if not tree.segment_within_tolerance(kp, k, pts[kp], pts[k], tol):
+                verdict = segs.verdict(kp, k)
+                if verdict == SEGMENT_OUT:
                     continue
-                if not direction_and_endpoint_check(pts[kp:k + 1], (pts[kp], pts[k])):
-                    continue
+                if verdict == SEGMENT_UNSURE:
+                    seg_fallbacks += 1
+                    if not tree.segment_within_tolerance(kp, k, pts[kp], pts[k], tol):
+                        continue
+                    if not direction_and_endpoint_check(pts[kp:k + 1], (pts[kp], pts[k])):
+                        continue
                 cand = (cnt + p_seg, acc + moments.range_sse(kp, k))
                 if cand < best or (cand == best and best_back[1] == "segment" and kp > best_back[0]):
                     best = cand
@@ -332,6 +345,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     prims = reconstruct(back, pts)
     return CompressedPolyline(prims, T[n - 1], pts,
                               stats={"segment_evaluations": seg_evals,
+                                     "segment_fallbacks": seg_fallbacks,
                                      "arc_evaluations": arc_evals,
                                      "arc_floor_drops": floor_drops,
                                      "arc_probe_rejections": blockers.probe_rejections,

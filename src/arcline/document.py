@@ -74,9 +74,13 @@ def read_polyline_file(path: str) -> Tuple[List[Tuple[float, float]], Optional[i
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("scale="):
-                    scale = int(body[6:])
+                    try:
+                        scale = int(body[6:])
+                    except ValueError:
+                        scale = 0
                     if not 0 < scale <= sys.float_info.max:
-                        raise ValueError("scale must be a positive integer within the float range")
+                        raise ValueError(f"line {number}: scale must be a positive integer "
+                                         f"within the float range, got {body[6:]!r}")
                 continue
             try:
                 xs, ys = line.split(",")

@@ -1,20 +1,39 @@
-"""Dyadic feasibility scan: which polyline ranges can one arc (or segment)
-possibly cover within tolerance.
+"""Feasibility tables: which polyline ranges one arc or one segment can
+possibly cover within tolerance, so that the dynamic program never tries
+the rest.
 
-Windows [i*, i* + 4*2^q - 1] are tested at every scale q; a failed window
-forbids every range containing it, because a range that cannot be covered
-poisons all its supersets.  The result is a sorted list of minimal failed
-pairs, turned into the per-index earliest feasible start that the dynamic
-program uses to prune its candidate scans.
+Arcs: a dyadic window scan.  Windows [i*, i* + 4*2^q - 1] are tested at
+every scale q; a failed window forbids every range containing it, because
+a range that cannot be covered poisons all its supersets.  The result is a
+sorted list of minimal failed pairs, turned into the per-index earliest
+feasible start that the dynamic program uses to prune its candidate scans.
+
+Segments: a cone walk (Imai and Iri 1986; Chan and Chin 1996).  From each
+end vertex a backward walk narrows the directions a chord to it may take,
+and decides every chord it passes as certainly feasible, certainly not or
+unsure, stopping where no direction is left (`test_segments`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from math import asin, atan2, remainder
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from .arcfit import ANCHOR_MARGIN as MARGIN
 from .arcfit import arc_exists_within_tolerance
-from .hulltree import HullTree
+from .predicates import _TINY, EPS
+
+# the verdicts of `test_segments` on a chord
+SEGMENT_OUT, SEGMENT_IN, SEGMENT_UNSURE = 0, 1, 2
+PI = math.pi
+TWO_PI = 2 * math.pi
+HALF_PI = math.pi / 2
+QUARTER_PI = math.pi / 4
+THREE_QUARTER_PI = 3 * math.pi / 4
+SKIP = 16.0  # the half-width of an arc that allows every direction
 
 
 @dataclass
@@ -116,17 +135,209 @@ def test_arcs(polyline: Sequence[Tuple[int, int]], tol,
     return InfeasiblePairList.from_pairs(_dyadic_scan(n, feasible), n)
 
 
-def test_segments(polyline: Sequence[Tuple[int, int]], tol,
-                  tree: Optional[HullTree] = None) -> Tuple[InfeasiblePairList, FitIndexArrays]:
-    """Ranges whose convex hull is wider than 2*tol cannot sit in any
-    segment's tolerance strip; same dyadic schedule as the arc test."""
+@dataclass
+class SegmentVerdicts:
+    """What `test_segments` decided about the chords to each end vertex k:
+    no chord from a start below first[k] passes the DP's segment checks,
+    and verdicts[k][k - 2 - kp], for first[k] <= kp <= k - 2, is
+    SEGMENT_IN, SEGMENT_OUT or SEGMENT_UNSURE for the chord from kp."""
+
+    first: List[int]
+    verdicts: List[bytes]
+
+    def verdict(self, kp: int, k: int) -> int:
+        return self.verdicts[k][k - 2 - kp]
+
+
+def test_segments(polyline: Sequence[Tuple[int, int]], tol) -> SegmentVerdicts:
+    """Every chord the DP's segment scan can try, decided by one backward
+    walk per end vertex: which chords certainly pass the scan's exact checks,
+    which certainly fail them, and below which start none can pass.
+
+    The checks.  The DP accepts the chord from pts[kp] to b = pts[k] when
+    every vertex of pts[kp..k] is within tol of the line through both
+    anchors (`HullTree.segment_within_tolerance`, exact) and the float
+    positions along the chord never decrease (`direction_and_endpoint_check`).
+    With u = pts[kp] - b != 0, q_i = pts[i] - b and phi the direction of u:
+
+    - A vertex within tol of b is within tol of every line through b.  For
+      one farther out, |u x q_i| <= tol*|u| reads |sin(phi - alpha_i)| <=
+      tol/|q_i|, alpha_i the direction of q_i: a double wedge, the arcs of
+      half-width asin(tol/|q_i|) about alpha_i and alpha_i + pi.
+    - The exact positions S_i = (pts[i] - pts[kp]).(-u) never decrease iff
+      u.e_i <= 0 for every edge e_i = pts[i + 1] - pts[i] of the range:
+      phi within pi/2 of the direction gamma_i of -e_i.  Then the float
+      check passes, since rounding S_i (an exact integer) and dividing by
+      the same positive length are monotone.  A float pass only gives
+      S_i - S_{i+1} <= (2*EPS + EPS^2)*(|S_i| + |S_{i+1}|) <= 4.0001*EPS*D*|u|,
+      D a bound on the distance between any two vertices, so phi lies
+      within pi/2 + asin(4.0001*EPS*D/|e_i|) of gamma_i.
+    - Coincident anchors (u = 0) have no line: the chord passes iff every
+      vertex of the range is within tol of b, and the float check passes.
+
+    The walk.  For kp = k - 1, k - 2, ... the chords' feasible directions
+    are the intersection of these sets over the edges of [kp, k) and the
+    vertices of (kp, k].  The walk keeps an outer interval of angles that
+    contains it (each arc widened, and where an arc meets the interval in
+    two pieces their hull kept) and an inner one inside it (each arc
+    narrowed, one piece kept).  The verdict on pts[kp] is SEGMENT_IN when
+    phi certainly lies in the inner interval, SEGMENT_OUT when it certainly
+    lies outside the outer one, and SEGMENT_UNSURE otherwise; a coincident
+    anchor is decided exactly.  Once the outer interval is empty and some
+    vertex of the walk is farther than tol from b, no start at or below kp
+    can pass and the walk stops; first[k] is then the lowest start whose
+    verdict is not SEGMENT_OUT.  While every vertex seen is within tol, a
+    coincident anchor may still pass, so the walk goes on.
+
+    The floats.  The within-tol test is exact (a float filter, then
+    integers).  Each angle is the atan2 of the floats of an integer vector
+    (within EPS of its direction, plus atan2's ulp), moved by
+    `math.remainder` to the copy nearest an interval's midpoint (exact for
+    the float period, whose rounding times at most 3 adds below 20*EPS),
+    and summed with arcs and midpoints of magnitude below 8 (4*EPS a
+    rounding).  A sine tol/|q| is computed within 6*EPS relatively (tol,
+    the coordinates, hypot and the quotient each one rounding), so
+    s*(1 +- 16*EPS) -+ _TINY bound it, _TINY covering underflow, and asin
+    is monotone and within 2*EPS near pi/2.  The edge widening uses
+    8*EPS*D/|e_i| for the 4.0001*EPS*D/|e_i| above (D and |e_i| within
+    3*EPS each).  Each of these errors is below 64*EPS, so every arc end is
+    moved outwards (outer) or inwards (inner) by ANCHOR_MARGIN = 256*EPS,
+    the margin of `arcfit._no_circle_through`, and a verdict needs phi that
+    far inside or outside.  An arc whose widened sine reaches 1 is skipped
+    by the outer interval, which can only keep more.
+
+    One copy.  While the outer interval is at most pi/2 wide and an arc's
+    half-width is below pi/4 (a wedge, copies pi apart) or 3*pi/4 (an
+    edge, copies 2*pi apart), only the copy nearest its midpoint can meet
+    it, with room to spare for ties; otherwise every copy is tried
+    (`_hull_cut`).  The inner interval always takes the nearest copy: any
+    one piece is a subset.  A verdict reads phi at the copy nearest the
+    outer midpoint, which lies outside the interval only if every copy
+    does, since the interval is shorter than 2*pi minus the margins, or is
+    the whole circle.
+
+    tol must be positive with a finite float.
+    """
     n = len(polyline)
-    if tree is None:
-        tree = HullTree(polyline)
+    t = float(tol)
+    exact = Fraction(tol)
+    num_sq, den_sq = exact.numerator ** 2, exact.denominator ** 2
+    near_lo = t * t * (1 - 8 * EPS) - _TINY  # a float |q|^2 below is within tol
+    near_hi = t * t * (1 + 8 * EPS) + _TINY  # and above, beyond it
+    xs = [p[0] for p in polyline]
+    ys = [p[1] for p in polyline]
+    diameter = math.hypot(max(xs) - min(xs), max(ys) - min(ys)) if n else 0.0
+    # per edge i: the direction of -e_i and the half-widths of its outer
+    # and inner arcs (SKIP when the edge has no length)
+    edge_dir: List[float] = []
+    edge_out: List[float] = []
+    edge_in: List[float] = []
+    for i in range(n - 1):
+        ex = xs[i + 1] - xs[i]
+        ey = ys[i + 1] - ys[i]
+        if ex == 0 and ey == 0:
+            edge_dir.append(0.0)
+            edge_out.append(SKIP)
+            edge_in.append(SKIP)
+            continue
+        edge_dir.append(atan2(-ey, -ex))
+        widen = 8 * EPS * diameter / math.hypot(ex, ey)
+        edge_out.append(HALF_PI + asin(widen) + MARGIN if widen < 1 else SKIP)
+        edge_in.append(HALF_PI - MARGIN)
 
-    def feasible(i: int, j: int) -> bool:
-        return not tree.range_min_width_exceeds(i, j, 2 * tol)
+    first = [0] * n
+    verdicts: List[bytes] = [b""] * n
+    up, down = 1 + 16 * EPS, 1 - 16 * EPS
+    hypot, pi, two_pi, half_pi, margin = math.hypot, PI, TWO_PI, HALF_PI, MARGIN
+    for k in range(2, n):
+        bx, by = xs[k], ys[k]
+        g = edge_dir[k - 1]
+        h = min(edge_out[k - 1], pi)
+        lo_o, hi_o = g - h, g + h  # the outer interval; empty when lo_o > hi_o
+        h = min(edge_in[k - 1], pi)
+        lo_i, hi_i = g - h, g + h  # the inner one
+        far = False  # some vertex of the walk beyond tol of b
+        out = bytearray()
+        px, py = xs[k - 1] - bx, ys[k - 1] - by  # the vertex whose wedge comes next
+        pa = atan2(py, px)
+        for m in range(k - 2, -1, -1):
+            q_sq = px * px + py * py
+            f = float(q_sq)
+            if f > near_hi or (f >= near_lo and q_sq * den_sq > num_sq):  # beyond tol of b
+                far = True
+                if lo_o <= hi_o:  # the double wedge of pts[m + 1]
+                    s = t / hypot(px, py)
+                    mid = (lo_o + hi_o) * 0.5
+                    c = mid + remainder(pa - mid, pi)
+                    s_hi = s * up + _TINY
+                    if s_hi < 1:
+                        h = asin(s_hi) + margin
+                        if h < QUARTER_PI and hi_o - lo_o <= half_pi:
+                            if c - h > lo_o:
+                                lo_o = c - h
+                            if c + h < hi_o:
+                                hi_o = c + h
+                        else:
+                            lo_o, hi_o = _hull_cut(lo_o, hi_o, pa, h, pi)
+                        h = asin(s * down - _TINY) - margin
+                    else:
+                        h = asin(min(s * down - _TINY, 1.0)) - margin
+                    if c - h > lo_i:
+                        lo_i = c - h
+                    if c + h < hi_i:
+                        hi_i = c + h
+            if lo_o <= hi_o:  # the edge from pts[m]
+                mid = (lo_o + hi_o) * 0.5
+                g = edge_dir[m]
+                c = mid + remainder(g - mid, two_pi)
+                h = edge_out[m]
+                if h < THREE_QUARTER_PI and hi_o - lo_o <= half_pi:
+                    if c - h > lo_o:
+                        lo_o = c - h
+                    if c + h < hi_o:
+                        hi_o = c + h
+                elif h < SKIP:
+                    lo_o, hi_o = _hull_cut(lo_o, hi_o, g, h, two_pi)
+                h = edge_in[m]
+                if c - h > lo_i:
+                    lo_i = c - h
+                if c + h < hi_i:
+                    hi_i = c + h
+            if far and lo_o > hi_o:
+                break  # no start at or below m can pass
+            # the verdict on the chord from pts[m]
+            px, py = xs[m] - bx, ys[m] - by
+            if px == 0 and py == 0:  # coincident anchors: in iff no vertex is beyond tol
+                out.append(SEGMENT_OUT if far else SEGMENT_IN)
+                continue
+            pa = atan2(py, px)
+            if lo_o > hi_o:
+                out.append(SEGMENT_OUT)
+                continue
+            mid = (lo_o + hi_o) * 0.5
+            phi = mid + remainder(pa - mid, two_pi)
+            if phi + margin < lo_o or phi - margin > hi_o:
+                out.append(SEGMENT_OUT)
+            elif lo_i <= phi - margin and phi + margin <= hi_i:
+                out.append(SEGMENT_IN)
+            else:
+                out.append(SEGMENT_UNSURE)
+        kept = bytes(out).rstrip(b"\x00")  # SEGMENT_OUT is 0: the lowest starts out
+        first[k] = k - 1 - len(kept)
+        verdicts[k] = kept
+    return SegmentVerdicts(first, verdicts)
 
-    pairs = InfeasiblePairList.from_pairs(_dyadic_scan(n, feasible), n)
-    return pairs, build_fit_index_arrays(pairs, n)
 
+def _hull_cut(lo: float, hi: float, c: float, h: float, period: float) -> Tuple[float, float]:
+    """The hull of the pieces of [lo, hi] inside the copies c + j*period of
+    [-h, h], every copy tried; (inf, -inf) when none meets it."""
+    new_lo, new_hi = math.inf, -math.inf
+    j = math.floor((lo - h - c) / period) - 1  # at or below the lowest copy that meets
+    while True:
+        cj = c + j * period
+        if cj - h > hi:
+            return new_lo, new_hi
+        if cj + h >= lo:
+            new_lo = min(new_lo, max(cj - h, lo))
+            new_hi = min(cj + h, hi)
+        j += 1

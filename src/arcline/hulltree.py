@@ -1,13 +1,11 @@
-"""Exact tolerance and width tests over vertex ranges of a polyline.
+"""Exact tolerance tests over vertex ranges of a polyline, and the convex
+hull.
 
-`HullTree.segment_within_tolerance` answers the DP's segment candidates by
-one pass over the range: the two endpoint-distance tests, then every vertex
-against the query segment's tolerance strip, in exact integer arithmetic,
-stopping at the first vertex outside.  A candidate that passes is scanned
-again in O(range) by the direction and endpoint check anyway, so a
-sublinear query structure would save no asymptotic work.
-`HullTree.range_min_width_exceeds` runs rotating calipers on the convex hull
-of the range.
+`HullTree.segment_within_tolerance` answers the DP's segment candidates that
+the cone walk (`feasibility.test_segments`) leaves unsure, by one pass over
+the range: the two endpoint-distance tests, then every vertex against the
+query segment's tolerance strip, in exact integer arithmetic, stopping at
+the first vertex outside.
 
 The class keeps its name, though it holds no tree, because it is public
 (`arcline.HullTree`) and the benchmark's tracer patches
@@ -91,31 +89,4 @@ class HullTree:
             c = dx * y - dy * x
             if c < lo or c > hi:
                 return False
-        return True
-
-    def range_min_width_exceeds(self, i: int, j: int, threshold) -> bool:
-        """True iff the min width of the hull of vertices [i, j] exceeds
-        threshold, by rotating calipers."""
-        verts = convex_hull(self._range(i, j))
-        if len(verts) < 3:
-            return False  # width zero
-        thr_sq = Fraction(threshold) ** 2
-        m = len(verts)
-        k = 1
-        for a in range(m):
-            b = (a + 1) % m
-            dx = verts[b][0] - verts[a][0]
-            dy = verts[b][1] - verts[a][1]
-            # advance the caliper to the farthest vertex from edge (a, b)
-            while True:
-                nk = (k + 1) % m
-                cur = dx * (verts[k][1] - verts[a][1]) - dy * (verts[k][0] - verts[a][0])
-                nxt = dx * (verts[nk][1] - verts[a][1]) - dy * (verts[nk][0] - verts[a][0])
-                if nxt > cur:
-                    k = nk
-                else:
-                    break
-            cross = dx * (verts[k][1] - verts[a][1]) - dy * (verts[k][0] - verts[a][0])
-            if Fraction(cross * cross, dx * dx + dy * dy) <= thr_sq:
-                return False  # this direction already achieves width <= threshold
         return True

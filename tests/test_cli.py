@@ -254,6 +254,20 @@ def test_scale_header_not_positive_or_beyond_the_float_range_exits_2(command, sc
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["compress", "annulus"])
+@pytest.mark.parametrize("scale", ["abc", "1.5", "0", "-3"])
+def test_malformed_scale_header_located(command, scale, tmp_path, capsys):
+    # a scale that is no positive integer is reported with its line, not
+    # with the message of int()
+    path = tmp_path / "bad_scale.txt"
+    path.write_text(f"0,0\n# scale={scale}\n1,0\n2,1\n")
+    assert main([command, str(path), "--tolerance", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: line 2: scale must be a positive integer within the "
+                            f"float range, got {scale!r}\n")
+
+
 _FUZZ_VALUES = ["0", "-0.0", "1", "-2.5", "0.125", "1e-300", "1e300", "-1e300", "1e400", "nan", "inf"]
 
 

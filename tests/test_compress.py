@@ -278,6 +278,19 @@ def test_segment_with_coincident_anchors_charged_its_deviation():
         assert reference_compress(pts, 5)[0] == want
 
 
+def test_noisy_straight_run_scans_few_segment_candidates():
+    # 700 vertices within +-0.3 of a line, tol 0.5: the cone walk opens each
+    # segment scan at the first start whose chord can still pass, where the
+    # hull-width scan it replaced admitted nearly every start, and decides
+    # every candidate without the exact checks
+    rng = random.Random(5)
+    pts = [(float(x), rng.uniform(-0.3, 0.3)) for x in range(700)]
+    res = compress_polyline(pts, 0.5)
+    assert (res.t_count, res.t_sse) == (2, 27.754987838132973)
+    assert res.grid.stats["segment_evaluations"] <= 15_000
+    assert res.grid.stats["segment_fallbacks"] == 0
+
+
 def test_arc_accepted_via_tolerance_fallback_in_dp():
     # a noisy arc whose least-squares fit misses the tolerance: the DP can
     # only produce a single arc through the interval-fit fallback

@@ -1,18 +1,18 @@
-import gc
 import math
 import random
-import weakref
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from arcline.arcfit import arc_exists_within_tolerance
 from arcline.compress import _evaluate_arc
-from arcline.feasibility import (InfeasiblePairList, _dyadic_scan,
-                                 build_fit_index_arrays)
+from arcline.feasibility import (SEGMENT_IN, SEGMENT_OUT, SEGMENT_UNSURE, InfeasiblePairList,
+                                 _dyadic_scan, build_fit_index_arrays)
 from arcline.feasibility import test_arcs as scan_arcs
 from arcline.feasibility import test_segments as scan_segments
-from arcline.hulltree import HullTree
 
 from oracles import contains_infeasible
+from reference_dp import _segment_ok
 
 PAPER_PAIRS = [(10, 17), (12, 19), (14, 21), (26, 33), (28, 35), (30, 37),
                (42, 49), (44, 51), (46, 53)]
@@ -196,11 +196,31 @@ def test_max_arc_points_cap():
         assert min(k + 1, 8) <= k - arrs.first[k] + 1 <= 16 + 4 - 2
 
 
+def _check_verdicts(pts, tol):
+    """Every certain verdict of the cone walk agrees with the independent
+    `_segment_ok`, and no feasible chord starts below first[k]; returns the
+    verdicts."""
+    got = scan_segments(pts, tol)
+    assert len(got.first) == len(got.verdicts) == len(pts)
+    for k in range(2, len(pts)):
+        assert len(got.verdicts[k]) == k - 1 - got.first[k]
+        for kp in range(k - 1):
+            ok = _segment_ok(pts, kp, k, tol)
+            if kp < got.first[k]:
+                assert not ok, (pts, tol, kp, k, got.first[k])
+                continue
+            verdict = got.verdict(kp, k)
+            assert verdict in (SEGMENT_IN, SEGMENT_OUT, SEGMENT_UNSURE)
+            if verdict != SEGMENT_UNSURE:
+                assert ok == (verdict == SEGMENT_IN), (pts, tol, kp, k, verdict)
+    return got
+
+
 def test_segments_collinear_all_feasible():
     pts = [(i, 0) for i in range(40)]
-    pl, arrs = scan_segments(pts, 1)
-    assert pl.pairs() == []
-    assert arrs.first == [0] * 40
+    got = _check_verdicts(pts, 1)
+    assert got.first == [0] * 40
+    assert all(set(v) == {SEGMENT_IN} for v in got.verdicts[2:])
 
 
 def test_segments_square_wave():
@@ -208,32 +228,80 @@ def test_segments_square_wave():
     pts = []
     for i in range(32):
         pts.append((i * 100, 0 if (i // 4) % 2 == 0 else 4 * tol))
-    pl, arrs = scan_segments(pts, tol)
-    assert pl.pairs() != []
-    tree = HullTree(pts)
-    for i, j in pl.pairs():
-        assert tree.range_min_width_exceeds(i, j, 2 * tol)
-    # the derived bound really limits the DP scan: a window just beyond the
-    # first feasible index has hull width above 2*tol
-    for k in range(len(pts)):
-        f = arrs.first[k]
+    got = _check_verdicts(pts, tol)
+    # the walk really limits the DP scan: a chord from just below first[k]
+    # is infeasible, and no verdict is left unsure
+    assert any(f > 0 for f in got.first)
+    for k in range(2, len(pts)):
+        f = got.first[k]
         if f > 0:
-            assert tree.range_min_width_exceeds(f - 1, k, 2 * tol)
+            assert not _segment_ok(pts, f - 1, k, tol)
+        assert SEGMENT_UNSURE not in got.verdicts[k]
 
 
-def test_segments_releases_the_tree_without_the_cyclic_collector():
-    # the scan must leave no reference cycle holding the tree: with the
-    # collector off, the tree dies with its last outside reference
-    pts = [(i * 100, 0 if (i // 4) % 2 == 0 else 40) for i in range(64)]
-    tree = HullTree(pts)
-    ref = weakref.ref(tree)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        pl, _ = scan_segments(pts, 10, tree)
-        del tree
-        assert ref() is None
-    finally:
-        if enabled:
-            gc.enable()
-    assert pl.pairs() != []
+def test_segments_noisy_run_all_certain():
+    # a noisy straight run, the walk's main customer: with a tolerance that
+    # no integer distance ties, every chord is decided without the exact
+    # checks
+    rng = random.Random(93)
+    pts = [(10 * i, rng.randint(-3, 3)) for i in range(120)]
+    got = _check_verdicts(pts, 4.7)
+    assert all(SEGMENT_UNSURE not in v for v in got.verdicts)
+    assert max(k - f for k, f in enumerate(got.first)) > 30
+
+
+def test_segment_verdicts_on_exact_ties():
+    # noisy runs with integer noise and tolerance put many vertices exactly
+    # tol off a chord, where only the margins keep the floats from deciding
+    # the wrong way
+    rng = random.Random(94)
+    for _ in range(300):
+        dx, dy = rng.choice([(1, 0), (3, 1), (2, -5), (1, 1)])
+        along = 0
+        pts = []
+        for _ in range(rng.randint(8, 20)):
+            along += rng.randint(1, 6)
+            pts.append((along * dx, along * dy + rng.randint(-2, 2)))
+        _check_verdicts(pts, rng.choice([1, 2]))
+
+
+@st.composite
+def _walk_polylines(draw):
+    """At most 25 integer vertices from random walks, noisy straight runs,
+    revisits (coincident anchors), backtracking and collinear runs, the
+    whole moved by up to 2^52, sometimes after a first vertex 2^52 away
+    (the float direction check then rounds too coarsely for short edges to
+    narrow the outer interval); consecutive duplicates collapsed as the DP
+    does."""
+    kind = draw(st.sampled_from(["walk", "noisy", "revisit", "back", "collinear"]))
+    size = draw(st.integers(3, 24))
+    pts = [(draw(st.integers(-60, 60)), draw(st.integers(-60, 60)))]
+    dx, dy = draw(st.sampled_from([(1, 0), (3, 1), (2, -5), (7, 7)]))
+    along = 0  # steps of (dx, dy) taken by the noisy run
+    while len(pts) < size:
+        x, y = pts[-1]
+        if kind == "noisy":  # about the line from pts[0], noise up to 3
+            along += draw(st.integers(1, 10))
+            pts.append((pts[0][0] + along * dx, pts[0][1] + along * dy + draw(st.integers(-3, 3))))
+        elif kind == "collinear":
+            step = draw(st.sampled_from([1, 1, 2, -1]))
+            pts.append((x + step * dx, y + step * dy))
+        elif kind == "revisit" and draw(st.booleans()):
+            pts.append(draw(st.sampled_from(pts)))
+        elif kind == "back" and len(pts) > 1 and draw(st.booleans()):
+            px, py = pts[-2]
+            pts.append((x + (px - x) * draw(st.integers(1, 2)), y + (py - y) * draw(st.integers(1, 2))))
+        else:
+            pts.append((x + draw(st.integers(-12, 12)), y + draw(st.integers(-12, 12))))
+    if draw(st.integers(0, 4)) == 0:
+        pts.insert(0, (pts[0][0] + 2 ** 52, pts[0][1]))
+    shift = draw(st.sampled_from([0, 0, 2 ** 40, 2 ** 52, -2 ** 52]))
+    shift_y = draw(st.sampled_from([0, shift, -shift]))
+    pts = [(x + shift, y + shift_y) for x, y in pts]
+    return [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_walk_polylines(), st.sampled_from([0.5, 1, 2, 3.3, 5, 10, 25]))
+def test_segment_verdicts_match_the_oracle(pts, tol):
+    _check_verdicts(pts, tol)

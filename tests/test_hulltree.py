@@ -4,28 +4,7 @@ from fractions import Fraction
 import pytest
 
 from arcline.hulltree import HullTree
-from arcline.predicates import dist_sq, orientation
-
-
-def gift_wrap_hull(points):
-    """Strict convex hull counterclockwise from the least point, by gift
-    wrapping: from each vertex the next is the point with no other point to
-    its right, the farthest one when several are collinear.  Fewer than
-    three distinct points come back sorted."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return pts
-    hull = [pts[0]]
-    while True:
-        cur = hull[-1]
-        nxt = pts[1] if cur == pts[0] else pts[0]
-        for p in pts:
-            turn = orientation(cur, nxt, p)
-            if turn < 0 or (turn == 0 and dist_sq(cur, p) > dist_sq(cur, nxt)):
-                nxt = p
-        if nxt == hull[0]:
-            return hull
-        hull.append(nxt)
+from arcline.predicates import dist_sq
 
 
 def brute_segment_check(pts, i, j, a, b, tol):
@@ -98,42 +77,6 @@ def test_segment_tolerance_matches_brute_force():
     assert outcomes == {True, False}
 
 
-def brute_width_exceeds(pts, thr):
-    verts = gift_wrap_hull(pts)
-    if len(verts) < 3:
-        return False
-    best = None
-    m = len(verts)
-    for a in range(m):
-        b = (a + 1) % m
-        dx = verts[b][0] - verts[a][0]
-        dy = verts[b][1] - verts[a][1]
-        w = max(Fraction((dx * (p[1] - verts[a][1]) - dy * (p[0] - verts[a][0])) ** 2,
-                         dx * dx + dy * dy) for p in verts)
-        best = w if best is None else min(best, w)
-    return best > Fraction(thr) ** 2
-
-
-def test_min_width_examples():
-    t = HullTree([(i, 0) for i in range(8)])
-    assert not t.range_min_width_exceeds(0, 7, 1)  # collinear: width 0
-    sq = HullTree([(0, 0), (10, 0), (10, 10), (0, 10)])
-    assert sq.range_min_width_exceeds(0, 3, 5)  # width = side = 10
-    assert not sq.range_min_width_exceeds(0, 3, 10)
-
-
-def test_min_width_matches_brute_force():
-    random.seed(85)
-    for _ in range(300):
-        n = random.randint(1, 30)
-        pts = [(random.randint(0, 40), random.randint(0, 40)) for _ in range(n)]
-        t = HullTree(pts)
-        i = random.randint(0, n - 1)
-        j = random.randint(i, n - 1)
-        thr = random.choice([0, 1, 3, 10])
-        assert t.range_min_width_exceeds(i, j, thr) == brute_width_exceeds(pts[i:j + 1], thr)
-
-
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         HullTree([])
@@ -144,5 +87,3 @@ def test_bad_range_rejected(i, j):
     t = HullTree([(0, 0), (1, 0), (2, 1), (3, 0), (4, 0)])
     with pytest.raises(ValueError, match="bad range"):
         t.segment_within_tolerance(i, j, (0, 0), (4, 0), 1)
-    with pytest.raises(ValueError, match="bad range"):
-        t.range_min_width_exceeds(i, j, 1)
