@@ -364,8 +364,13 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     square beyond which that exceeds it (`_far_half_side`), not at h.  The
     bisection: every edge piece left is bisected in floats, and sub-pieces
     certainly wider by the 2-Lipschitz bound are dropped (`_kept_runs`).
-    Candidates are still those in the square of half side h."""
-    upts = list(dict.fromkeys(tuple(p) for p in points))
+    Candidates are still those in the square of half side h.
+
+    Coordinates are ints or Fractions; floats with an integral value are
+    taken as those ints, and any other float raises ValueError."""
+    if any(isinstance(c, float) and not c.is_integer() for p in points for c in p):
+        raise ValueError("annulus coordinates must be integers, Fractions or integral floats")
+    upts = list(dict.fromkeys(tuple(int(c) if isinstance(c, float) else c for c in p) for p in points))
     if len(upts) < 2:
         raise ValueError("degenerate point set")
 

@@ -22,20 +22,25 @@ roots.  Intersecting the per-point interval sets, one merge per point
 (`_feasible_centres`, which the DP's blocker probe shares), yields all
 tolerance-feasible centers.
 
-The DP's arc cost is the approximate squared deviation `_approx_sse`, which
-about the centre at s is the ratio f(s) = (G - 4*s*P + 4*s^2*E) /
-(4*(h + s^2)) of three sums over the points (`_sse_floor`).  Its minimum
-lam and its minimiser s* = P/(2*(E - lam)) are closed forms in those sums
-(`_sse_minimum`), O(1) once the sums are known: `fit_arc_least_squares`
-returns the arc at s*, and `fit_arc_by_tolerance` the best interval
-endpoint when s* is not feasible.
+The DP's arc cost is the approximate squared deviation, the sum of
+((d^2 - r^2)/(2*r))^2 over the points, which about the centre at s is the
+ratio f(s) = (G - 4*s*P + 4*s^2*E) / (4*(h + s^2)) of three sums over the
+points (`_Moments.arc_sums`).  Its minimum lam and its minimiser
+s* = P/(2*(E - lam)) are closed forms in those sums, and f(s) - lam is
+(E - lam)*(s - s*)^2/(h + s^2) (`_sse_minimum`), so every arc is priced in
+O(1) once the sums are known (`_arc_cost`): `fit_arc_least_squares`
+returns the arc at s*, whose cost is lam itself, and
+`fit_arc_by_tolerance` the cheapest interval endpoint when s* is not
+feasible.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .predicates import EPS
@@ -61,7 +66,7 @@ class FittedArc:
     center: Tuple[float, float]
     radius: float
     orientation: str  # "ccw" | "cw"
-    sse: float  # approximate sum of squared radial deviations
+    sse: float  # the DP's arc cost f at the centre, in closed form (`_arc_cost`)
     segment_like: bool = False
 
 
@@ -188,7 +193,7 @@ def _anchor_slack(tol: float, diameter: float, coord: float) -> float:
     tol*(1 + CHECK_ALLOWANCE) of the circle about the float centre c with
     the float radius.  The circle here is the one about c through the
     anchor b: `_build_arc` makes |c - b| differ from the float radius by at
-    most EPS*(4*coord + 13*rho) (`_sse_floor`).  The sum is below
+    most EPS*(4*coord + 13*rho) (its docstring).  The sum is below
     tol*(1 + 2*CHECK_ALLOWANCE) + 32*EPS*(coord + rho): the second
     CHECK_ALLOWANCE covers the rounding of the check's limit and of this
     sum, and the factor 32 is twice what the terms need, which also covers
@@ -368,7 +373,17 @@ def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol) -> bool:
         return True
 
 
-def _build_arc(a, b, s, points) -> FittedArc:
+def _build_arc(a, b, s, points, sse: float) -> FittedArc:
+    """The arc through a and b with its centre at the bisector parameter s,
+    and the cost `sse` the caller priced it at (`_arc_cost`).
+
+    A non-finite s, or a radius beyond SEGMENT_LIKE_RADIUS_FACTOR chords,
+    makes the arc segment-like.  The rounding: with m = (a + b)/2 the exact
+    chord midpoint, M = |m_x| + |m_y| and r the exact radius, the float
+    centre lies within EPS*(2*M + 8*r) of m + s*u (the float midpoint is
+    off by EPS*M, the unit normal u by 5*EPS), and the float radius within
+    5*EPS*r of r (`_anchor_slack` relies on both).
+    """
     mid, u, length = _chord_frame(a, b)
     radius = math.hypot(length / 2, s)
     segment_like = radius > SEGMENT_LIKE_RADIUS_FACTOR * length or not math.isfinite(s)
@@ -377,8 +392,7 @@ def _build_arc(a, b, s, points) -> FittedArc:
         radius = math.hypot(length / 2, s)
     center = (mid[0] + s * u[0], mid[1] + s * u[1])
     orientation = _pick_orientation(a, b, center, points)
-    return FittedArc(tuple(a), tuple(b), center, radius, orientation,
-                     _approx_sse(points, center, radius), segment_like)
+    return FittedArc(tuple(a), tuple(b), center, radius, orientation, sse, segment_like)
 
 
 def _pick_orientation(a, b, center, points) -> str:
@@ -392,52 +406,112 @@ def _pick_orientation(a, b, center, points) -> str:
     return "ccw" if tp <= ccw_span else "cw"
 
 
-def _approx_sse(points, center, radius) -> float:
-    """Approximate radial residual sum: ((d^2 - r^2) / (2 r))^2 per point."""
-    total = 0.0
-    r_sq = radius * radius
-    for p in points:
-        d_sq = (p[0] - center[0]) ** 2 + (p[1] - center[1]) ** 2
-        total += ((d_sq - r_sq) / (2 * radius)) ** 2
-    return total
+class _Moments:
+    """Exact prefix sums of 1, x, y, x^2, xy, y^2, x*|p|^2, y*|p|^2 and
+    |p|^4 over the points (Python ints for grid points, Fractions for
+    rational ones): O(1) exact sums over any vertex range, for the segment
+    SSE and the arc costs."""
+
+    def __init__(self, pts):
+        row = (0,) * 9
+        rows = [row]
+        for x, y in pts:
+            w = x * x + y * y
+            c, sx, sy, sxx, sxy, syy, sxw, syw, sww = row
+            row = (c + 1, sx + x, sy + y, sxx + x * x, sxy + x * y, syy + y * y,
+                   sxw + x * w, syw + y * w, sww + w * w)
+            rows.append(row)
+        self.rows = rows
+        self.pts = pts
+
+    def range_sse(self, i: int, j: int) -> float:
+        """Sum over i..j of squared distance to the line through pts[i], pts[j]
+        (to the point pts[i] when the two coincide)."""
+        ax, ay = self.pts[i]
+        bx, by = self.pts[j]
+        dx = bx - ax
+        dy = by - ay
+        len_sq = dx * dx + dy * dy
+        cnt, sx, sy, sxx, sxy, syy, *_ = map(sub, self.rows[j + 1], self.rows[i])
+        if len_sq == 0:
+            # coincident anchors: no line, the deviation is from the anchor
+            return float(sxx - 2 * ax * sx + cnt * ax * ax + syy - 2 * ay * sy + cnt * ay * ay)
+        # cross_t = dx*(y_t - ay) - dy*(x_t - ax); sum cross_t^2 expanded
+        c = dx * ay - dy * ax  # cross = dx*y - dy*x - c0 with c0 = dx*ay - dy*ax
+        total = (dx * dx * syy + dy * dy * sxx - 2 * dx * dy * sxy
+                 - 2 * c * (dx * sy - dy * sx) + cnt * c * c)
+        return total / len_sq
+
+    def arc_sums(self, i: int, j: int):
+        """G = sum g^2, L*P = sum g*q and L^2*E = sum q^2 over i..j, exact,
+        with anchors a = pts[i] and b = pts[j], g = (p - a).(p - b) and
+        q = (p - a).(a_y - b_y, b_x - a_x): the sums of f(s) (module
+        docstring) about the exact chord midpoint m, as g = |p - m|^2 - h
+        and q = L*e."""
+        ax, ay = self.pts[i]
+        bx, by = self.pts[j]
+        cx, cy = ax + bx, ay + by
+        nx, ny = ay - by, bx - ax
+        ab = ax * bx + ay * by  # g = |p|^2 - c.p + ab
+        an = nx * ax + ny * ay  # q = n.p - an
+        cnt, sx, sy, sxx, sxy, syy, sxw, syw, sww = map(sub, self.rows[j + 1], self.rows[i])
+        sw = sxx + syy
+        cp = cx * sx + cy * sy
+        np_ = nx * sx + ny * sy
+        g = (sww - 2 * (cx * sxw + cy * syw) + cx * (cx * sxx + 2 * cy * sxy) + cy * cy * syy
+             + ab * (2 * (sw - cp) + cnt * ab))
+        lp = (nx * sxw + ny * syw - an * sw - cx * (nx * sxx + ny * sxy) - cy * (nx * sxy + ny * syy)
+              + an * cp + ab * (np_ - cnt * an))
+        l2e = nx * (nx * sxx + 2 * ny * sxy) + ny * ny * syy - an * (2 * np_ - cnt * an)
+        return g, lp, l2e
+
+    def arc_floor(self, i: int, j: int) -> float:
+        """The cost of the least-squares arc through pts[i] and pts[j] over
+        i..j, lam of `_sse_minimum`: no arc priced from the same sums costs
+        less (`_arc_cost`)."""
+        (ax, ay), (bx, by) = self.pts[i], self.pts[j]
+        return _sse_minimum(*self.arc_sums(i, j))[0] / ((bx - ax) ** 2 + (by - ay) ** 2)
 
 
-def fit_arc_least_squares(points: Sequence,
-                          sums: Optional[Tuple[float, float, float]] = None) -> FittedArc:
+def _window_sums(points, sums):
+    """The window's sums G, L*P and L^2*E (`sums` when given, else
+    `_Moments` over its coordinates, ints and Fractions as they are and
+    others as exact Fractions) and its L^2 = |b - a|^2, exact for exact
+    anchors.  Non-finite coordinates raise ValueError."""
+    if sums is None:
+        if not all(math.isfinite(c) for p in points for c in p):
+            raise ValueError("non-finite coordinate")
+        points = [tuple(c if isinstance(c, numbers.Rational) else Fraction(c) for c in p) for p in points]
+        sums = _Moments(points).arc_sums(0, len(points) - 1)
+    (ax, ay), (bx, by) = points[0], points[-1]
+    return sums, (bx - ax) ** 2 + (by - ay) ** 2
+
+
+def fit_arc_least_squares(points: Sequence, sums=None) -> FittedArc:
     """The arc through the first and last point with the least approximate
-    squared deviation `_approx_sse`: the centre at the minimiser s* of f
-    (module docstring, `_sse_minimum`).
+    squared deviation: the centre at the minimiser s* of f (module
+    docstring, `_sse_minimum`), at the cost lam.
 
-    `sums` are G, L*P and L^2*E of `_sse_floor` when the caller has them
-    (`compress._Moments.arc_sums` gives them exactly, in O(1)); otherwise
-    they are summed in floats, point by point, about the chord midpoint.
-    When f is least at infinity (collinear input) the arc is segment-like.
+    `sums` are G, L*P and L^2*E of `_Moments.arc_sums` over the window when
+    the caller has them (the compressor's prefix moments give them in
+    O(1)); otherwise they are summed exactly over the window
+    (`_window_sums`).  When f is least at infinity (collinear input) the
+    arc is segment-like.
     """
     if len(points) < 3:
         raise ValueError("need at least 3 points")
     a, b = points[0], points[-1]
-    mid, u, length = _chord_frame(a, b)
-    if sums is None:
-        half_sq = (length / 2) ** 2
-        ux, uy = u
-        mx, my = mid
-        sum_gg = sum_ge = sum_ee = 0.0
-        for p in points:
-            px = p[0] - mx
-            py = p[1] - my
-            g = px * px + py * py - half_sq
-            e = px * ux + py * uy
-            sum_gg += g * g
-            sum_ge += g * e
-            sum_ee += e * e
-        sums = (sum_gg, length * sum_ge, length * length * sum_ee)
-    return _build_arc(a, b, length * _sse_minimum(*sums)[1], points)
+    sums, l_sq = _window_sums(points, sums)
+    fit = _sse_minimum(*sums)
+    sigma = fit[1]
+    return _build_arc(a, b, _chord_frame(a, b)[2] * sigma, points, _arc_cost(fit, sigma, l_sq))
 
 
-def _sse_minimum(g, lp, l2e) -> Tuple[float, float]:
-    """(L^2*lam, s*/L): the minimum lam over s of f(s) = (G - 4*s*P +
-    4*s^2*E) / (4*(h + s^2)), h = (L/2)^2, and its minimiser s*, from the
-    sums G, L*P and L^2*E of `_sse_floor`.
+def _sse_minimum(g, lp, l2e) -> Tuple[float, float, float]:
+    """(mu, sigma*, excess): mu = L^2*lam, the minimum lam over s of
+    f(s) = (G - 4*s*P + 4*s^2*E) / (4*(h + s^2)), h = (L/2)^2, its
+    minimiser sigma* = s*/L, and excess = L^2*(E - lam) >= 0, from the sums
+    G, L*P and L^2*E of `_Moments.arc_sums`.
 
     f(s) >= lam for all s iff (E - lam)*(G - 4*lam*h) >= P^2 with both
     factors >= 0, so the minimum of f (also its limit E at infinity) is
@@ -448,96 +522,58 @@ def _sse_minimum(g, lp, l2e) -> Tuple[float, float]:
         mu = 2*N / (S + sqrt(D)),  N = L^2E*G - (LP)^2,
         S = G + L^2E,  D = (G - L^2E)^2 + 4*(LP)^2,
 
-    with N >= 0 (Cauchy-Schwarz), so nothing cancels.  Where f' = 0,
-    -4*P + 8*s*E = 8*s*lam, so s* = P/(2*(E - lam)) = L*LP/(2*(L^2E - mu)),
-    and L^2E - mu = (sqrt(D) - (G - L^2E))/2 = 2*(LP)^2/(sqrt(D) + G - L^2E):
-    s*/L is LP/(sqrt(D) - (G - L^2E)) when G < L^2E and
-    (sqrt(D) + G - L^2E)/(4*LP) otherwise, so again nothing cancels.  When
-    LP = 0 and G >= L^2E, f is least at infinity (or constant) and s*/L is
-    inf.
+    with N >= 0 (Cauchy-Schwarz), so nothing cancels.  At that root the
+    numerator of f - lam, 4*(E - lam)*s^2 - 4*P*s + G - 4*lam*h, has a zero
+    discriminant: it is the square 4*(E - lam)*(s - s*)^2 with
+    s* = P/(2*(E - lam)), so, with sigma = s/L,
 
-    Integer sums are rounded to floats once each, where they meet a float;
-    float sums give the same formulas, with a negative N (rounding) read as
-    0.
+        L^2*f = mu + excess*(sigma - sigma*)^2/(1/4 + sigma^2)  (`_arc_cost`).
+
+    excess = (sqrt(D) - (G - L^2E))/2 = 2*(LP)^2/(sqrt(D) + G - L^2E), and
+    sigma* = LP/(2*excess): LP/(sqrt(D) - (G - L^2E)) when G < L^2E and
+    (sqrt(D) + G - L^2E)/(4*LP) otherwise, so again nothing cancels.  When
+    LP = 0 and G >= L^2E, f is least at infinity (or constant): sigma* is
+    inf, mu = L^2E and L^2*f = mu + excess/(1 + 4*sigma^2) with
+    excess = G - L^2E.
+
+    Exact sums are rounded to floats once each, where they meet a float.
     """
     diff = g - l2e
     root = math.sqrt(diff * diff + 4 * lp * lp)
     num = l2e * g - lp * lp
     mu = 2 * num / (g + l2e + root) if num > 0 else 0.0
     if diff < 0:
-        sigma = lp / (root - diff)
-    elif lp:
-        sigma = (root + diff) / (4 * lp)
+        den = root - diff
+        return mu, lp / den, den / 2
+    if lp:
+        return mu, (root + diff) / (4 * lp), 2 * lp * lp / (root + diff)
+    return mu, INF, float(diff)
+
+
+def _arc_cost(fit, sigma: float, l_sq) -> float:
+    """f at sigma = s/L from `fit` = `_sse_minimum` of the window's sums
+    and L^2: (mu + t)/L^2, t >= 0 the excess term of its closed form.  As
+    rounding is monotone, never below mu/L^2 (`_Moments.arc_floor`), and
+    equal to it at sigma*."""
+    mu, s_star, excess = fit
+    if s_star == INF:
+        t = excess / (1 + 4 * sigma * sigma)
     else:
-        sigma = INF
-    return mu, sigma
-
-
-def _sse_floor(n: int, a, b, g: int, lp: int, l2e: int) -> float:
-    """Certified lower bound on the `_approx_sse`, over n integer points, of
-    every arc that `_build_arc` makes through the integer anchors a and b
-    and does not report segment-like; 0.0 when no positive bound is
-    certified (always when the points lie on one circle or line through
-    the anchors).
-
-    With m = (a + b)/2 the exact chord midpoint, v = (a_y - b_y, b_x - a_x)
-    the chord's normal of length L, h = (L/2)^2, and per point
-    g = |p - m|^2 - h = (p - a).(p - b) and e = (p - m).v / L: the centre
-    m + s*v/L has radius r = sqrt(h + s^2), and d^2 - r^2 = g - 2*e*s, so
-    `_approx_sse` there is exactly f(s) = (G - 4*s*P + 4*s^2*E) /
-    (4*(h + s^2)) with G = sum g^2, P = sum g*e, E = sum e^2.  The
-    arguments are the integers G, L*P and L^2*E (`compress._Moments`
-    sums them exactly), and lam, the minimum of f, is L^2*lam from
-    `_sse_minimum` over L^2.  Rounding N, L^2, S and D to floats, the
-    square root, the sum and the two quotients put the computed lam within
-    8*EPS*lam of the true one (EPS the unit roundoff, first order); 16*EPS
-    covers it.
-
-    The arc.  With B^2 = h + sqrt(G) (at least every |p - m|^2, since
-    |g| <= sqrt(G)) and M = |m_x| + |m_y|, `_build_arc` puts the centre
-    within EPS*(2*M + 8*r) of m + s*v/L (its float midpoint is off by
-    EPS*M, its unit normal by 5*EPS) and rounds the radius by 5*EPS*r, so
-    the arc leaves the family above; `_approx_sse` rounds each d^2 - r^2
-    by 5*EPS*(d^2 + r^2) and the quotient by EPS.  With d <= B + r and
-    L/2 <= r <= rho = SEGMENT_LIKE_RADIUS_FACTOR * L (any larger radius is
-    segment-like), each residual (d^2 - r^2)/(2r) is off by at most
-    eta = EPS*(2*M*(1 + 2*B/L) + 20*(B + rho) + 11*B^2/L), doubled below,
-    and the root of the sum of their squares, a Euclidean norm, by
-    sqrt(n)*eta.  Summing n squares loses a factor of at most
-    1 - (n+1)*EPS.
-
-    Hence every such arc has sse >= (1 - (n+8)*EPS) *
-    (sqrt((1 - 16*EPS)*lam) - sqrt(n)*eta)^2, the extra 7*EPS covering the
-    rounding of this expression.  With coordinates within +-2**53 and n
-    far below 2**200, no float here overflows.
-    """
-    mu = _sse_minimum(g, lp, l2e)[0]
-    if not mu > 0.0:
-        return 0.0
-    ax, ay = a
-    bx, by = b
-    dx = bx - ax
-    dy = by - ay
-    l_sq = dx * dx + dy * dy
-    lam = mu / l_sq
-    length = math.sqrt(l_sq)
-    b_sq = l_sq / 4 + math.sqrt(g)
-    b_len = math.sqrt(b_sq)
-    m2 = abs(ax + bx) + abs(ay + by)  # 2*M
-    eta = 2 * EPS * (m2 * (1 + 2 * b_len / length)
-                     + 20 * (b_len + SEGMENT_LIKE_RADIUS_FACTOR * length) + 11 * b_sq / length)
-    root = math.sqrt((1 - 16 * EPS) * lam) - math.sqrt(n) * eta
-    return (1 - (n + 8) * EPS) * root * root if root > 0.0 else 0.0
+        d = sigma - s_star
+        t = excess * d * d / (0.25 + sigma * sigma)
+    return (mu + t) / l_sq
 
 
 def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
                          seed_arc: Optional[FittedArc] = None,
-                         blockers: Optional[List[int]] = None) -> Optional[FittedArc]:
+                         blockers: Optional[List[int]] = None,
+                         sums=None) -> Optional[FittedArc]:
     """Arc through the endpoints with every point within tol, or None.
 
     Tries the least-squares fit first (seed_arc, when given, stands in for
     it); on failure intersects the per-point tolerance intervals on the
-    bisector and evaluates their endpoints by approximate squared deviation.
+    bisector and takes the cheapest of their endpoints, every arc priced
+    from the window's sums (`sums`, as for `fit_arc_least_squares`).
     When the intersection comes out empty and `blockers` is a list, the
     indices (into points) of the points intersected up to that moment are
     appended to it: their intervals alone already leave no centre.
@@ -545,9 +581,10 @@ def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
     if len(points) < 4:
         raise ValueError("need at least 4 points")
     a, b = points[0], points[-1]
+    sums, l_sq = _window_sums(points, sums)
     ls = seed_arc
     if ls is None:
-        ls = fit_arc_least_squares(points)
+        ls = fit_arc_least_squares(points, sums)
         if arc_within_tolerance(ls, points, tol):
             return ls
     # intersect per-point interval sets, most constraining points first, so
@@ -575,14 +612,15 @@ def fit_arc_by_tolerance(points: Sequence, tol: float = 0.0,
                 candidates.append(s)
             else:
                 candidates.append(math.copysign(SEGMENT_LIKE_RADIUS_FACTOR * length, s))
+    fit = _sse_minimum(*sums)
     best = None
     for s in candidates:
-        arc = _build_arc(a, b, s, points)
+        arc = _build_arc(a, b, s, points, _arc_cost(fit, s / length, l_sq))
         # nudge inward when float dust pushes a boundary center outside
         if not arc_within_tolerance(arc, points, tol):
             for shrink in (1e-12, 1e-9, 1e-6):
                 s_in = s + math.copysign(shrink * (1 + abs(s)), s_ls - s)
-                arc = _build_arc(a, b, s_in, points)
+                arc = _build_arc(a, b, s_in, points, _arc_cost(fit, s_in / length, l_sq))
                 if arc_within_tolerance(arc, points, tol):
                     break
             else:

@@ -17,14 +17,18 @@ one runs the exact strip test and the direction check, so a candidate is
 accepted exactly when those checks would accept it.
 
 Arc candidates are evaluated best-first under a floor.  Exact prefix
-moments of the grid points (`_Moments`) give, in O(1) per candidate, the
-sums behind a certified lower bound on the SSE of every arc through its two
-anchors (`arcfit._sse_floor`), so (cnt + p_arc, acc + floor) bounds the
-candidate's cost.  The scan takes candidates from the range heap while
-their bound (cnt + p_arc, acc) is below the incumbent and at most the
-smallest floor key waiting, and pushes each under its floor key; it
-evaluates the waiting candidate with the smallest key while that key is at
-most the incumbent, and stops once the incumbent is below every key left.
+moments of the grid points (`arcfit._Moments`) give, in O(1) per
+candidate, the sums behind the DP's arc cost as a function of the centre
+on the bisector of its two anchors, and the minimum of that function: the
+cost of the candidate's least-squares arc (`_Moments.arc_floor`).  Every
+arc `_evaluate_arc` returns is priced from the same sums
+(`arcfit._arc_cost`) and costs at least that, so
+(cnt + p_arc, acc + floor) bounds the candidate's cost.  The scan takes
+candidates from the range heap while their bound (cnt + p_arc, acc) is
+below the incumbent and at most the smallest floor key waiting, and
+pushes each under its floor key; it evaluates the waiting candidate with
+the smallest key while that key is at most the incumbent, and stops once
+the incumbent is below every key left.
 Every candidate whose key is at most the final incumbent is so evaluated,
 and the tie rule (segments before arcs, then the larger k') does not
 depend on the order of evaluation: the scan ends with the same T and back
@@ -44,10 +48,10 @@ empty probe means an empty fit: the candidate would have been rejected
 anyway.  Only the least-squares accept, which checks residuals against
 tol*(1 + 1e-9) instead of the intervals, could have accepted such a
 candidate, inside that allowance.  A candidate that passes the probe gets
-the arc that minimises its own cost: the same prefix moments give the sums
-behind its SSE as a function of the centre, and its minimiser in closed
-form, in O(1) (`arcfit.fit_arc_least_squares`).  That arc is accepted when
-it passes the tolerance and direction checks, and the interval fit takes
+the arc that minimises its own cost, the minimiser and the cost in closed
+form from the same sums, in O(1) (`arcfit.fit_arc_least_squares`).  That
+arc is accepted when it passes the tolerance and direction checks, and the
+interval fit, which prices its interval ends from those sums too, takes
 over when it does not (`_evaluate_arc`).  The tolerance check is exact:
 every vertex an accepted arc covers lies within tol*(1 + 1e-9) of the
 float centre and radius it returns, decided in floats with a derived error
@@ -75,14 +79,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain
-from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
-from .arcfit import (FittedArc, _anchor_sample, _anchor_slack, _feasible_centres,
-                     _no_circle_through, _sse_floor, arc_within_tolerance, densify,
+from .arcfit import (FittedArc, _anchor_sample, _anchor_slack, _feasible_centres, _Moments,
+                     _no_circle_through, arc_within_tolerance, densify,
                      direction_and_endpoint_check, fit_arc_by_tolerance, fit_arc_least_squares)
 from .feasibility import (SEGMENT_OUT, SEGMENT_UNSURE, build_fit_index_arrays, test_arcs,
                           test_segments)
@@ -108,7 +112,7 @@ class CompressionParams:
     mode: str = "vertices"  # "vertices" | "segments"
 
     def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:
+        if not 0 < self.tolerance <= sys.float_info.max:  # its float is finite
             raise ValueError("tolerance must be positive and finite")
         if self.penalty_segment <= 0 or self.penalty_arc <= 0:
             raise ValueError("penalties must be positive")
@@ -153,68 +157,6 @@ def _grid_coord(c) -> int:
     return value
 
 
-class _Moments:
-    """Exact prefix sums, as Python ints, of 1, x, y, x^2, xy, y^2,
-    x*|p|^2, y*|p|^2 and |p|^4 over the grid points: O(1) exact sums over
-    any vertex range, for the segment SSE and the arc SSE floor."""
-
-    def __init__(self, pts):
-        row = (0,) * 9
-        rows = [row]
-        for x, y in pts:
-            w = x * x + y * y
-            c, sx, sy, sxx, sxy, syy, sxw, syw, sww = row
-            row = (c + 1, sx + x, sy + y, sxx + x * x, sxy + x * y, syy + y * y,
-                   sxw + x * w, syw + y * w, sww + w * w)
-            rows.append(row)
-        self.rows = rows
-        self.pts = pts
-
-    def range_sse(self, i: int, j: int) -> float:
-        """Sum over i..j of squared distance to the line through pts[i], pts[j]
-        (to the point pts[i] when the two coincide)."""
-        ax, ay = self.pts[i]
-        bx, by = self.pts[j]
-        dx = bx - ax
-        dy = by - ay
-        len_sq = dx * dx + dy * dy
-        cnt, sx, sy, sxx, sxy, syy, *_ = map(sub, self.rows[j + 1], self.rows[i])
-        if len_sq == 0:
-            # coincident anchors: no line, the deviation is from the anchor
-            return float(sxx - 2 * ax * sx + cnt * ax * ax + syy - 2 * ay * sy + cnt * ay * ay)
-        # cross_t = dx*(y_t - ay) - dy*(x_t - ax); sum cross_t^2 expanded
-        c = dx * ay - dy * ax  # cross = dx*y - dy*x - c0 with c0 = dx*ay - dy*ax
-        total = (dx * dx * syy + dy * dy * sxx - 2 * dx * dy * sxy
-                 - 2 * c * (dx * sy - dy * sx) + cnt * c * c)
-        return total / len_sq
-
-    def arc_sums(self, i: int, j: int) -> Tuple[int, int, int]:
-        """The integers G = sum g^2, L*P = sum g*f and L^2*E = sum f^2 over
-        i..j of `arcfit._sse_floor`, with anchors a = pts[i], b = pts[j],
-        g = (p - a).(p - b) and f = (p - a).(a_y - b_y, b_x - a_x)."""
-        ax, ay = self.pts[i]
-        bx, by = self.pts[j]
-        cx, cy = ax + bx, ay + by
-        nx, ny = ay - by, bx - ax
-        ab = ax * bx + ay * by  # g = |p|^2 - c.p + ab
-        an = nx * ax + ny * ay  # f = n.p - an
-        cnt, sx, sy, sxx, sxy, syy, sxw, syw, sww = map(sub, self.rows[j + 1], self.rows[i])
-        sw = sxx + syy
-        cp = cx * sx + cy * sy
-        np_ = nx * sx + ny * sy
-        g = (sww - 2 * (cx * sxw + cy * syw) + cx * (cx * sxx + 2 * cy * sxy) + cy * cy * syy
-             + ab * (2 * (sw - cp) + cnt * ab))
-        lp = (nx * sxw + ny * syw - an * sw - cx * (nx * sxx + ny * sxy) - cy * (nx * sxy + ny * syy)
-              + an * cp + ab * (np_ - cnt * an))
-        l2e = nx * (nx * sxx + 2 * ny * sxy) + ny * ny * syy - an * (2 * np_ - cnt * an)
-        return g, lp, l2e
-
-    def arc_floor(self, i: int, j: int) -> float:
-        """`arcfit._sse_floor` of the range i..j: no arc through pts[i] and
-        pts[j] that `_evaluate_arc` can return has a smaller SSE."""
-        return _sse_floor(j - i + 1, self.pts[i], self.pts[j], *self.arc_sums(i, j))
-
-
 def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> CompressedPolyline:
     """Globally optimal decomposition into vertex-anchored segments and arcs.
 
@@ -250,7 +192,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
     moments = _Moments(pts)
 
     segs = test_segments(pts, tol)
-    arc_pairs = test_arcs(pts, tol, params.max_arc_points)
+    arc_pairs = test_arcs(pts, tol)
     first_seg_ok = segs.first  # first k' where a segment may fit
     first_arc_ok = build_fit_index_arrays(arc_pairs, n).first
 
@@ -477,14 +419,14 @@ def _evaluate_arc(pts, kp, k, tol, blockers: Optional[_BlockerCache] = None,
         blockers.probe_rejections += 1
         return None
     chunk = pts[kp:k + 1]
-    sums = moments.arc_sums(kp, k) if moments is not None else _Moments(chunk).arc_sums(0, k - kp)
+    sums = moments.arc_sums(kp, k) if moments is not None else None
     arc = fit_arc_least_squares(chunk, sums)
     if not arc.segment_like and arc_within_tolerance(arc, chunk, tol) \
             and direction_and_endpoint_check(chunk, arc):
         return arc
     seed = arc
     blocked: Optional[List[int]] = None if blockers is None else []
-    arc = fit_arc_by_tolerance(chunk, tol=tol, seed_arc=seed, blockers=blocked)
+    arc = fit_arc_by_tolerance(chunk, tol=tol, seed_arc=seed, blockers=blocked, sums=sums)
     if blocked:
         blockers.record(kp, blocked)
     # the fit returns the seed, which failed the checks above, or an

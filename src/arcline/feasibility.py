@@ -113,23 +113,18 @@ def _test_part(q: int, i: int, j: int, window_feasible: Callable[[int, int], boo
     _test_part(q + 1, i, j, window_feasible, reported)
 
 
-def test_arcs(polyline: Sequence[Tuple[int, int]], tol,
-              max_arc_points: int = 0) -> InfeasiblePairList:
+def test_arcs(polyline: Sequence[Tuple[int, int]], tol) -> InfeasiblePairList:
     """Ranges that certainly no arc can cover within tol, whatever its
     radius, and that no arc the DP accepts covers either: a window is
     reported when no circle through its last vertex is within twice the
     fit check's limit of the anchored cut's sample of it
     (`arcfit.arc_exists_within_tolerance`).  A range that cannot be settled
-    is not reported, so the pairs are a sound bound for the DP.
-
-    max_arc_points > 0 additionally fails every window longer than that cap,
-    which bounds how far back the DP ever scans for an arc.
+    is not reported, so the pairs are a sound bound for the DP.  The DP
+    applies its `max_arc_points` cap itself.
     """
     n = len(polyline)
 
     def feasible(i: int, j: int) -> bool:
-        if max_arc_points and j - i + 1 > max_arc_points:
-            return False
         return arc_exists_within_tolerance(polyline[i:j + 1], tol)
 
     return InfeasiblePairList.from_pairs(_dyadic_scan(n, feasible), n)

@@ -61,6 +61,19 @@ def exactly_within(points, centre, radius, tol) -> bool:
     return all(within(tuple(map(Fraction, p)), c, Fraction(radius), t) for p in points)
 
 
+def arc_cost(points, sigma) -> Fraction:
+    """The DP's arc cost, sum ((d^2 - r^2)/(2r))^2, of the arc through the
+    first and last of the integer points with its centre at m + sigma*v, m
+    the chord midpoint and v = (a_y - b_y, b_x - a_x) the chord's normal:
+    exact, in rationals, since r^2 = |a - c|^2 is rational."""
+    (ax, ay), (bx, by) = points[0], points[-1]
+    sigma = Fraction(sigma)
+    cx = Fraction(ax + bx, 2) + sigma * (ay - by)
+    cy = Fraction(ay + by, 2) + sigma * (bx - ax)
+    r_sq = (ax - cx) ** 2 + (ay - cy) ** 2
+    return sum(((x - cx) ** 2 + (y - cy) ** 2 - r_sq) ** 2 for x, y in points) / (4 * r_sq)
+
+
 def incircle_determinant(a: Point, b: Point, c: Point, d: Point):
     """Raw 4x4 determinant with rows (x, y, x^2+y^2, 1), expanded by minors.
 

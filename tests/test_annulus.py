@@ -164,3 +164,16 @@ def test_adversarial_near_cocircular_clusters():
     assert 60 <= res.width <= 170  # ring thickness ~ +-40 noise
     assert_one_sided(pts, res.width / 2 * 0.8, res)
     assert assert_one_sided(pts, res.width / 2 * 1.2, res) is True
+
+
+def test_integral_floats_taken_as_ints_and_other_floats_rejected():
+    ints = [(0, 0), (1, 1), (2, 0), (3, 5)]
+    want = min_width_annulus(ints)
+    for pts in ([(float(x), float(y)) for x, y in ints],
+                [(Fraction(x), Fraction(y)) for x, y in ints]):
+        got = min_width_annulus(pts)
+        assert (got.center, got.r_inner_sq, got.r_outer_sq) == (want.center, want.r_inner_sq,
+                                                                want.r_outer_sq)
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="annulus coordinates"):
+            min_width_annulus([(0.0, 0.0), (1.0, 1.0), (2.0, bad), (3.0, 5.0)])

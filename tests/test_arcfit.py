@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arcline.arcfit import (INF, MAX_DENSIFIED, SEGMENT_LIKE_RADIUS_FACTOR, _build_arc, _chord_frame,
-                            arc_within_tolerance, densify, direction_and_endpoint_check,
-                            fit_arc_by_tolerance, fit_arc_least_squares, tolerance_intervals_point)
-from arcline.compress import _Moments
+from arcline.arcfit import (INF, MAX_DENSIFIED, SEGMENT_LIKE_RADIUS_FACTOR, _arc_cost, _build_arc,
+                            _chord_frame, _Moments, _sse_minimum, arc_within_tolerance, densify,
+                            direction_and_endpoint_check, fit_arc_by_tolerance, fit_arc_least_squares,
+                            tolerance_intervals_point)
+
+import oracles
 
 
 def deviation(a, b, p, s):
@@ -339,10 +341,10 @@ def test_fallback_accepts_when_least_squares_violates():
 
 @st.composite
 def _floor_windows(draw):
-    """Integer windows where the SSE floor is hardest to certify: nearly
-    exact arcs (E*G close to P^2, so the bound is mostly cancellation),
-    arcs whose chord is short against their extent, nearly straight walks,
-    all optionally far from the origin."""
+    """Integer windows where the closed-form cost is hardest to get right:
+    nearly exact arcs (E*G close to P^2, so the minimum is mostly
+    cancellation), arcs whose chord is short against their extent, nearly
+    straight walks, all optionally far from the origin."""
     n = draw(st.integers(4, 80))
     kind = draw(st.sampled_from(("arc", "short_chord", "straight")))
     offset = draw(st.sampled_from((0, -(2 ** 20), 2 ** 40)))
@@ -408,31 +410,57 @@ def _bisector_param(arc):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_floor_windows())
 def test_sse_floor_bounds_every_arc_through_the_anchors(case):
+    # the floor is the cost of the least-squares arc, exactly, and every
+    # other arc priced from the same sums costs at least that: the interval
+    # fit's arc, every interval endpoint, s* recomputed independently, the
+    # chord midpoint and far out on either side
     pts, factor = case
-    fit = fit_arc_least_squares(pts)
-    floor = _Moments(pts).arc_floor(0, len(pts) - 1)
+    moments = _Moments(pts)
+    sums = moments.arc_sums(0, len(pts) - 1)
+    floor = moments.arc_floor(0, len(pts) - 1)
     assert 0.0 <= floor
+    fit = fit_arc_least_squares(pts, sums)
+    assert fit.sse == floor
     a, b = pts[0], pts[-1]
     worst = max(abs(math.dist(p, fit.center) - fit.radius) for p in pts)
     tol = max(0.5, worst * factor)
-    arcs = [fit, fit_arc_least_squares(pts, _Moments(pts).arc_sums(0, len(pts) - 1))]
-    fitted = fit_arc_by_tolerance(pts, tol=tol, seed_arc=fit)
+    arcs = [fit_arc_least_squares(pts)]
+    fitted = fit_arc_by_tolerance(pts, tol=tol, seed_arc=fit, sums=sums)
     if fitted is not None:
         arcs.append(fitted)
-    # the interval fit picks its centre among these endpoints (nudged)
     params = [s for p in pts for iv in tolerance_intervals_point(a, b, p, tol) for s in iv]
-    params += [_sse_minimiser(pts), 0.0]
-    arcs += [_build_arc(a, b, s, pts) for s in params if math.isfinite(s)]
-    sses = [arc.sse for arc in arcs if not arc.segment_like]
-    assert all(floor <= sse for sse in sses), (floor, min(sses))
+    length = _chord_frame(a, b)[2]
+    params += [_sse_minimiser(pts), 0.0, 1e3 * length, -1e3 * length]
+    fit_sums = _sse_minimum(*sums)
+    l_sq = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+    arcs += [_build_arc(a, b, s, pts, _arc_cost(fit_sums, s / length, l_sq))
+             for s in params if math.isfinite(s)]
+    assert all(floor <= arc.sse for arc in arcs), (floor, min(arc.sse for arc in arcs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_floor_windows(), st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=4))
+def test_arc_cost_matches_exact_sum(case, sigmas):
+    # the closed-form cost against the sum of ((d^2 - r^2)/(2r))^2 in
+    # rationals about the same centre, at s*, near it and elsewhere
+    pts, _ = case
+    fit = _sse_minimum(*_Moments(pts).arc_sums(0, len(pts) - 1))
+    a, b = pts[0], pts[-1]
+    l_sq = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+    s_star = fit[1]
+    if math.isfinite(s_star):
+        sigmas = sigmas + [s_star, s_star * (1 + 1e-6) + 1e-9, s_star * (1 - 1e-3)]
+    for sigma in sigmas:
+        want = float(oracles.arc_cost(pts, sigma))
+        assert abs(_arc_cost(fit, sigma, l_sq) - want) <= 1e-9 * want, (sigma, s_star)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_floor_windows())
 def test_least_squares_fit_is_the_sse_minimiser(case):
     # the centre of `fit_arc_least_squares` is the minimiser s* of the
-    # approximate SSE, from the exact moment sums and from its own float
-    # sums alike, up to the rounding of a centre far from the origin
+    # approximate SSE, from the prefix sums and from the window's own sums
+    # alike, up to the rounding of a centre far from the origin
     pts, _ = case
     want = _sse_minimiser(pts)
     (mx, my), _, length = _chord_frame(pts[0], pts[-1])

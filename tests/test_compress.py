@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from arcline import annulus
-from arcline.arcfit import FittedArc, fit_arc_by_tolerance, fit_arc_least_squares
+from arcline.arcfit import FittedArc, _Moments, fit_arc_by_tolerance, fit_arc_least_squares
 from arcline.compress import (BLOCKER_LISTS, PROBE_POINTS, CompressionParams, _BlockerCache,
                               _evaluate_arc, compress)
 from arcline.feasibility import InfeasiblePairList
@@ -189,6 +189,14 @@ def test_params_validation():
     CompressionParams(tolerance=1, min_arc_points=8, max_arc_points=0)  # 0 = unlimited
 
 
+@pytest.mark.parametrize("tol", [10 ** 400, Fraction(10 ** 400, 3), math.nan, math.inf])
+def test_tolerance_past_the_float_range_rejected(tol):
+    # a tolerance whose float is not finite is a documented error, not an
+    # OverflowError from deep inside the compressor
+    with pytest.raises(ValueError, match="tolerance"):
+        compress([(0, 0), (5, 3), (9, 0)], CompressionParams(tolerance=tol))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_coordinate_rejected(bad):
     with pytest.raises(ValueError, match="non-finite coordinate"):
@@ -349,7 +357,7 @@ def test_blocker_probe_matches_unpruned_reference_on_long_inputs(monkeypatch):
         rejections += got.stats["arc_probe_rejections"]
         drops += got.stats["arc_floor_drops"]
         with monkeypatch.context() as m:
-            m.setattr(compress_module, "_sse_floor", lambda *args: 0.0)
+            m.setattr(compress_module._Moments, "arc_floor", lambda *args: 0.0)
             eager = compress(pts, CompressionParams(tolerance=tol))
         assert got.stats["arc_evaluations"] <= eager.stats["arc_evaluations"], (make.__name__, n)
         assert _summary(got) == _summary(eager)
@@ -357,6 +365,30 @@ def test_blocker_probe_matches_unpruned_reference_on_long_inputs(monkeypatch):
         assert got.total[0] == want_total[0] and len(got.primitives) == want_count, (make.__name__, n)
         assert abs(got.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
     assert rejections > 0 and drops > 0
+
+
+def test_floor_is_the_least_squares_arcs_cost_and_bounds_every_evaluated_arc():
+    # every arc `_evaluate_arc` returns for a candidate is priced from the
+    # same sums as the candidate's floor: the least-squares arc costs the
+    # floor exactly, an interval-end arc at least as much
+    rng = random.Random(20)
+    exact = above = 0
+    for make, n, tol in ((_noisy_arcs, 50, 6), (_noisy_arcs, 50, 3), (_spiral_piece, 50, 60)):
+        pts = make(rng, n)
+        moments = _Moments(pts)
+        for k in range(3, n):
+            for kp in range(max(0, k - 30), k - 2):
+                arc = _evaluate_arc(pts, kp, k, tol, None, moments)
+                if arc is None:
+                    continue
+                floor = moments.arc_floor(kp, k)
+                assert floor <= arc.sse, (make.__name__, kp, k)
+                if arc.center == fit_arc_least_squares(pts[kp:k + 1]).center:
+                    assert arc.sse == floor
+                    exact += 1
+                else:
+                    above += arc.sse > floor
+    assert exact > 0 and above > 0
 
 
 @st.composite

@@ -185,17 +185,6 @@ def test_dyadic_scan_window_schedule():
     assert len(calls) <= 2 * 37
 
 
-def test_max_arc_points_cap():
-    # collinear points: one arc covers any window, so only the cap fails
-    # windows.  The first scale past the cap of 8 has windows of 16 points
-    # stepping by 4, so every range of 16 + 4 - 1 points holds a failed one
-    pts = [(i * 100, 0) for i in range(64)]
-    pl = scan_arcs(pts, 50, max_arc_points=8)
-    arrs = build_fit_index_arrays(pl)
-    for k in range(63, 0, -1):
-        assert min(k + 1, 8) <= k - arrs.first[k] + 1 <= 16 + 4 - 2
-
-
 def _check_verdicts(pts, tol):
     """Every certain verdict of the cone walk agrees with the independent
     `_segment_ok`, and no feasible chord starts below first[k]; returns the

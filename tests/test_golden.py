@@ -9,7 +9,9 @@ come from `perfbench/workloads.py`, which this test only reads.  A change
 that is meant to keep results identical must pass it unchanged; one that
 changes results on purpose rewrites `golden_results.json` and
 `golden_annulus.json` with `python tests/test_golden.py` (from the repo
-root, `src` on the path) and says why.
+root, `src` on the path), which first prints, per file, how many inputs
+changed in each field and the largest relative `t_sse` change, and says
+why.
 """
 
 import importlib.util
@@ -78,9 +80,31 @@ def test_annulus_results_match_the_recorded_golden_file():
     _check(GOLDEN_ANNULUS, _cases(("annulus",), ANNULUS_SEEDS), _annulus_summary)
 
 
+def _relative_change(old: str, new: str) -> float:
+    old, new = float(old), float(new)
+    return abs(new - old) / abs(old) if old else (0.0 if new == old else math.inf)
+
+
+def _report(golden, results) -> str:
+    """What rewriting `golden` with `results` changes: per field the number
+    of inputs whose value moves, and the largest relative `t_sse` change."""
+    want = json.loads(golden.read_text()) if golden.exists() else {}
+    fields = sorted({name for value in results.values() for name in value})
+    moved = ", ".join(f"{name} {sum(want.get(key, {}).get(name) != value[name] for key, value in results.items())}"
+                      for name in fields)
+    line = (f"{golden.name}: {len(results)} inputs ({len(results.keys() - want.keys())} new, "
+            f"{len(want.keys() - results.keys())} gone); changed: {moved}")
+    if "t_sse" in fields:
+        worst = max((_relative_change(want[key]["t_sse"], value["t_sse"])
+                     for key, value in results.items() if key in want), default=0.0)
+        line += f"; largest relative t_sse change {worst:.3g}"
+    return line
+
+
 if __name__ == "__main__":
     for golden, cases, summary in ((GOLDEN, _cases(), _summary),
                                    (GOLDEN_ANNULUS, _cases(("annulus",), ANNULUS_SEEDS), _annulus_summary)):
-        golden.write_text(json.dumps({key: summary(case) for key, case in cases},
-                                     indent=1, sort_keys=True) + "\n")
+        results = {key: summary(case) for key, case in cases}
+        print(_report(golden, results))
+        golden.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
     sys.exit(0)
