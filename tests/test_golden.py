@@ -90,8 +90,9 @@ def _report(golden, results) -> str:
     of inputs whose value moves, and the largest relative `t_sse` change."""
     want = json.loads(golden.read_text()) if golden.exists() else {}
     fields = sorted({name for value in results.values() for name in value})
-    moved = ", ".join(f"{name} {sum(want.get(key, {}).get(name) != value[name] for key, value in results.items())}"
-                      for name in fields)
+    counts = {name: sum(want.get(key, {}).get(name) != value[name] for key, value in results.items())
+              for name in fields}
+    moved = ", ".join(f"{name} {count}" for name, count in counts.items())
     line = (f"{golden.name}: {len(results)} inputs ({len(results.keys() - want.keys())} new, "
             f"{len(want.keys() - results.keys())} gone); changed: {moved}")
     if "t_sse" in fields:
