@@ -32,6 +32,17 @@ O(1) once the sums are known (`_arc_cost`): `fit_arc_least_squares`
 returns the arc at s*, whose cost is lam itself, and
 `fit_arc_by_tolerance` the cheapest interval endpoint when s* is not
 feasible.
+
+Two exact checks decide whether a fitted arc covers a window: every point
+within tol*(1 + CHECK_ALLOWANCE) of its circle (`arc_within_tolerance`),
+and the points in order along it, which two cross products per point
+about the centre decide (`direction_and_endpoint_check`).  Both run in
+floats against a derived error bound and in rationals where the bound
+cannot tell.  Which windows may hold an arc at all is the subdivision
+test `arc_exists_within_tolerance`: an inversion about the window's last
+point turns circles into lines, a one-line witness settles the feasible
+windows, and a pairwise cut of the discs (`_no_circle_through`, also the
+DP's anchored cut) certifies the rest.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import sub
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -247,10 +259,16 @@ def _no_circle_through(b, points, t) -> bool:
     err >= |v|/4 or a sine >= 1.  An empty intersection of the widened
     arcs is then certain.
     """
+    return _no_transversal(*_inverted(b, points, t), t)
+
+
+def _inverted(b, points, t) -> Tuple[List[float], List[float], List[float]]:
+    """The inverted points p* = q/w of `points` farther than 2t from b, as
+    x and y lists, and their delta = t/w (`_no_circle_through`)."""
     bx, by = b
     t_sq = t * t
     near = 4 * t_sq
-    xs: List[float] = []  # the inverted points p* and their delta
+    xs: List[float] = []
     ys: List[float] = []
     ds: List[float] = []
     for px, py in points:
@@ -262,6 +280,12 @@ def _no_circle_through(b, points, t) -> bool:
             xs.append(qx / w)
             ys.append(qy / w)
             ds.append(t / w)
+    return xs, ys, ds
+
+
+def _no_transversal(xs, ys, ds, t) -> bool:
+    """True when certainly no line meets every disc (p*, delta) of
+    `_inverted`: the pairwise cut of `_no_circle_through`."""
     err = 64 * EPS / t
     err2 = 2 * err
     err4 = 4 * err
@@ -359,6 +383,12 @@ def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol) -> bool:
     any range containing the window, which is what the dyadic scan's
     poisoning of supersets needs.
 
+    Most windows are feasible, so a one-line witness runs before the
+    pairwise cut, on the same inverted sample (`_line_meets_discs`): when
+    one line meets every disc, no certificate exists and the answer is
+    True.  The witness is exact, so it only ever settles windows the cut,
+    which is sound, would also leave feasible: every verdict is the cut's.
+
     Fewer than 4 points raise ValueError.  A tol whose float is not
     positive and finite, and coordinates whose squares pass the float
     range, cannot be decided in floats; they give True.
@@ -368,9 +398,46 @@ def arc_exists_within_tolerance(points: Sequence[Tuple[int, int]], tol) -> bool:
     k = len(points) - 1
     try:
         t = 2 * float(tol) * (1 + 2 * CHECK_ALLOWANCE)
-        return not (t > 0.0 and _no_circle_through(points[k], _anchor_sample(points, 0, k), t))
+        if not t > 0.0:
+            return True
+        inverted = _inverted(points[k], _anchor_sample(points, 0, k), t)
+        return _line_meets_discs(*inverted, t) or not _no_transversal(*inverted, t)
     except OverflowError:  # past the float range
         return True
+
+
+def _line_meets_discs(xs, ys, ds, t) -> bool:
+    """True when certainly some line meets every disc (p*_i, delta_i) of
+    `_inverted`; False when none may, or when the floats cannot tell.
+
+    The line takes the direction d from the first inverted point to the
+    last, with its offset free: with m the normal of d, one meets every
+    disc iff max(p*_i.m - delta_i*|m|) <= min(p*_i.m + delta_i*|m|).  The
+    floats, with the bounds of `_no_circle_through` (p* and delta within
+    10*EPS, |p*| < 4/(3t), delta < 2/(3t)): each float p*_i.m is within
+    about 12*EPS*|p*_i|*|m| < 17*EPS*|m|/t of the exact one (the float p*,
+    then three roundings of the cross product with d), each float
+    delta_i*h, h = fl(|m|), within 14*EPS*delta_i*|m| < 10*EPS*|m|/t, and
+    each end of a disc's range within 30*EPS*|m|/t with its own rounding.
+    A gap of 256*EPS*h/t between the two sides is more than the 60*EPS*|m|/t
+    they need together, and covers the rounding of the comparison.  With
+    fewer than two discs some line meets them all.
+    """
+    if len(xs) < 2:
+        return True
+    dx = xs[-1] - xs[0]
+    dy = ys[-1] - ys[0]
+    h = math.hypot(dx, dy)
+    lo = -INF
+    hi = INF
+    for x, y, d in zip(xs, ys, ds):
+        e = dx * y - dy * x
+        dh = d * h
+        if e - dh > lo:
+            lo = e - dh
+        if e + dh < hi:
+            hi = e + dh
+    return h > 0 and lo + 256 * EPS * h / t <= hi
 
 
 def _build_arc(a, b, s, points, sse: float) -> FittedArc:
@@ -706,25 +773,39 @@ def direction_and_endpoint_check(points: Sequence, primitive) -> bool:
     window from the start anchor to the end anchor this also keeps every
     point on the arc's span rather than its complement: the positions start
     at 0 and end at the end anchor's.
+
+    An arc: the angles of the points about the float centre c, measured
+    from points[0] in the arc's orientation, never decrease and never
+    complete a turn, decided exactly for int or float coordinates.  Each
+    step goes the shorter way round.  With v_i = p_i - c and sgn = 1 for
+    "ccw", -1 for "cw", every step needs sgn*cross(v_i, v_i+1) >= 0, so a
+    step of exactly a half-turn counts as forward.  Once a point v lies at
+    or past the half-turn from v_0 (sgn*cross(v_0, v) < 0, or v on the ray
+    opposite v_0), no later point may come back across the ray through
+    points[0]: that would complete the turn.  A point at the centre takes
+    the direction (1, 0), the angle atan2(0, 0) gives it.
+
+    The floats decide with two cross products per point.  Let G = 4*r^2
+    (r the arc's radius), with r > 1e-100 and |cx| + 4*r, |cy| + 4*r below
+    2^53.  A point whose float vector v has fl(|v|^2) <= G is then an exact
+    float (an int below 2^53), and v is within EPS*|V| per coordinate of
+    V = p - c, with |V|^2 <= G*(1 + 5*EPS).  The float cross product of
+    two such vectors is within 4.02*EPS*|U|*|V| <= 4.03*EPS*G of the exact
+    one: three roundings in each product (two coordinates, the product),
+    one in the difference, and |Ux*Vy| + |Uy*Vx| <= |U|*|V|.  A float
+    cross product beyond 8*EPS*G either side therefore has the exact sign;
+    subnormal products add less than 2^-1070, far below that bound.  Any
+    other point, a cross product within the bound, or an int past the float
+    range sends the whole check to `_turns_exactly`, in rationals.
+
+    A segment: the positions along the chord, in floats, as the margins of
+    `feasibility.test_segments` assume; coincident anchors accept anything.
     """
     if isinstance(primitive, FittedArc):
-        cx, cy = primitive.center
-        ta = math.atan2(points[0][1] - cy, points[0][0] - cx)
-        sgn = 1.0 if primitive.orientation == "ccw" else -1.0
-        run = -INF
-        prev = 0.0
-        for p in points:
-            tp = math.atan2(p[1] - cy, p[0] - cx)
-            rel = (sgn * (tp - ta)) % (2 * math.pi)
-            # unwrap against the running parameter to tolerate noise at 0
-            if rel - prev > math.pi:
-                rel -= 2 * math.pi
-            prev = max(prev, rel)
-            pos = rel * primitive.radius
-            if pos < run:
-                return False
-            run = max(run, pos)
-        return True
+        verdict = _turns_in_floats(points, primitive)
+        if verdict is None:
+            return _turns_exactly(points, primitive.center, primitive.orientation == "ccw")
+        return verdict
     a, b = primitive
     dx = b[0] - a[0]
     dy = b[1] - a[1]
@@ -737,4 +818,68 @@ def direction_and_endpoint_check(points: Sequence, primitive) -> bool:
         if pos < run:
             return False
         run = max(run, pos)
+    return True
+
+
+def _turns_in_floats(points: Sequence, arc: FittedArc) -> Optional[bool]:
+    """The arc branch of `direction_and_endpoint_check` in floats, or None
+    when its bound cannot tell."""
+    cx, cy = arc.center
+    r = arc.radius
+    if not (1e-100 < r and max(abs(cx), abs(cy)) + 4 * r < 2.0 ** 53):
+        return None
+    guard = 4 * r * r
+    bound = 8 * EPS * guard
+    sgn = 1.0 if arc.orientation == "ccw" else -1.0
+    try:
+        x, y = points[0]
+        ux = x - cx
+        uy = y - cy
+        if not ux * ux + uy * uy <= guard:
+            return None
+        sx = sgn * ux
+        sy = sgn * uy
+        behind = False  # a point lay at or past the half-turn
+        for x, y in islice(points, 1, None):
+            vx = x - cx
+            vy = y - cy
+            if not vx * vx + vy * vy <= guard:
+                return None
+            step = (ux * vy - uy * vx) * sgn
+            if not step > bound:
+                return False if step < -bound else None
+            wrap = sx * vy - sy * vx
+            if behind:
+                if not wrap < -bound:
+                    return False if wrap > bound else None
+            elif not wrap > bound:
+                if not wrap < -bound:
+                    return None
+                behind = True
+            ux = vx
+            uy = vy
+    except OverflowError:  # an int past the float range
+        return None
+    return True
+
+
+def _turns_exactly(points: Sequence, centre, ccw: bool) -> bool:
+    """The arc branch of `direction_and_endpoint_check` in rationals, from
+    the coordinates and the float centre as they are."""
+    cx, cy = map(Fraction, centre)
+    sgn = 1 if ccw else -1
+    vectors = []
+    for x, y in points:
+        vx = Fraction(x) - cx
+        vy = sgn * (Fraction(y) - cy)
+        vectors.append((vx, vy) if vx or vy else (1, 0))
+    (sx, sy), behind = vectors[0], False
+    for (ux, uy), (vx, vy) in zip(vectors, vectors[1:]):
+        if ux * vy < uy * vx:
+            return False  # a step backwards
+        wrap = sx * vy - sy * vx
+        past_half = wrap < 0 or (wrap == 0 and sx * vx + sy * vy < 0)
+        if behind and not past_half:
+            return False  # back across the start ray: a full turn
+        behind = behind or past_half
     return True

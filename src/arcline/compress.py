@@ -8,7 +8,8 @@ first candidate whose cost bound already meets the incumbent.  Feasibility
 tables bound the scans: no candidate below the first index where an arc or
 a segment can still cover the range is ever touched.  The arc table's
 windows are decided by the anchored cut's test below, at twice the check's
-limit and about the window's last vertex
+limit and about the window's last vertex, after a one-line witness that
+settles most feasible windows without changing any verdict
 (`arcfit.arc_exists_within_tolerance`).  The segment table comes from a
 cone walk back from each end vertex (`feasibility.test_segments`), which
 also decides each segment candidate: certainly in, certainly out, or
@@ -52,11 +53,14 @@ the arc that minimises its own cost, the minimiser and the cost in closed
 form from the same sums, in O(1) (`arcfit.fit_arc_least_squares`).  That
 arc is accepted when it passes the tolerance and direction checks, and the
 interval fit, which prices its interval ends from those sums too, takes
-over when it does not (`_evaluate_arc`).  The tolerance check is exact:
+over when it does not (`_evaluate_arc`).  Both checks are exact:
 every vertex an accepted arc covers lies within tol*(1 + 1e-9) of the
-float centre and radius it returns, decided in floats with a derived error
-bound and in rationals where the bound cannot tell
-(`arcfit.arc_within_tolerance`).
+float centre and radius it returns (`arcfit.arc_within_tolerance`), and
+the vertices' angles about that centre, from the start anchor in the
+arc's orientation, never decrease and never complete a turn, by two cross
+products per vertex (`arcfit.direction_and_endpoint_check`); each is
+decided in floats with a derived error bound and in rationals where the
+bound cannot tell.
 
 Before the first of these, the scan cuts away the arcs that are too long
 (`_AnchoredCut`).  Every arc the DP can accept from k' to k is a circle

@@ -1,10 +1,12 @@
 """Exact oracles and mesh views that only the tests use: the inversion
 construction and the expanded in-circle determinant behind the predicate
-checks, exact circumcircles, exact distance-to-circle checks, and views of
+checks, exact circumcircles, exact distance-to-circle checks, the exact
+direction condition of an arc and its former atan2 check, and views of
 meshes, Voronoi diagrams and pair lists."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +61,61 @@ def exactly_within(points, centre, radius, tol) -> bool:
     t = Fraction(tol * (1 + 1e-9))
     c = tuple(map(Fraction, centre))
     return all(within(tuple(map(Fraction, p)), c, Fraction(radius), t) for p in points)
+
+
+def _diamond_angle(x, y) -> Fraction:
+    """A rational in [0, 4) that grows with the angle of (x, y) != (0, 0)
+    counterclockwise from the positive x axis: the position of its
+    direction along the diamond |x| + |y| = 1.  Opposite directions differ
+    by exactly 2 (mod 4), as the diamond is centrally symmetric."""
+    if y >= 0 and x > 0:
+        return Fraction(y) / (x + y)
+    if x <= 0 and y > 0:
+        return 1 + Fraction(-x) / (y - x)
+    if y <= 0 and x < 0:
+        return 2 + Fraction(-y) / (-x - y)
+    return 3 + Fraction(x) / (x - y)
+
+
+def turns_forward(points, centre, orientation) -> bool:
+    """The angles of the points about the centre, measured from points[0]
+    in the orientation ("ccw" or "cw"), never decrease and never complete a
+    turn, exactly: with psi the diamond angle from points[0] (monotone in
+    the true angle, a half-turn adding 2), psi never decreases and no step
+    adds more than 2, so that every step goes the shorter way round and a
+    half-turn counts as forward.  A point at the centre takes the direction
+    (1, 0), the angle atan2(0, 0) gives it."""
+    sgn = 1 if orientation == "ccw" else -1
+    cx, cy = map(Fraction, centre)
+    psi = []
+    for x, y in points:
+        vx, vy = Fraction(x) - cx, sgn * (Fraction(y) - cy)
+        psi.append(_diamond_angle(vx, vy) if vx or vy else Fraction(0))
+    rel = [(a - psi[0]) % 4 for a in psi]
+    return all(a <= b <= a + 2 for a, b in zip(rel, rel[1:]))
+
+
+def turns_forward_by_atan2(points, arc) -> bool:
+    """The arc branch of `direction_and_endpoint_check` as it was before it
+    decided by cross products: one atan2 and a float modulo per point.  A
+    reference for the exact check, which it matches away from near-ties."""
+    cx, cy = arc.center
+    ta = math.atan2(points[0][1] - cy, points[0][0] - cx)
+    sgn = 1.0 if arc.orientation == "ccw" else -1.0
+    run = -math.inf
+    prev = 0.0
+    for p in points:
+        tp = math.atan2(p[1] - cy, p[0] - cx)
+        rel = (sgn * (tp - ta)) % (2 * math.pi)
+        # unwrap against the running parameter to tolerate noise at 0
+        if rel - prev > math.pi:
+            rel -= 2 * math.pi
+        prev = max(prev, rel)
+        pos = rel * arc.radius
+        if pos < run:
+            return False
+        run = max(run, pos)
+    return True
 
 
 def arc_cost(points, sigma) -> Fraction:

@@ -1,16 +1,22 @@
 """The DP arc scan's anchored cut: the lemma behind `_no_circle_through` in
 exact rationals, and the soundness of the cut against the DP's own arc set
 (`_evaluate_arc` without a blocker cache, the fit the reference DP uses):
-no start at or below a certified cut may have an arc."""
+no start at or below a certified cut may have an arc.  Also the one-line
+witness the window test runs before the same cut: exact where it
+certifies, so it never settles a window the cut would reject."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+from arcline.arcfit import (CHECK_ALLOWANCE, _anchor_sample, _inverted, _line_meets_discs,
+                            _no_circle_through, _no_transversal, arc_exists_within_tolerance)
 from arcline.compress import CompressionParams, _AnchoredCut, _evaluate_arc, compress
-from arcline.pipeline import archimedean_spiral, compress_polyline
+from arcline.pipeline import archimedean_spiral, choose_scale, compress_polyline, quantize_points
 
 from oracles import exactly_within, within
 from reference_dp import reference_compress
@@ -238,3 +244,89 @@ def test_long_spiral_arc_evaluations_stay_bounded():
     res = compress_polyline(archimedean_spiral(1, 10, 0.25), 0.1)
     assert len(res.grid.points) == 1507
     assert res.grid.stats["arc_evaluations"] <= 10_000
+
+
+def _window(rng):
+    """A window of integer points and its t: a noisy arc with its noise
+    near t, a nearly collinear run, or either with points within 2t of its
+    last point b, at t from tiny to huge."""
+    n = rng.randint(5, 40)
+    size = 10.0 ** rng.uniform(1, 8)
+    t = size * 10.0 ** rng.choice((-12, -4, -3, -2, -1, 0))
+    noise = t * rng.uniform(0.2, 1.6)
+    if rng.random() < 0.5:  # an arc of a circle, pushed off it radially
+        r = size * 10.0 ** rng.uniform(-0.5, 2)
+        t0, sweep = rng.uniform(0, 2 * math.pi), size / r * rng.uniform(0.5, 3)
+        pts = [(r + rng.uniform(-noise, noise), t0 + sweep * i / (n - 1)) for i in range(n)]
+        pts = [(round(d * math.cos(a)), round(d * math.sin(a))) for d, a in pts]
+    else:  # a line, pushed off it
+        angle = rng.uniform(0, math.pi)
+        ux, uy = math.cos(angle), math.sin(angle)
+        pts = [(size * i / (n - 1), rng.uniform(-noise, noise)) for i in range(n)]
+        pts = [(round(x * ux - y * uy), round(x * uy + y * ux)) for x, y in pts]
+    if rng.random() < 0.3:  # points close to b
+        bx, by = pts[-1]
+        for i in rng.sample(range(n - 1), rng.randint(1, 3)):
+            pts[i] = (bx + round(rng.uniform(-2 * t, 2 * t)), by + round(rng.uniform(-2 * t, 2 * t)))
+    return pts, t
+
+
+def _line_meets_exactly(b, points, t, direction) -> bool:
+    """Some line with the direction (dx, dy) meets every disc of the exact
+    inversion about b, in rationals, of the points `_inverted` keeps."""
+    t_exact = Fraction(t)
+    dx, dy = map(Fraction, direction)
+    m_sq = dx * dx + dy * dy
+    discs = []
+    for x, y in points:
+        qx, qy = x - b[0], y - b[1]
+        if qx * qx + qy * qy > 4 * (t * t):  # the far points, as `_inverted` picks them
+            w = (Fraction(qx * qx + qy * qy) - t_exact * t_exact) / 2
+            discs.append((dx * qy / w - dy * qx / w, t_exact / w))
+    # one line meets every disc iff every pair has |e_i - e_j| <= (d_i + d_j)*|m|
+    return all((e_i - e_j) ** 2 <= (d_i + d_j) ** 2 * m_sq
+               for (e_i, d_i), (e_j, d_j) in combinations(discs, 2))
+
+
+def test_witness_certifies_only_what_the_pairwise_cut_leaves_feasible():
+    rng = random.Random(2024)
+    certified = rejected = 0
+    for _ in range(2000):
+        pts, t = _window(rng)
+        k = len(pts) - 1
+        sample = _anchor_sample(pts, 0, k)
+        inverted = _inverted(pts[k], sample, t)
+        if _line_meets_discs(*inverted, t):
+            certified += 1
+            xs, ys, _ = inverted
+            direction = (xs[-1] - xs[0], ys[-1] - ys[0]) if len(xs) > 1 else (1.0, 0.0)
+            assert _line_meets_exactly(pts[k], sample, t, direction)
+            assert not _no_transversal(*inverted, t)
+            assert not _no_circle_through(pts[k], sample, t)
+        else:
+            rejected += _no_transversal(*inverted, t)
+    assert certified > 600 and rejected > 300
+
+
+def test_window_verdicts_are_the_pairwise_cuts_on_the_benchmark_inputs(monkeypatch):
+    # every window the arc table tests on the seed-1 and seed-2 spiral,
+    # tracks and contours inputs gets the verdict of the cut alone
+    feasibility = importlib.import_module("arcline.feasibility")
+    import test_golden
+    windows = []
+
+    def compared(points, tol):
+        got = arc_exists_within_tolerance(points, tol)
+        k = len(points) - 1
+        t = 2 * float(tol) * (1 + 2 * CHECK_ALLOWANCE)
+        assert got == (not _no_circle_through(points[k], _anchor_sample(points, 0, k), t))
+        windows.append(got)
+        return got
+
+    monkeypatch.setattr(feasibility, "arc_exists_within_tolerance", compared)
+    for _, case in test_golden._cases():
+        scale = choose_scale(case.tolerance)
+        grid = quantize_points(case.points, scale)
+        grid = [p for i, p in enumerate(grid) if i == 0 or p != grid[i - 1]]
+        feasibility.test_arcs(grid, case.tolerance * scale)
+    assert len(windows) > 10_000 and 0 < windows.count(False) < len(windows) // 10

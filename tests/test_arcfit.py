@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from decimal import Decimal, localcontext
@@ -7,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arcline.arcfit import (INF, MAX_DENSIFIED, SEGMENT_LIKE_RADIUS_FACTOR, _arc_cost, _build_arc,
-                            _chord_frame, _Moments, _sse_minimum, arc_within_tolerance, densify,
-                            direction_and_endpoint_check, fit_arc_by_tolerance, fit_arc_least_squares,
-                            tolerance_intervals_point)
+from arcline.arcfit import (INF, MAX_DENSIFIED, SEGMENT_LIKE_RADIUS_FACTOR, FittedArc, _arc_cost,
+                            _build_arc, _chord_frame, _Moments, _sse_minimum, _turns_in_floats,
+                            arc_within_tolerance, densify, direction_and_endpoint_check,
+                            fit_arc_by_tolerance, fit_arc_least_squares, tolerance_intervals_point)
 
 import oracles
+
+compress_module = importlib.import_module("arcline.compress")
 
 
 def deviation(a, b, p, s):
@@ -318,6 +321,162 @@ def test_direction_check():
     seg = ((0.0, 0.0), (10.0, 0.0))
     assert direction_and_endpoint_check([(0, 0), (3, 1), (7, -1), (10, 0)], seg)
     assert not direction_and_endpoint_check([(0, 0), (7, 1), (3, -1), (10, 0)], seg)
+
+
+# the 20 integer points on the circle x^2 + y^2 = 25^2, counterclockwise
+# from (25, 0)
+_RING = sorted({(sx * a, sy * b) for a, b in ((25, 0), (24, 7), (20, 15), (15, 20), (7, 24), (0, 25))
+                for sx in (1, -1) for sy in (1, -1)},
+               key=lambda p: math.atan2(p[1], p[0]) % (2 * math.pi))
+
+
+def _arc(points, centre, orientation, radius=None):
+    radius = math.dist(points[0], centre) if radius is None else radius
+    return FittedArc(tuple(points[0]), tuple(points[-1]), centre, radius, orientation, 0.0)
+
+
+def _turns(points, centre=(0.0, 0.0), orientation="ccw"):
+    """The direction check on the arc about `centre`, asserted equal to the
+    exact oracle."""
+    got = direction_and_endpoint_check(points, _arc(points, centre, orientation))
+    assert got == oracles.turns_forward(points, centre, orientation)
+    return got
+
+
+def test_direction_check_both_orientations():
+    assert len(_RING) == 20
+    quarter = _RING[:6]
+    assert _turns(quarter, orientation="ccw")
+    assert not _turns(quarter, orientation="cw")
+    assert _turns(quarter[::-1], orientation="cw")
+    assert not _turns(quarter[::-1], orientation="ccw")
+
+
+def test_direction_check_long_spans_and_full_turns():
+    assert _turns(_RING[:14])  # 0 to 252 degrees, past a half-turn
+    assert _turns(_RING)  # 0 to 343.7 degrees
+    assert _turns(_RING[::-1][:-1] + [_RING[0]], orientation="cw")
+    assert not _turns(_RING + [_RING[0]])  # back at the start: a full turn
+    assert not _turns(_RING + [_RING[1]])
+    # just short of the start ray after 359.8 degrees, and just past it
+    assert _turns(_RING + [(250, -1)])
+    assert not _turns(_RING + [(250, 1)])
+    assert not _turns(_RING + [(250, -1), (250, 1)])
+
+
+def test_direction_check_backward_steps():
+    ring = list(_RING[:10])
+    ring[4], ring[5] = ring[5], ring[4]
+    assert not _turns(ring)
+    # a point just behind the start, then the arc
+    assert not _turns([_RING[0], (250, -1)] + _RING[1:6])
+    assert not _turns([_RING[0], (250, 1)] + _RING[1:6], orientation="cw")
+    assert _turns([_RING[0], (250, 1)] + _RING[1:6])
+
+
+def test_direction_check_half_turn_counts_as_forward():
+    # a step of exactly a half-turn goes forward in either orientation; a
+    # second one completes the turn
+    for orientation in ("ccw", "cw"):
+        assert _turns([(25, 0), (-25, 0)], orientation=orientation)
+        assert _turns([(0, 25), (3, 4), (0, -25)], orientation=orientation) == (orientation == "cw")
+        assert not _turns([(25, 0), (-25, 0), (25, 0)], orientation=orientation)
+        assert not _turns([(25, 0), (-25, 0), (50, 0)], orientation=orientation)
+    assert _turns([(25, 0), (0, 25), (0, -25)])
+    assert not _turns([(25, 0), (0, 25), (0, -25)], orientation="cw")
+    assert _turns([(25, 0), (-25, 0), (0, -25)])
+    assert not _turns([(25, 0), (-25, 0), (0, 25)])
+
+
+def test_direction_check_exact_ties_fall_back():
+    # a step along the radius, a point at the centre (the direction (1, 0)
+    # of atan2(0, 0)) and a half-turn leave the float bound unsure
+    for pts in ([(25, 0), (50, 0), (0, 25)], [(0, 25), (0, 0), (25, 0)],
+                [(25, 0), (-25, 0), (0, -25)]):
+        assert _turns_in_floats(pts, _arc(pts, (0.0, 0.0), "ccw")) is None
+    assert _turns([(25, 0), (50, 0), (0, 25)])
+    assert not _turns([(0, 25), (0, 0), (25, 0)])
+    assert _turns([(0, 25), (0, 0), (0, -25)], orientation="cw")
+    assert _turns_in_floats(_RING[:6], _arc(_RING[:6], (0.0, 0.0), "ccw")) is True
+
+
+def test_direction_check_float_centres():
+    # the ring about float centres a little off the origin, and four points
+    # about (0.5, 0.1) that turn 327.6 degrees, then one more 1.5 degrees
+    # past the start ray
+    for centre in ((0.1, -0.3), (-0.25, 0.125), (1e-9, 3e-9)):
+        assert _turns(_RING, centre)
+        assert not _turns(_RING + [_RING[1]], centre)
+        assert _turns(_RING[::-1], centre, "cw")
+    assert _turns([(2, 0), (3, 5), (-4, -1), (2, -1)], (0.5, 0.1))
+    assert not _turns([(2, 0), (3, 5), (-4, -1), (2, -1), (3, 0)], (0.5, 0.1))
+
+
+def test_direction_check_near_the_float_range_of_ints():
+    # coordinates near +-2^53 take the exact path; the verdicts are the
+    # oracle's
+    for base in (2 ** 53 - 40, -(2 ** 53) + 40, 2 ** 53):
+        pts = [(base + x, base + y) for x, y in _RING[:12]]
+        centre = (float(base), float(base))
+        arc = _arc(pts, centre, "ccw")
+        assert _turns_in_floats(pts, arc) is None
+        assert _turns(pts, centre)
+        assert not _turns(pts[::-1], centre)
+        assert not _turns(pts + [pts[0]], centre)
+    # a centre rounded to a float: the exact check decides from it as it is
+    base = 2 ** 52 + 1
+    pts = [(base + 3 * x, 3 * y) for x, y in _RING[:12]]
+    assert _turns(pts, (float(base) + 0.5, 0.0))
+    # ints past the float range go to the exact check as well
+    far = [(10 ** 400, 0), (10 ** 400, 1), (10 ** 400 - 1, 2)]
+    arc = _arc(far, (1e300, 0.0), "ccw", radius=1.0)
+    assert _turns_in_floats(far, arc) is None
+    assert direction_and_endpoint_check(far, arc) == oracles.turns_forward(far, arc.center, "ccw")
+
+
+def test_direction_check_matches_oracle_on_random_lattices():
+    # small grids make exact ties common: points on a common ray or at the
+    # centre, opposite points, repeated points; centres on the grid, on
+    # half-integers and off them
+    rng = random.Random(21)
+    fell_back = 0
+    for _ in range(3000):
+        n = rng.randint(2, 8)
+        pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(n)]
+        centre = rng.choice(((0.0, 0.0), (0.5, -0.5), (rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                             (float(rng.randint(-2, 2)), float(rng.randint(-2, 2)))))
+        orientation = rng.choice(("ccw", "cw"))
+        radius = rng.choice((math.dist(pts[0], centre), rng.uniform(0.01, 20)))
+        arc = _arc(pts, centre, orientation, radius)
+        fell_back += _turns_in_floats(pts, arc) is None
+        assert direction_and_endpoint_check(pts, arc) == oracles.turns_forward(pts, centre, orientation)
+    assert fell_back > 300
+
+
+def _golden_cases():
+    import test_golden
+    return test_golden._cases()
+
+
+def test_direction_check_matches_references_on_the_dp_arcs(monkeypatch):
+    # every arc `_evaluate_arc` checks on the golden inputs (seeds 1 and 2):
+    # the exact oracle and the former atan2 check agree with the check
+    calls = []
+    check = direction_and_endpoint_check
+
+    def recorded(points, primitive):
+        got = check(points, primitive)
+        if isinstance(primitive, FittedArc):
+            calls.append(got)
+            assert got == oracles.turns_forward(points, primitive.center, primitive.orientation)
+            assert got == oracles.turns_forward_by_atan2(points, primitive)
+        return got
+
+    monkeypatch.setattr(compress_module, "direction_and_endpoint_check", recorded)
+    from arcline.pipeline import compress_polyline
+    for _, case in _golden_cases():
+        compress_polyline(case.points, case.tolerance)
+    assert len(calls) > 5000 and 0 < calls.count(False) < len(calls) // 5
 
 
 def test_fallback_accepts_when_least_squares_violates():

@@ -4,16 +4,20 @@ and every primitive (kind, indices, `repr` of centre and radius,
 orientation).  Results of `min_width_annulus` on the benchmark's annulus
 inputs of seeds 1 to 3 (seed 3 is the seed of the traced benchmark test),
 with the benchmark's clip (0.1 degrees about the data radius), pinned as
-the `str` of both centre coordinates and both squared radii.  The inputs
+the `str` of both centre coordinates and both squared radii.  The
+`compress` counters (`CompressedPolyline.stats`) of the compress inputs,
+pinned in `golden_stats.json`, guard the work the scan does.  The inputs
 come from `perfbench/workloads.py`, which this test only reads.  A change
-that is meant to keep results identical must pass it unchanged; one that
-changes results on purpose rewrites `golden_results.json` and
-`golden_annulus.json` with `python tests/test_golden.py` (from the repo
-root, `src` on the path), which first prints, per file, how many inputs
-changed in each field and the largest relative `t_sse` change, and says
-why.
+that is meant to keep results and work identical must pass it unchanged;
+one that changes them on purpose rewrites `golden_results.json`,
+`golden_annulus.json` and `golden_stats.json` with
+`python tests/test_golden.py` (from the repo root, `src` on the path),
+which first prints, per file, how many inputs changed in each field (in
+each counter for the stats) and the largest relative `t_sse` change, and
+says why.
 """
 
+import functools
 import importlib.util
 import json
 import math
@@ -30,6 +34,7 @@ from arcline.voronoi import ClipConfig, data_radius
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_results.json"
 GOLDEN_ANNULUS = HERE / "golden_annulus.json"
+GOLDEN_STATS = HERE / "golden_stats.json"
 WORKLOADS = ("spiral", "tracks", "contours")
 SEEDS = (1, 2)
 ANNULUS_SEEDS = (1, 2, 3)
@@ -51,11 +56,22 @@ def _cases(names=WORKLOADS, seeds=SEEDS):
             for case in workloads.all_cases(name, seed, arcline)]
 
 
+@functools.lru_cache(maxsize=None)
+def _compress(points, tolerance):
+    """`compress_polyline`, run once per input for the results and the
+    stats."""
+    return compress_polyline(points, tolerance)
+
+
 def _summary(case) -> dict:
-    result = compress_polyline(case.points, case.tolerance)
+    result = _compress(tuple(case.points), case.tolerance)
     return {"t_count": result.t_count, "t_sse": repr(result.t_sse),
             "primitives": [[p.kind, p.start_idx, p.end_idx, repr(p.center), repr(p.radius),
                             p.orientation] for p in result.primitives]}
+
+
+def _stats(case) -> dict:
+    return _compress(tuple(case.points), case.tolerance).grid.stats
 
 
 def _annulus_summary(case) -> dict:
@@ -74,6 +90,10 @@ def _check(golden, cases, summary):
 
 def test_results_match_the_recorded_golden_file():
     _check(GOLDEN, _cases(), _summary)
+
+
+def test_stats_match_the_recorded_golden_file():
+    _check(GOLDEN_STATS, _cases(), _stats)
 
 
 def test_annulus_results_match_the_recorded_golden_file():
@@ -103,7 +123,7 @@ def _report(golden, results) -> str:
 
 
 if __name__ == "__main__":
-    for golden, cases, summary in ((GOLDEN, _cases(), _summary),
+    for golden, cases, summary in ((GOLDEN, _cases(), _summary), (GOLDEN_STATS, _cases(), _stats),
                                    (GOLDEN_ANNULUS, _cases(("annulus",), ANNULUS_SEEDS), _annulus_summary)):
         results = {key: summary(case) for key, case in cases}
         print(_report(golden, results))
