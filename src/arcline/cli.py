@@ -40,8 +40,7 @@ def cmd_compress(args) -> int:
     except (OSError, ValueError) as e:
         return _fail(EXIT_BAD_INPUT, str(e))
     params = dict(penalty_segment=args.penalty_segment, penalty_arc=args.penalty_arc,
-                  min_arc_points=args.min_arc_points, max_arc_points=args.max_arc_points,
-                  mode=args.mode)
+                  min_arc_points=args.min_arc_points, mode=args.mode)
     try:
         CompressionParams(tolerance=args.tolerance, **params)
         scale = float(file_scale) if file_scale else choose_scale(args.tolerance)
@@ -62,7 +61,6 @@ def cmd_compress(args) -> int:
     doc.set("penalty_segment", args.penalty_segment)
     doc.set("penalty_arc", args.penalty_arc)
     doc.set("min_arc_points", args.min_arc_points)
-    doc.set("max_arc_points", args.max_arc_points)
     doc.set("scale", float(result.scale))
     doc.set("primitives", len(result.primitives))
     doc.set("t_count", result.t_count)
@@ -205,7 +203,6 @@ def main(argv=None) -> int:
     c.add_argument("--penalty-segment", type=int, default=2)
     c.add_argument("--penalty-arc", type=int, default=3)
     c.add_argument("--min-arc-points", type=int, default=4)
-    c.add_argument("--max-arc-points", type=int, default=512)
     c.add_argument("--svg", default=None)
     c.set_defaults(func=cmd_compress)
 

@@ -112,7 +112,6 @@ class CompressionParams:
     penalty_segment: int = 2
     penalty_arc: int = 3
     min_arc_points: int = 4
-    max_arc_points: int = 512  # 0 = unlimited
     mode: str = "vertices"  # "vertices" | "segments"
 
     def __post_init__(self):
@@ -124,8 +123,6 @@ class CompressionParams:
             raise ValueError("unknown mode")
         if self.min_arc_points < 4:
             raise ValueError("min_arc_points must be at least 4")
-        if self.max_arc_points < 0 or 0 < self.max_arc_points < self.min_arc_points:
-            raise ValueError("max_arc_points must be 0 or at least min_arc_points")
 
 
 @dataclass
@@ -250,8 +247,6 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
                     best_back = (kp, "segment", None)
 
         lo = first_arc_ok[k]
-        if params.max_arc_points:
-            lo = max(lo, k - params.max_arc_points + 1)
         hi = k - (params.min_arc_points - 1)
         if lo <= hi:
             heap = mtree.open_range(lo, hi)

@@ -119,8 +119,7 @@ def test_arcs(polyline: Sequence[Tuple[int, int]], tol) -> InfeasiblePairList:
     reported when no circle through its last vertex is within twice the
     fit check's limit of the anchored cut's sample of it
     (`arcfit.arc_exists_within_tolerance`).  A range that cannot be settled
-    is not reported, so the pairs are a sound bound for the DP.  The DP
-    applies its `max_arc_points` cap itself.
+    is not reported, so the pairs are a sound bound for the DP.
     """
     n = len(polyline)
 

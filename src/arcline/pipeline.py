@@ -1,9 +1,5 @@
 """Float-facing compression pipeline: snap coordinates to an integer grid,
 run the exact-arithmetic compressor, and map the result back.
-
-The grid scale is the smallest power of two that turns the tolerance into
-at least 1024 grid units, which keeps tolerance resolution while leaving
-plenty of headroom in the predicates.
 """
 
 from __future__ import annotations
@@ -18,7 +14,8 @@ TOLERANCE_GRID_UNITS = 1024
 
 
 def choose_scale(tolerance: float) -> float:
-    """Smallest power of two with tolerance * scale >= 1024."""
+    """Smallest power of two with tolerance * scale >= 1024: the tolerance
+    keeps its resolution, and the predicates plenty of headroom."""
     if not 0 < tolerance < math.inf:
         raise ValueError("tolerance must be positive and finite")
     try:
@@ -48,8 +45,19 @@ class CompressionResult:
 
 def compress_polyline(points: Sequence[Tuple[float, float]], tolerance: float,
                       scale: Optional[float] = None, **params) -> CompressionResult:
-    if not points:
-        raise ValueError("empty polyline")
+    """Optimal chain of segments and arcs within `tolerance` (input units,
+    positive and finite) of `points`.  The points are snapped to a grid of
+    `scale` units per input unit, `choose_scale(tolerance)` by default, and
+    the tolerance holds exactly for the snapped points: a pinned `scale`
+    makes it hold for that grid's points, however coarse.  `**params` go to
+    `CompressionParams` (`penalty_segment`, `penalty_arc`, `min_arc_points`,
+    `mode`).  Raises ValueError for an empty polyline, a non-finite
+    coordinate, a `scale` or tolerance that is not positive and finite, a
+    scale or coordinate past the float range or the grid, and a parameter
+    `CompressionParams` rejects.
+    """
+    if scale is not None and not 0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
     if not all(math.isfinite(c) for p in points for c in p):
         raise ValueError("non-finite coordinate")
     if scale is None:

@@ -53,8 +53,7 @@ def _arc_fit(pts, i, j, tol):
     return _evaluate_arc(pts, i, j, float(tol), None)
 
 
-def reference_compress(pts, tol, p_seg=2, p_arc=3, min_arc_points=4,
-                       max_arc_points=0):
+def reference_compress(pts, tol, p_seg=2, p_arc=3, min_arc_points=4):
     """Exhaustive DP; returns (total_pair, primitive_count, evaluations)."""
     pts = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
     n = len(pts)
@@ -74,8 +73,6 @@ def reference_compress(pts, tol, p_seg=2, p_arc=3, min_arc_points=4,
                     best = cand
                     best_back = (kp, "segment")
         for kp in range(0, k - (min_arc_points - 1) + 1):
-            if max_arc_points and k - kp + 1 > max_arc_points:
-                continue
             evals += 1
             arc = _arc_fit(pts, kp, k, tol)
             if arc is not None:

@@ -184,9 +184,6 @@ def test_params_validation():
         CompressionParams(tolerance=1, mode="nope")
     with pytest.raises(ValueError):
         CompressionParams(tolerance=1, min_arc_points=3)
-    with pytest.raises(ValueError):
-        CompressionParams(tolerance=1, min_arc_points=8, max_arc_points=5)
-    CompressionParams(tolerance=1, min_arc_points=8, max_arc_points=0)  # 0 = unlimited
 
 
 @pytest.mark.parametrize("tol", [10 ** 400, Fraction(10 ** 400, 3), math.nan, math.inf])
@@ -195,6 +192,17 @@ def test_tolerance_past_the_float_range_rejected(tol):
     # OverflowError from deep inside the compressor
     with pytest.raises(ValueError, match="tolerance"):
         compress([(0, 0), (5, 3), (9, 0)], CompressionParams(tolerance=tol))
+
+
+@pytest.mark.parametrize("scale", [0, -1.0, math.nan, math.inf])
+def test_scale_not_positive_and_finite_rejected(scale):
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        compress_polyline([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)], 0.1, scale=scale)
+
+
+def test_empty_polyline_rejected():
+    with pytest.raises(ValueError, match="empty polyline"):
+        compress_polyline([], 0.1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -526,16 +534,28 @@ def _awkward_polylines(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_awkward_polylines(), st.sampled_from([1, 3, 10, 40]), st.sampled_from([0, 6]))
-def test_awkward_polylines_within_tolerance_and_optimal(pts, tol, max_arc_points):
+@given(_awkward_polylines(), st.sampled_from([1, 3, 10, 40]))
+def test_awkward_polylines_within_tolerance_and_optimal(pts, tol):
     # the feasibility tables and every certificate in front of them may only
     # drop arcs that cannot be optimal: the pruned DP must reach the totals
     # of the unpruned reference
-    res = compress(pts, CompressionParams(tolerance=tol, max_arc_points=max_arc_points))
+    res = compress(pts, CompressionParams(tolerance=tol))
     assert_within_tolerance(res, tol)
-    want_total, _, _ = reference_compress(pts, tol, max_arc_points=max_arc_points)
+    want_total, _, _ = reference_compress(pts, tol)
     assert res.total[0] == want_total[0]
     assert abs(res.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
+
+
+def test_arc_over_600_vertices_is_one_arc():
+    # an arc may cover any number of vertices: 3/4 of an integer circle of
+    # radius 1000 fits one arc
+    n = 600
+    pts = [(round(1000 * math.cos(1.5 * math.pi * i / (n - 1))),
+            round(1000 * math.sin(1.5 * math.pi * i / (n - 1)))) for i in range(n)]
+    res = compress(pts, CompressionParams(tolerance=1.0))
+    assert [p.kind for p in res.primitives] == ["arc"]
+    assert res.total[0] == 3
+    assert_within_tolerance(res, 1.0)
 
 
 def test_large_radius_arc_is_found():
