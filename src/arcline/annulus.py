@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from . import delaunay
@@ -490,8 +490,13 @@ def _width_lower_bound(c, sample, reach: float) -> float:
 
 
 def _float_width_lower_bound(fx: float, fy: float, sample, reach: float) -> float:
-    """`_width_lower_bound` about the float centre (fx, fy)."""
-    ds = [math.hypot(fx - px, fy - py) for px, py in sample]
+    """`_width_lower_bound` about the float centre (fx, fy).
+
+    `math.dist` rounds the same differences fx - px, fy - py and takes the
+    same vector norm of them as `math.hypot(fx - px, fy - py)`, so each
+    distance is the same float and `_width_lower_bound`'s error bound
+    holds unchanged."""
+    ds = list(map(math.dist, repeat((fx, fy)), sample))
     err = error_bound(reach + abs(fx) + abs(fy))
     lower = max(ds) - min(ds) - 3 * err
     return lower if lower == lower else -math.inf  # NaN: an infinity met another

@@ -13,13 +13,17 @@ with 3(n-1) edges.
 Both merges (Guibas and Stolfi) rise from the lower to the upper tangent.
 Candidate edges are accepted or deleted on the in-circle determinant sign
 alone; the above-base-edge orientation test runs only when the determinant
-is zero (four cocircular points).
+is zero (four cocircular points).  The rise calls `predicates.incircle` on
+the point tuples directly, times the kind's sign (+1 closest, -1
+farthest), and reads the store's `onext` and `org` arrays by the
+quad-edge bit formulas; only `connect` and `delete_edge` go through the
+store's methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .hulltree import convex_hull
 from .predicates import incircle, orientation
@@ -53,13 +57,6 @@ class TriangulationMesh:
     outer_edge: Optional[int]  # hull edge with the outer face on its left
 
 
-def _in_circle_fn(pts, pred_sign: int) -> Callable[[int, int, int, int], int]:
-    def f(i, j, k, l):
-        return pred_sign * incircle(pts[i], pts[j], pts[k], pts[l])
-
-    return f
-
-
 def _rightof(pts, p: int, store, e: int) -> bool:
     return orientation(pts[p], pts[store.dest(e)], pts[store.org[e]]) > 0
 
@@ -86,21 +83,14 @@ def _base_case(store: QuadEdgeStore, pts, order: List[int]) -> int:
     return a  # collinear chain
 
 
-def _cycle_info(store: QuadEdgeStore, outer: int, vkey) -> dict:
-    """Hull cycle metadata: edges out of / into the key-extreme vertices."""
+def _hull_edges_at(store: QuadEdgeStore, pts, outer: int, key, pick) -> Tuple[int, int]:
+    """The edges out of and into the vertex whose key is pick (min or max)
+    of the keys on the outer face cycle through outer."""
     cyc = store.face_cycle(outer)
-    orgs = [store.org[e] for e in cyc]
-    imin = min(range(len(cyc)), key=lambda i: vkey(orgs[i]))
-    imax = max(range(len(cyc)), key=lambda i: vkey(orgs[i]))
-    m = len(cyc)
-    return {
-        "cycle": cyc,
-        "orgs": orgs,
-        "out_of_min": cyc[imin],
-        "out_of_max": cyc[imax],
-        "into_min": cyc[(imin - 1) % m],
-        "into_max": cyc[(imax - 1) % m],
-    }
+    org = store.org
+    keys = [key(pts[org[e]]) for e in cyc]
+    i = keys.index(pick(keys))
+    return cyc[i], cyc[i - 1]
 
 
 def _tangent_walk(store, pts, ldi: int, rdi: int) -> Tuple[int, int]:
@@ -114,58 +104,69 @@ def _tangent_walk(store, pts, ldi: int, rdi: int) -> Tuple[int, int]:
             return ldi, rdi
 
 
-def _merge_rise(store, pts, in_circle, basel: int, ul: int, ur: int) -> int:
+def _merge_rise(store, pts, circle_sign: int, basel: int, ul: int, ur: int) -> int:
     """Create cross edges above basel until the upper tangent (ur -> ul).
 
     Returns the reversed upper tangent, whose left face is the outer face.
+    The loop reads the store's arrays directly: dest(e) is org[e ^ 2]
+    (`quadedge.sym`), and oprev(e) = rot(onext[rot(e)]) by `quadedge.rot`'s
+    bit formula.
     """
+    onext, org = store.onext, store.org
     while True:
-        if store.org[basel] == ur and store.dest(basel) == ul:
-            return sym(basel)
-        bdest = store.dest(basel)
-        borg = store.org[basel]
+        borg, bdest = org[basel], org[basel ^ 2]
+        if borg == ur and bdest == ul:
+            return basel ^ 2
+        po, pd = pts[borg], pts[bdest]
 
-        lcand = store.onext[sym(basel)]
-        while in_circle(bdest, borg, store.dest(lcand), store.dest(store.onext[lcand])) > 0:
-            t = store.onext[lcand]
+        lcand = onext[basel ^ 2]
+        while True:
+            t = onext[lcand]
+            if circle_sign * incircle(pd, po, pts[org[lcand ^ 2]], pts[org[t ^ 2]]) <= 0:
+                break
             store.delete_edge(lcand)
             lcand = t
 
-        rcand = store.oprev(basel)
-        while in_circle(bdest, borg, store.dest(rcand), store.dest(store.oprev(rcand))) > 0:
-            t = store.oprev(rcand)
+        r = onext[(basel & ~3) | ((basel + 1) & 3)]
+        rcand = (r & ~3) | ((r + 1) & 3)
+        while True:
+            r = onext[(rcand & ~3) | ((rcand + 1) & 3)]
+            t = (r & ~3) | ((r + 1) & 3)
+            if circle_sign * incircle(pd, po, pts[org[rcand ^ 2]], pts[org[t ^ 2]]) <= 0:
+                break
             store.delete_edge(rcand)
             rcand = t
 
-        s = in_circle(store.dest(lcand), store.org[lcand], store.org[rcand], store.dest(rcand))
+        s = circle_sign * incircle(pts[org[lcand ^ 2]], pts[org[lcand]], pts[org[rcand]],
+                                   pts[org[rcand ^ 2]])
         if s != 0:
             use_right = s > 0
         else:  # cocircular: take the left candidate unless it is below basel
-            use_right = not _rightof(pts, store.dest(lcand), store, basel)
+            use_right = not _rightof(pts, org[lcand ^ 2], store, basel)
         if use_right:
-            basel = store.connect(rcand, sym(basel))
+            basel = store.connect(rcand, basel ^ 2)
         else:
-            basel = store.connect(sym(basel), sym(lcand))
+            basel = store.connect(basel ^ 2, lcand ^ 2)
 
 
-def _merge_core(store, pts, in_circle, ldi: int, rdi: int, ul: int, ur: int) -> int:
+def _merge_core(store, pts, circle_sign: int, ldi: int, rdi: int, ul: int, ur: int) -> int:
     ll, lr = store.org[ldi], store.org[rdi]
     basel = store.connect(sym(rdi), ldi)
     if ll == ul and lr == ur:
         return basel  # lower and upper tangents coincide: all points collinear
-    return _merge_rise(store, pts, in_circle, basel, ul, ur)
+    return _merge_rise(store, pts, circle_sign, basel, ul, ur)
 
 
-def _merge_by_walk(store, pts, in_circle, left_outer: int, right_outer: int, vkey) -> int:
-    li = _cycle_info(store, left_outer, vkey)
-    ri = _cycle_info(store, right_outer, vkey)
+def _merge_by_walk(store, pts, circle_sign: int, left_outer: int, right_outer: int, key) -> int:
+    l_out, l_into = _hull_edges_at(store, pts, left_outer, key, max)
+    r_out, r_into = _hull_edges_at(store, pts, right_outer, key, min)
     # Lower tangent: descend from L's key-max and R's key-min.
-    ldi, rdi = _tangent_walk(store, pts, li["out_of_max"], sym(ri["into_min"]))
+    ldi, rdi = _tangent_walk(store, pts, l_out, sym(r_into))
     # Upper tangent: the same walk on the point-reflected configuration,
     # which swaps the two sides and both key extremes.
-    ldi2, rdi2 = _tangent_walk(store, pts, ri["out_of_min"], sym(li["into_max"]))
+    ldi2, rdi2 = _tangent_walk(store, pts, r_out, sym(l_into))
     ur, ul = store.org[ldi2], store.org[rdi2]
-    return _merge_core(store, pts, in_circle, ldi, rdi, ul, ur)
+    return _merge_core(store, pts, circle_sign, ldi, rdi, ul, ur)
 
 
 def _key_x(p):
@@ -176,7 +177,7 @@ def _key_y(p):
     return (p[1], -p[0])
 
 
-def _build_recursive(store, pts, by_a, by_b, in_circle) -> int:
+def _build_recursive(store, pts, by_a, by_b, circle_sign: int) -> int:
     """by_a / by_b: the same index set sorted by the two axis keys."""
     n = len(by_a)
     if n <= 3:
@@ -191,13 +192,12 @@ def _build_recursive(store, pts, by_a, by_b, in_circle) -> int:
     a_r = [i for i in by_a if i not in left_ids]
     b_l = [i for i in by_b if i in left_ids]
     b_r = [i for i in by_b if i not in left_ids]
-    left_outer = _build_recursive(store, pts, a_l, b_l, in_circle)
-    right_outer = _build_recursive(store, pts, a_r, b_r, in_circle)
-    return _merge_by_walk(store, pts, in_circle, left_outer, right_outer,
-                          lambda v: key(pts[v]))
+    left_outer = _build_recursive(store, pts, a_l, b_l, circle_sign)
+    right_outer = _build_recursive(store, pts, a_r, b_r, circle_sign)
+    return _merge_by_walk(store, pts, circle_sign, left_outer, right_outer, key)
 
 
-def _build_hull_order(store, pts, hull: List[int], in_circle) -> int:
+def _build_hull_order(store, pts, hull: List[int], circle_sign: int) -> int:
     """Triangulate the strictly convex polygon hull (counterclockwise) by
     halving it into contiguous arcs, which are linearly separated and whose
     common tangents are known without any search: the polygon edge between
@@ -215,7 +215,7 @@ def _build_hull_order(store, pts, hull: List[int], in_circle) -> int:
         mid = (lo + hi) // 2
         left = rec(lo, mid)
         right = rec(mid, hi)
-        return _merge_core(store, pts, in_circle, store.lnext(left), store.onext[right],
+        return _merge_core(store, pts, circle_sign, store.lnext(left), store.onext[right],
                            hull[lo], hull[hi - 1])
 
     return rec(0, len(hull))
@@ -259,7 +259,7 @@ def build_closest(points: Sequence[Tuple[int, int]]) -> TriangulationMesh:
     if len(pts) > 1:
         by_a = sorted(sites, key=lambda i: _key_x(pts[i]))
         by_b = sorted(sites, key=lambda i: _key_y(pts[i]))
-        outer = _build_recursive(store, pts, by_a, by_b, _in_circle_fn(pts, 1))
+        outer = _build_recursive(store, pts, by_a, by_b, 1)
     return _mesh(pts, "closest", sites, store, outer)
 
 
@@ -270,5 +270,5 @@ def build_farthest(points: Sequence[Tuple[int, int]]) -> TriangulationMesh:
     store = QuadEdgeStore()
     outer = None
     if len(hull) > 1:
-        outer = _build_hull_order(store, pts, hull, _in_circle_fn(pts, -1))
+        outer = _build_hull_order(store, pts, hull, -1)
     return _mesh(pts, "farthest", hull, store, outer)

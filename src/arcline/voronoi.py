@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .delaunay import INFINITE, TriangulationMesh
 from .predicates import circumcenter
-from .quadedge import sym
 
 RPoint = Tuple[Fraction, Fraction]
 
@@ -71,56 +70,61 @@ class VoronoiDiagram:
 
 
 def voronoi_from_delaunay(mesh: TriangulationMesh) -> VoronoiDiagram:
-    store = mesh.store
-    pts = mesh.points
+    """The Voronoi diagram dual to a closest or farthest Delaunay mesh.
 
-    face_center: Dict[int, int] = {}  # canonical face edge -> vertex index
+    Each face of the mesh is walked once, the first time a finite primal
+    edge meets it, and every edge of its cycle records the face's vertex
+    index, or None for a face that is not a finite triangle.  Vertices are
+    the exact circumcentres of the finite triangles, in the order they are
+    first met: primal edges in `primal_edges` order, the left face of each
+    before its right face (`tests/oracles.vertex_triangles` mirrors that
+    order).  An edge between two triangles becomes a segment, one with no
+    triangle on either side (a collinear chain) a full line through the
+    edge's midpoint, and any other a ray from its one circumcentre.  The
+    ray runs along the edge's perpendicular perp = (ay - by, bx - ax),
+    away from the third vertex c of the triangle (towards it on a farthest
+    mesh).  Which way that is, is the sign of perp . (2c - a - b), twice
+    perp . (c - midpoint), taken in the points' integers.
+    """
+    store = mesh.store
+    org = store.org
+    pts = mesh.points
+    unseen = -1
+    face_vertex: List[Optional[int]] = [unseen] * len(org)  # edge -> left face's vertex
     vertices: List[RPoint] = []
     vertex_tris: List[Tuple[int, int, int]] = []
-
-    def face_of(e: int):
-        cyc = store.face_cycle(e)
-        vs = [store.org[c] for c in cyc]
-        if len(vs) != 3 or INFINITE in vs:
-            return None, None
-        return min(cyc), tuple(vs)
-
-    def center_index(e: int) -> Optional[int]:
-        key, vs = face_of(e)
-        if key is None:
-            return None
-        if key not in face_center:
-            face_center[key] = len(vertices)
-            vertices.append(circumcenter(pts[vs[0]], pts[vs[1]], pts[vs[2]]))
-            vertex_tris.append(vs)
-        return face_center[key]
-
     edges: List[VoronoiEdge] = []
     toward_apex = mesh.kind == "farthest"
     for e in store.primal_edges():
-        a, b = store.org[e], store.dest(e)
+        a, b = org[e], org[e ^ 2]
         if a == INFINITE or b == INFINITE:
             continue
-        li = center_index(e)
-        ri = center_index(sym(e))
-        pa, pb = pts[a], pts[b]
+        for d in (e, e ^ 2):
+            if face_vertex[d] == unseen:
+                cyc = store.face_cycle(d)
+                vi = None
+                if len(cyc) == 3:
+                    tri = (org[cyc[0]], org[cyc[1]], org[cyc[2]])
+                    if INFINITE not in tri:
+                        vi = len(vertices)
+                        vertices.append(circumcenter(pts[tri[0]], pts[tri[1]], pts[tri[2]]))
+                        vertex_tris.append(tri)
+                for c in cyc:
+                    face_vertex[c] = vi
+        li, ri = face_vertex[e], face_vertex[e ^ 2]
         if li is not None and ri is not None:
             edges.append(VoronoiEdge(a, b, vertices[li], vertices[ri]))
             continue
-        mid = (Fraction(pa[0] + pb[0], 2), Fraction(pa[1] + pb[1], 2))
-        perp = (-(pb[1] - pa[1]), pb[0] - pa[0])
+        pa, pb = pts[a], pts[b]
+        perp = (pa[1] - pb[1], pb[0] - pa[0])
         if li is None and ri is None:
+            mid = (Fraction(pa[0] + pb[0], 2), Fraction(pa[1] + pb[1], 2))
             edges.append(VoronoiEdge(a, b, mid, None, perp, double=True))
             continue
         ci = li if li is not None else ri
-        # third vertex of the one finite triangle fixes the ray direction
-        tri = vertex_tris[ci]
-        apex = next(v for v in tri if v != a and v != b)
-        ap = pts[apex]
-        side = perp[0] * (ap[0] - mid[0]) + perp[1] * (ap[1] - mid[1])
-        outward = perp if side < 0 else (-perp[0], -perp[1])
-        if toward_apex:
-            outward = (-outward[0], -outward[1])
+        ap = pts[next(v for v in vertex_tris[ci] if v != a and v != b)]
+        side2 = perp[0] * (2 * ap[0] - pa[0] - pb[0]) + perp[1] * (2 * ap[1] - pa[1] - pb[1])
+        outward = perp if (side2 < 0) != toward_apex else (-perp[0], -perp[1])
         edges.append(VoronoiEdge(a, b, vertices[ci], None, outward))
 
     return VoronoiDiagram(kind=mesh.kind, vertices=vertices, edges=edges)

@@ -143,6 +143,33 @@ def test_width_lower_bound_is_below_exact_width():
     assert _width_lower_bound((0, 0), [(math.inf, 0.0), (1.0, 0.0)], math.inf) == -math.inf
 
 
+def _dist_cases(rng):
+    """Float pairs (f, p): random over wide exponents, subnormals, zeros,
+    infinities, NaN, and huge values whose difference overflows."""
+    def wide():
+        return rng.choice((-1, 1)) * rng.uniform(1, 2) * 2.0 ** rng.randint(-1070, 1020)
+
+    for _ in range(5000):
+        yield (wide(), wide()), (wide(), wide())
+    tiny = 5e-324
+    special = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, 1.5e-310, math.inf, -math.inf,
+               math.nan, 1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308, 3.0]
+    for fx in special:
+        for px in special:
+            for fy, py in ((0.0, 0.0), (tiny, -tiny), (1e308, -1e308), (math.nan, 1.0),
+                           (-math.inf, 2.0), (1.0, 1.0)):
+                yield (fx, fy), (px, py)
+
+
+def test_dist_rounds_like_hypot_of_the_differences():
+    # `_float_width_lower_bound` takes math.dist where its error bound was
+    # derived for hypot of the rounded differences
+    for (fx, fy), (px, py) in _dist_cases(random.Random(76)):
+        got = math.dist((fx, fy), (px, py))
+        want = math.hypot(fx - px, fy - py)
+        assert got == want or (math.isnan(got) and math.isnan(want)), ((fx, fy), (px, py))
+
+
 # -- the sweep with every comparison undecided in floats ----------------------
 
 def _degenerate_grid(rng):

@@ -2,8 +2,11 @@ import math
 import random
 from fractions import Fraction
 
-from arcline.delaunay import build_closest, build_farthest
+import pytest
+
+from arcline.delaunay import INFINITE, build_closest, build_farthest
 from arcline.predicates import dist_sq
+from arcline.quadedge import sym
 from arcline.voronoi import ClipConfig, voronoi_from_delaunay
 
 from oracles import circumcircle, triangles, vertex_triangles
@@ -70,3 +73,83 @@ def test_ray_directions_point_into_the_correct_cells():
                     assert all(da <= o for o in others)
                 else:
                     assert all(da >= o for o in others)
+
+
+def _dual_edges(mesh):
+    """The Voronoi edges of the mesh rebuilt from its face cycles, as
+    (site_a, site_b, p0, p1, direction, double) in `primal_edges` order:
+    a segment between the circumcentres of two finite triangles, a full
+    line along the perpendicular through the midpoint when neither side is
+    one, and otherwise a ray from the one circumcentre, pointing away from
+    the triangle's third vertex (towards it for the farthest kind), decided
+    on the rational midpoint."""
+    store, pts = mesh.store, mesh.points
+
+    def triangle(e):
+        vs = tuple(store.org[c] for c in store.face_cycle(e))
+        return vs if len(vs) == 3 and INFINITE not in vs else None
+
+    def centre(tri):
+        return circumcircle(*(pts[i] for i in tri)).center
+
+    out = []
+    for e in store.primal_edges():
+        a, b = store.org[e], store.dest(e)
+        if INFINITE in (a, b):
+            continue
+        left, right = triangle(e), triangle(sym(e))
+        if left and right:
+            out.append((a, b, centre(left), centre(right), None, False))
+            continue
+        pa, pb = pts[a], pts[b]
+        mid = (Fraction(pa[0] + pb[0], 2), Fraction(pa[1] + pb[1], 2))
+        perp = (-(pb[1] - pa[1]), pb[0] - pa[0])
+        if left is None and right is None:
+            out.append((a, b, mid, None, perp, True))
+            continue
+        tri = left or right
+        ap = pts[next(v for v in tri if v not in (a, b))]
+        side = perp[0] * (ap[0] - mid[0]) + perp[1] * (ap[1] - mid[1])
+        outward = perp if side < 0 else (-perp[0], -perp[1])
+        if mesh.kind == "farthest":
+            outward = (-outward[0], -outward[1])
+        out.append((a, b, centre(tri), None, outward, False))
+    return out
+
+
+def _collinear_chain(n):
+    return [(2 + 3 * i, -1 + 2 * i) for i in range(n)]
+
+
+def _dual_cases():
+    """Random small integer sets, a 4x4 grid (every unit square
+    cocircular), the lattice points of two circles, and collinear chains
+    of 3-6 sites."""
+    rng = random.Random(22)
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        yield list({(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(n)})
+    yield [(x, y) for x in range(4) for y in range(4)]
+    for r_sq, (cx, cy) in ((25, (0, 0)), (65, (3, -2))):
+        r = math.isqrt(r_sq)
+        yield [(cx + x, cy + y) for x in range(-r, r + 1) for y in range(-r, r + 1)
+               if x * x + y * y == r_sq]
+    for n in range(3, 7):
+        yield _collinear_chain(n)
+
+
+@pytest.mark.parametrize("build", [build_closest, build_farthest])
+def test_edges_match_the_dual_of_the_triangles(build):
+    for pts in _dual_cases():
+        mesh = build(pts)
+        d = voronoi_from_delaunay(mesh)
+        assert d.vertices == [circumcircle(*(pts[i] for i in tri)).center
+                              for tri in vertex_triangles(mesh)]
+        got = [(e.site_a, e.site_b, e.p0, e.p1, e.direction, e.double) for e in d.edges]
+        assert got == _dual_edges(mesh)
+        if len(pts) >= 3 and pts == _collinear_chain(len(pts)):
+            assert d.vertices == [] and got
+            for a, b, p0, p1, _, double in got:
+                assert double and p1 is None
+                assert p0 == (Fraction(pts[a][0] + pts[b][0], 2),
+                              Fraction(pts[a][1] + pts[b][1], 2))
