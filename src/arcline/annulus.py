@@ -2,13 +2,16 @@
 
 The optimal annulus center is a vertex of the closest Voronoi diagram, a
 vertex of the farthest one, or an intersection of edges from both.  The
-points are moved first so that the clip square is centred at the origin.
-Vertex candidates come straight from the Delaunay duals with exact
-coordinates.  Each vertex also gets a float lower bound on the width about
-it, and the exact width about the vertex in the square with the smallest
-bound is a certified upper bound on the optimum.  Only the part of the
-overlay where a centre could still be that narrow goes to the sweep, cut
-down in two certified steps:
+points are moved first so that the clip square is centred at the origin;
+Fraction points are first scaled to integers.  Vertex candidates come
+straight from the Delaunay duals as integer circumcentres with their
+floats (`voronoi.RationalPoint`), and their exact Fraction pairs are built
+only where an exact step reads them.  Each vertex gets a float lower bound
+on the width about it, and the exact width about the vertex in the square
+with the smallest bound is a certified upper bound on the optimum.  A
+vertex whose bound exceeds it is strictly wider than that vertex and never
+becomes a candidate.  Only the part of the overlay where a centre could
+still be that narrow goes to the sweep, cut down in two certified steps:
 
 - Far field.  About a centre at distance D from the origin, beyond the
   data radius R, the width is at least W - R^2 / (2(D - R)), W the strip
@@ -47,7 +50,7 @@ from itertools import combinations, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from . import delaunay
-from .clipping import _inside, clip_ray, clip_segments_square
+from .clipping import _inside, _inside_rational, clip_ray, clip_segments_square
 from .hulltree import convex_hull
 from .overlaps import remove_overlaps
 from .predicates import EPS, certain_sign, dist_sq, error_bound, point_key, to_float
@@ -286,30 +289,37 @@ def _voronoi_segments(diag: VoronoiDiagram, half_side: int, bounds, upper: float
                       sample, reach: float) -> List[IndexedSegment]:
     """The edges of a diagram of square-centred points as segments for the
     sweep, less the parts whose every point is certainly wider than upper
-    (`_kept_runs`).  Rays and full lines are cut at the square
-    |x|, |y| <= half_side from their origin and direction (`clip_ray`),
-    unless floats show first that none of that part is left
+    (`_kept_runs`).  bounds maps the identity of each vertex of the diagram
+    to its `_float_bound`.  Rays and full lines are cut at the square
+    |x|, |y| <= half_side from their exact origin and direction
+    (`clip_ray`), unless floats show first that none of that part is left
     (`_line_certainly_wider`); finite edges are cut later, with the rest
-    (`clip_segments_square`)."""
+    (`clip_segments_square`), and their exact ends are built only when a
+    part of them is kept."""
     out = []
     kind_closest = diag.kind == "closest"
     fh = to_float(half_side)
     for e in diag.edges:
-        fa = bounds.get(id(e.p0)) or _float_bound(e.p0, sample, reach)
+        p0 = e.p0
+        fa = bounds.get(id(p0)) or _float_bound(p0.fx, p0.fy, sample, reach)
         if e.is_segment:
-            a, b, fb = e.p0, e.p1, bounds[id(e.p1)]
+            runs = _kept_runs(fa, bounds[id(e.p1)], 0.0, upper, sample, reach)
+            if not runs:
+                continue
+            a, b = p0.exact, e.p1.exact
         else:
             if _line_certainly_wider(e, fa, fh, upper, sample, reach):
                 continue
-            ends = clip_ray(e.p0, e.direction, half_side, e.double)
+            ends = clip_ray(p0.exact, e.direction, half_side, e.double)
             if ends is None:
                 continue
             a, b = ends
-            if a is not e.p0:
-                fa = _float_bound(a, sample, reach)
-            fb = _float_bound(b, sample, reach)
+            if a is not p0.exact:
+                fa = _float_bound(to_float(a[0]), to_float(a[1]), sample, reach)
+            runs = _kept_runs(fa, _float_bound(to_float(b[0]), to_float(b[1]), sample, reach),
+                              0.0, upper, sample, reach)
         sites = frozenset((e.site_a, e.site_b))
-        for k0, k1 in _kept_runs(fa, fb, 0.0, upper, sample, reach):
+        for k0, k1 in runs:
             if kind_closest:
                 out.append(IndexedSegment(_at(a, b, k0), _at(a, b, k1), sites, frozenset()))
             else:
@@ -352,14 +362,18 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
 
     The points are first moved by the integer centre of the square, so the
     square is |x|, |y| <= h and the diagrams come out centred; the result is
-    moved back.  Before anything is clipped, a float lower bound on the
-    width about every Voronoi vertex, and the exact width about the vertex
-    in the square with the smallest bound, give a certified upper bound on
-    the optimum.  Centres certainly wider than that can be no candidate
-    that wins or ties, and two steps leave them out of the sweep.  The far
-    field: about a centre x with |x| = D > R >= max |p|, each distance
-    |x - p| lies in [D - s, D - s + R^2 / (2(D - R))], s = p.x / D, so the
-    width is at least W - R^2 / (2(D - R)), W the strip width of the
+    moved back.  The Voronoi vertices stay integer circumcentres with their
+    floats (`voronoi.RationalPoint`), and their exact Fraction pairs are
+    built only where an exact step reads them.  Before anything is
+    clipped, a float lower bound on the width about every vertex, and the
+    exact width about the vertex in the square with the smallest bound,
+    give a certified upper bound on the optimum.  A vertex whose bound
+    exceeds it is strictly wider than that vertex and never becomes a
+    candidate.  Centres certainly wider than the upper bound can be no
+    candidate that wins or ties, and two steps leave them out of the sweep.
+    The far field: about a centre x with |x| = D > R >= max |p|, each
+    distance |x - p| lies in [D - s, D - s + R^2 / (2(D - R))], s = p.x / D,
+    so the width is at least W - R^2 / (2(D - R)), W the strip width of the
     points; when W exceeds the upper bound, the overlay is cut at the
     square beyond which that exceeds it (`_far_half_side`), not at h.  The
     bisection: every edge piece left is bisected in floats, and sub-pieces
@@ -367,13 +381,28 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     Candidates are still those in the square of half side h.
 
     Coordinates are ints or Fractions; floats with an integral value are
-    taken as those ints, and any other float raises ValueError."""
+    taken as those ints, and any other float raises ValueError.  Points
+    with Fraction coordinates are scaled to integers by the least common
+    multiple L of their denominators (the data radius of a given clip by L
+    too), and the annulus of the scaled points is scaled back."""
     if any(isinstance(c, float) and not c.is_integer() for p in points for c in p):
         raise ValueError("annulus coordinates must be integers, Fractions or integral floats")
     upts = list(dict.fromkeys(tuple(int(c) if isinstance(c, float) else c for c in p) for p in points))
     if len(upts) < 2:
         raise ValueError("degenerate point set")
+    denominators = {c.denominator for p in upts for c in p if isinstance(c, Fraction)}
+    if not denominators:
+        return _integer_annulus(upts, clip)
+    scale = math.lcm(*denominators)
+    if clip is not None and scale > 1:
+        clip = ClipConfig(clip.min_arc_angle, clip.data_radius * scale)
+    res = _integer_annulus([(int(x * scale), int(y * scale)) for x, y in upts], clip)
+    (x, y), sq = res.center, scale * scale
+    return AnnulusResult((x / scale, y / scale), res.r_inner_sq / sq, res.r_outer_sq / sq)
 
+
+def _integer_annulus(upts, clip: Optional[ClipConfig]) -> AnnulusResult:
+    """`min_width_annulus` of at least two distinct integer points."""
     if len(upts) == 2:
         p, q = upts
         center = (Fraction(p[0] + q[0], 2), Fraction(p[1] + q[1], 2))
@@ -391,11 +420,6 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     upts = [(x - cx, y - cy) for x, y in upts]
     sample = _sample(upts)
     sf, reach = _sample_floats(sample)
-    keys = []  # point_key of each candidate in the square
-
-    def add_if_in_square(pt) -> None:
-        if _inside(pt, h, fh):
-            keys.append(point_key(pt))
 
     mesh_c = delaunay.build_closest(upts)
     mesh_f = delaunay.build_farthest(upts)
@@ -403,14 +427,27 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     diag_f = voronoi_from_delaunay(mesh_f)
 
     # float coordinates and width lower bound of each Voronoi vertex, keyed by
-    # the identity of its tuple, which the diagram's edges share: hashing
-    # the exact rational point would cost half as much as the bound itself
+    # the identity of the vertex, which the diagram's edges share
     bounds = {}
+    inside, inside_lower = [], []  # the vertices in the square, their bounds
     for v in diag_c.vertices + diag_f.vertices:
-        bounds[id(v)] = _float_bound(v, sf, reach)
-        add_if_in_square(v)
-    inside = [v for _, v in keys]
-    upper = _probe_upper(inside, [bounds[id(v)][2] for v in inside], upts)
+        fx, fy = v.fx, v.fy
+        lb = _float_width_lower_bound(fx, fy, sf, reach)
+        bounds[id(v)] = fx, fy, lb
+        if _inside_rational(v, h, fh):
+            inside.append(v)
+            inside_lower.append(lb)
+    upper = _probe_upper(inside_lower, lambda i: inside[i].exact, upts)
+
+    # a vertex whose bound exceeds upper is strictly wider than the probe
+    # vertex, so it can neither win nor tie: it never becomes a candidate
+    keys = []  # point_key of each candidate
+    vertex_lower = {}  # the bound of each vertex candidate, by its identity
+    for v, lb in zip(inside, inside_lower):
+        if not lb > upper:
+            p = v.exact
+            vertex_lower[id(p)] = lb
+            keys.append((v.fx, p))
 
     hc = _far_half_side(upts, sample, h, upper)
     segs = _voronoi_segments(diag_c, hc, bounds, upper, sf, reach)
@@ -422,8 +459,8 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     segs = remove_overlaps(segs)
     for ev in sweep_intersections(segs):
         c = _event_centre(ev, upts)
-        if c is not None:
-            add_if_in_square(c)
+        if c is not None and _inside(c, h, fh):
+            keys.append(point_key(c))
 
     # the float-first keys sort like the points themselves, and duplicates
     # end up next to each other
@@ -433,7 +470,7 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
         # collinear or fully clipped configurations: no combinatorial
         # candidate exists inside the square; report the center of the data
         candidates = [(Fraction(0), Fraction(0))]
-    lower = [bounds[id(c)][2] if id(c) in bounds else _width_lower_bound(c, sf, reach)
+    lower = [vertex_lower[id(c)] if id(c) in vertex_lower else _width_lower_bound(c, sf, reach)
              for c in candidates]
     (x, y), r_out, r_in = _best_candidate(candidates, upts, lower)
     return AnnulusResult((x + cx, y + cy), r_in, r_out)
@@ -502,9 +539,9 @@ def _float_width_lower_bound(fx: float, fy: float, sample, reach: float) -> floa
     return lower if lower == lower else -math.inf  # NaN: an infinity met another
 
 
-def _float_bound(c, sample, reach: float) -> Tuple[float, float, float]:
-    """The float coordinates of c and `_width_lower_bound` about it."""
-    fx, fy = to_float(c[0]), to_float(c[1])
+def _float_bound(fx: float, fy: float, sample, reach: float) -> Tuple[float, float, float]:
+    """The float coordinates (fx, fy) of a point and `_width_lower_bound`
+    about it."""
     return fx, fy, _float_width_lower_bound(fx, fy, sample, reach)
 
 
@@ -515,16 +552,17 @@ def _sample_floats(sample) -> Tuple[list, float]:
     return sf, max(abs(x) for x, _ in sf) + max(abs(y) for _, y in sf)
 
 
-def _probe_upper(candidates, lower, upts) -> float:
-    """A certified upper bound on the smallest width about the candidates:
-    the exact width about the one with the smallest finite lower bound in
-    lower (the first one when none is finite), plus an error bound; +inf
-    without candidates."""
-    if not candidates:
+def _probe_upper(lower, exact_at, upts) -> float:
+    """A certified upper bound on the smallest width about a list of
+    candidates: the exact width about the one with the smallest finite
+    lower bound in lower (the first one when none is finite), plus an error
+    bound; +inf without candidates.  exact_at(i) is the exact point of the
+    i-th candidate; only the probe's is read."""
+    if not lower:
         return math.inf
     finite = [i for i, lb in enumerate(lower) if lb > -math.inf] or [0]
     probe = min(finite, key=lower.__getitem__)
-    lo, hi = _radii_sq(candidates[probe], upts)
+    lo, hi = _radii_sq(exact_at(probe), upts)
     s_hi, s_lo = math.sqrt(to_float(hi)), math.sqrt(to_float(lo))
     if not s_hi < math.inf:
         return math.inf
@@ -551,7 +589,7 @@ def _best_candidate(candidates, upts, lower):
     its `error_bound`.  A squared radius past the float range gives an
     infinite root; such a candidate is never left out of the shortlist and
     does not narrow it, and the exact comparison places it."""
-    upper = _probe_upper(candidates, lower, upts)
+    upper = _probe_upper(lower, candidates.__getitem__, upts)
     evals = []
     for c, lb in zip(candidates, lower):
         if lb > upper:

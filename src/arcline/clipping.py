@@ -35,6 +35,19 @@ def _inside(p, h, fh: float) -> bool:
     return True
 
 
+def _inside_rational(v, h: int, fh: float) -> bool:
+    """`_inside` for the exact point of the `voronoi.RationalPoint` v, read
+    off its floats; only a float that ties with fh runs the integer test
+    |x| <= h * d."""
+    for fv, n in ((v.fx, v.x), (v.fy, v.y)):
+        if fv == fh or fv == -fh:
+            if abs(n) > h * v.d:
+                return False
+        elif not -fh < fv < fh:
+            return False
+    return True
+
+
 def _lerp(p0, d, t: Fraction):
     return (p0[0] + t * d[0], p0[1] + t * d[1])
 

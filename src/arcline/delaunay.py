@@ -109,8 +109,8 @@ def _merge_rise(store, pts, circle_sign: int, basel: int, ul: int, ur: int) -> i
 
     Returns the reversed upper tangent, whose left face is the outer face.
     The loop reads the store's arrays directly: dest(e) is org[e ^ 2]
-    (`quadedge.sym`), and oprev(e) = rot(onext[rot(e)]) by `quadedge.rot`'s
-    bit formula.
+    (`quadedge.sym`), and oprev(e) = rot(onext[rot(e)]) by the slot
+    arithmetic of the `quadedge` module.
     """
     onext, org = store.onext, store.org
     while True:

@@ -14,7 +14,6 @@ Fast Robust Geometric Predicates", 1997).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Tuple
 
 Point = Tuple  # (x, y) of int or Fraction
@@ -75,18 +74,6 @@ def common_denominator(values: list) -> Tuple[int, list]:
         if d % v.denominator:
             d = math.lcm(d, v.denominator)
     return d, [v.numerator * (d // v.denominator) for v in values]
-
-
-def circumcenter(a: Point, b: Point, c: Point) -> Tuple[Fraction, Fraction]:
-    """Exact center of the circle through three non-collinear points."""
-    d = 2 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if d == 0:
-        raise ValueError("degenerate circumcircle")
-    na = a[0] * a[0] + a[1] * a[1]
-    nb = b[0] * b[0] + b[1] * b[1]
-    nc = c[0] * c[0] + c[1] * c[1]
-    return (Fraction(na * (b[1] - c[1]) + nb * (c[1] - a[1]) + nc * (a[1] - b[1]), d),
-            Fraction(na * (c[0] - b[0]) + nb * (a[0] - c[0]) + nc * (b[0] - a[0]), d))
 
 
 def dist_sq(a: Point, b: Point):

@@ -4,21 +4,17 @@ Edges are integers.  Each undirected edge occupies a quadruple of slots:
 slot 0 is the canonical directed edge, slot 1 its dual, slot 2 the reversed
 edge, slot 3 the reversed dual.  Vertex origins are stored for the two
 primal slots only.  `splice` is the single topology operator.
+
+The operators compute the slot arithmetic inline: sym(e) = e ^ 2,
+rot(e) = (e & ~3) | ((e + 1) & 3) and its inverse
+(e & ~3) | ((e + 3) & 3).
 """
 
 from __future__ import annotations
 
 
-def rot(e: int) -> int:
-    return (e & ~3) | ((e + 1) & 3)
-
-
 def sym(e: int) -> int:
     return e ^ 2
-
-
-def invrot(e: int) -> int:
-    return (e & ~3) | ((e + 3) & 3)
 
 
 class QuadEdgeStore:
@@ -39,34 +35,38 @@ class QuadEdgeStore:
         return e
 
     def dest(self, e: int) -> int:
-        return self.org[sym(e)]
-
-    def oprev(self, e: int) -> int:
-        return rot(self.onext[rot(e)])
+        return self.org[e ^ 2]
 
     def lnext(self, e: int) -> int:
-        return rot(self.onext[invrot(e)])
+        """rot(onext[invrot(e)])."""
+        r = self.onext[(e & ~3) | ((e + 3) & 3)]
+        return (r & ~3) | ((r + 1) & 3)
 
     def rprev(self, e: int) -> int:
-        return self.onext[sym(e)]
+        return self.onext[e ^ 2]
 
     def splice(self, a: int, b: int) -> None:
         onext = self.onext
-        alpha = rot(onext[a])
-        beta = rot(onext[b])
-        onext[a], onext[b] = onext[b], onext[a]
+        na, nb = onext[a], onext[b]
+        alpha = (na & ~3) | ((na + 1) & 3)
+        beta = (nb & ~3) | ((nb + 1) & 3)
+        onext[a], onext[b] = nb, na
         onext[alpha], onext[beta] = onext[beta], onext[alpha]
 
     def connect(self, a: int, b: int) -> int:
         """New edge from dest(a) to org(b) keeping both faces consistent."""
-        e = self.make_edge(self.dest(a), self.org[b])
+        e = self.make_edge(self.org[a ^ 2], self.org[b])
         self.splice(e, self.lnext(a))
-        self.splice(sym(e), b)
+        self.splice(e ^ 2, b)
         return e
 
     def delete_edge(self, e: int) -> None:
-        self.splice(e, self.oprev(e))
-        self.splice(sym(e), self.oprev(sym(e)))
+        """Detach e from both its ends: each end is spliced with its
+        oprev, rot(onext[rot(e)])."""
+        onext = self.onext
+        for d in (e, e ^ 2):
+            r = onext[(d & ~3) | ((d + 1) & 3)]
+            self.splice(d, (r & ~3) | ((r + 1) & 3))
         self.alive[e >> 2] = False
 
     def primal_edges(self):

@@ -1,9 +1,12 @@
-"""Voronoi diagrams extracted as duals of Delaunay meshes.
+"""Voronoi diagrams extracted as duals of Delaunay meshes of integer points.
 
-Vertices are exact rational circumcenters.  Edges dual to hull edges are
-rays (a vertex and an integer direction); when the mesh is a collinear
-chain every dual edge is a full line, carried as a base point plus a
-direction with the ``double`` flag set.
+Vertices are the circumcentres of the finite triangles, each kept as
+integer numerators over a positive integer denominator with its correctly
+rounded floats (`RationalPoint`); the exact Fraction pair is built only
+when an exact step reads it.  Edges dual to hull edges are rays (a vertex
+and an integer direction); when the mesh is a collinear chain every dual
+edge is a full line, carried as a base point (the edge's midpoint, also a
+`RationalPoint`) plus a direction with the ``double`` flag set.
 """
 
 from __future__ import annotations
@@ -14,9 +17,37 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .delaunay import INFINITE, TriangulationMesh
-from .predicates import circumcenter
 
 RPoint = Tuple[Fraction, Fraction]
+
+
+class RationalPoint:
+    """The point (x / d, y / d) of integers x, y and d > 0.
+
+    fx and fy are x / d and y / d rounded to the nearest float, +-inf past
+    the float range: integer true division rounds correctly, so they equal
+    `predicates.to_float` of the exact coordinates.  `exact` is the pair of
+    Fractions, built on first use and kept."""
+
+    __slots__ = ("x", "y", "d", "fx", "fy", "_exact")
+
+    def __init__(self, x: int, y: int, d: int):
+        self.x, self.y, self.d = x, y, d
+        try:
+            self.fx = x / d
+        except OverflowError:
+            self.fx = math.inf if x > 0 else -math.inf
+        try:
+            self.fy = y / d
+        except OverflowError:
+            self.fy = math.inf if y > 0 else -math.inf
+        self._exact = None
+
+    @property
+    def exact(self) -> RPoint:
+        if self._exact is None:
+            self._exact = (Fraction(self.x, self.d), Fraction(self.y, self.d))
+        return self._exact
 
 
 @dataclass(frozen=True)
@@ -52,8 +83,8 @@ def data_radius(points) -> float:
 class VoronoiEdge:
     site_a: int
     site_b: int
-    p0: Optional[RPoint]  # segment start, or ray/line base point
-    p1: Optional[RPoint]  # segment end; None for rays and lines
+    p0: RationalPoint  # segment start, or ray/line base point
+    p1: Optional[RationalPoint]  # segment end; None for rays and lines
     direction: Optional[Tuple[int, int]] = None  # ray direction
     double: bool = False  # full line (both directions from p0)
 
@@ -65,20 +96,25 @@ class VoronoiEdge:
 @dataclass
 class VoronoiDiagram:
     kind: str
-    vertices: List[RPoint]
+    vertices: List[RationalPoint]
     edges: List[VoronoiEdge]
 
 
 def voronoi_from_delaunay(mesh: TriangulationMesh) -> VoronoiDiagram:
-    """The Voronoi diagram dual to a closest or farthest Delaunay mesh.
+    """The Voronoi diagram dual to a closest or farthest Delaunay mesh of
+    integer points.
 
     Each face of the mesh is walked once, the first time a finite primal
     edge meets it, and every edge of its cycle records the face's vertex
     index, or None for a face that is not a finite triangle.  Vertices are
-    the exact circumcentres of the finite triangles, in the order they are
-    first met: primal edges in `primal_edges` order, the left face of each
+    the circumcentres of the finite triangles, in the order they are first
+    met: primal edges in `primal_edges` order, the left face of each
     before its right face (`tests/oracles.vertex_triangles` mirrors that
-    order).  An edge between two triangles becomes a segment, one with no
+    order).  The circumcentre of (a, b, c) is a + (ux, uy) / d with
+    d = 2 (b - a) x (c - a), ux = (cy - ay)|b - a|^2 - (by - ay)|c - a|^2
+    and uy = (bx - ax)|c - a|^2 - (cx - ax)|b - a|^2, all integers, and is
+    kept as such (`RationalPoint`), its sign moved to the numerators when
+    d < 0.  An edge between two triangles becomes a segment, one with no
     triangle on either side (a collinear chain) a full line through the
     edge's midpoint, and any other a ray from its one circumcentre.  The
     ray runs along the edge's perpendicular perp = (ay - by, bx - ax),
@@ -91,7 +127,7 @@ def voronoi_from_delaunay(mesh: TriangulationMesh) -> VoronoiDiagram:
     pts = mesh.points
     unseen = -1
     face_vertex: List[Optional[int]] = [unseen] * len(org)  # edge -> left face's vertex
-    vertices: List[RPoint] = []
+    vertices: List[RationalPoint] = []
     vertex_tris: List[Tuple[int, int, int]] = []
     edges: List[VoronoiEdge] = []
     toward_apex = mesh.kind == "farthest"
@@ -107,7 +143,18 @@ def voronoi_from_delaunay(mesh: TriangulationMesh) -> VoronoiDiagram:
                     tri = (org[cyc[0]], org[cyc[1]], org[cyc[2]])
                     if INFINITE not in tri:
                         vi = len(vertices)
-                        vertices.append(circumcenter(pts[tri[0]], pts[tri[1]], pts[tri[2]]))
+                        (ax, ay), (bx, by), (cx, cy) = pts[tri[0]], pts[tri[1]], pts[tri[2]]
+                        bx -= ax
+                        by -= ay
+                        cx -= ax
+                        cy -= ay
+                        bn = bx * bx + by * by
+                        cn = cx * cx + cy * cy
+                        den = 2 * (bx * cy - by * cx)
+                        ux = cy * bn - by * cn + ax * den
+                        uy = bx * cn - cx * bn + ay * den
+                        vertices.append(RationalPoint(ux, uy, den) if den > 0
+                                        else RationalPoint(-ux, -uy, -den))
                         vertex_tris.append(tri)
                 for c in cyc:
                     face_vertex[c] = vi
@@ -118,7 +165,7 @@ def voronoi_from_delaunay(mesh: TriangulationMesh) -> VoronoiDiagram:
         pa, pb = pts[a], pts[b]
         perp = (pa[1] - pb[1], pb[0] - pa[0])
         if li is None and ri is None:
-            mid = (Fraction(pa[0] + pb[0], 2), Fraction(pa[1] + pb[1], 2))
+            mid = RationalPoint(pa[0] + pb[0], pa[1] + pb[1], 2)
             edges.append(VoronoiEdge(a, b, mid, None, perp, double=True))
             continue
         ci = li if li is not None else ri

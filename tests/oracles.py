@@ -1,8 +1,8 @@
 """Exact oracles and mesh views that only the tests use: the inversion
 construction and the expanded in-circle determinant behind the predicate
-checks, exact circumcircles, exact distance-to-circle checks, the exact
-direction condition of an arc and its former atan2 check, and views of
-meshes, Voronoi diagrams and pair lists."""
+checks, exact circumcentres and circumcircles, exact distance-to-circle
+checks, the exact direction condition of an arc and its former atan2
+check, and views of meshes, Voronoi diagrams and pair lists."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import List, Tuple
 from arcline.delaunay import INFINITE, TriangulationMesh
 from arcline.feasibility import InfeasiblePairList
 from arcline.hulltree import convex_hull
-from arcline.predicates import Point, circumcenter, incircle, orientation
+from arcline.predicates import Point, incircle, orientation
 from arcline.quadedge import sym
 
 
@@ -40,6 +40,18 @@ class ExactCircle:
 
     center: Tuple[Fraction, Fraction]
     radius_sq: Fraction
+
+
+def circumcenter(a: Point, b: Point, c: Point) -> Tuple[Fraction, Fraction]:
+    """Exact center of the circle through three non-collinear points."""
+    d = 2 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
+    if d == 0:
+        raise ValueError("degenerate circumcircle")
+    na = a[0] * a[0] + a[1] * a[1]
+    nb = b[0] * b[0] + b[1] * b[1]
+    nc = c[0] * c[0] + c[1] * c[1]
+    return (Fraction(na * (b[1] - c[1]) + nb * (c[1] - a[1]) + nc * (a[1] - b[1]), d),
+            Fraction(na * (c[0] - b[0]) + nb * (a[0] - c[0]) + nc * (b[0] - a[0]), d))
 
 
 def circumcircle(a: Point, b: Point, c: Point) -> ExactCircle:

@@ -7,7 +7,7 @@ import pytest
 
 from arcline.annulus import _bisector_intersection, min_width_annulus
 from arcline.arcfit import arc_exists_within_tolerance
-from arcline.predicates import dist_sq
+from arcline.predicates import dist_sq, orientation
 from arcline.radicals import width_compare, width_leq
 from arcline.voronoi import ClipConfig
 
@@ -177,3 +177,33 @@ def test_integral_floats_taken_as_ints_and_other_floats_rejected():
     for bad in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="annulus coordinates"):
             min_width_annulus([(0.0, 0.0), (1.0, 1.0), (2.0, bad), (3.0, 5.0)])
+
+
+def test_fraction_points_give_the_scaled_integer_annulus():
+    # non-integral Fractions are scaled by the lcm of their denominators:
+    # the annulus is that of the integer set, scaled back, with a given
+    # clip's data radius scaled alike
+    rng = random.Random(65)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(2, 12)
+        pts = list({(Fraction(rng.randint(-400, 400), rng.choice((1, 2, 3, 7, 12))),
+                     Fraction(rng.randint(-400, 400), rng.choice((1, 5, 9, 2 ** 40))))
+                    for _ in range(n)})
+        scale = math.lcm(*(c.denominator for p in pts for c in p))
+        if len(pts) < 2 or scale == 1:
+            continue
+        ints = [(int(x * scale), int(y * scale)) for x, y in pts]
+        for clip, int_clip in ((None, None),
+                               (ClipConfig(math.radians(5), 300), ClipConfig(math.radians(5), 300 * scale))):
+            got = min_width_annulus(pts, clip)
+            want = min_width_annulus(ints, int_clip)
+            assert got.center == (want.center[0] / scale, want.center[1] / scale)
+            assert (got.r_inner_sq, got.r_outer_sq) == (want.r_inner_sq / scale ** 2,
+                                                        want.r_outer_sq / scale ** 2)
+            for p in pts:
+                assert got.r_inner_sq <= dist_sq(got.center, p) <= got.r_outer_sq
+        if 3 <= len(pts) <= 8 and orientation(*pts[:3]) != 0:
+            hi, lo, _ = combinatorial_oracle(pts)
+            assert width_compare(got.r_outer_sq, got.r_inner_sq, hi, lo) == 0
+        checked += 1

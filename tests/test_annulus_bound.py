@@ -67,7 +67,8 @@ def _pieces(diag, half_side):
     a finite edge whole, a ray or line cut at the square; with its sites."""
     out = []
     for e in diag.edges:
-        ends = (e.p0, e.p1) if e.is_segment else clip_ray(e.p0, e.direction, half_side, e.double)
+        p0 = e.p0.exact
+        ends = (p0, e.p1.exact) if e.is_segment else clip_ray(p0, e.direction, half_side, e.double)
         if ends is not None:
             out.append((frozenset((e.site_a, e.site_b)), ends))
     return out
