@@ -51,8 +51,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from operator import sub
+from itertools import accumulate, islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .predicates import EPS
@@ -474,21 +473,26 @@ def _pick_orientation(a, b, center, points) -> str:
 
 
 class _Moments:
-    """Exact prefix sums of 1, x, y, x^2, xy, y^2, x*|p|^2, y*|p|^2 and
-    |p|^4 over the points (Python ints for grid points, Fractions for
-    rational ones): O(1) exact sums over any vertex range, for the segment
-    SSE and the arc costs."""
+    """Exact prefix sums of x, y, x^2, xy, y^2, x*|p|^2, y*|p|^2 and |p|^4
+    over the points, one list per moment (Python ints for grid points,
+    Fractions for rational ones): O(1) exact sums over any vertex range i..j,
+    column[j + 1] - column[i], with the count j + 1 - i, for the segment SSE
+    and the arc costs.  The arc scan computes a candidate's `arc_sums` once
+    and passes them to its floor (`arc_floor`) and, when the candidate is
+    evaluated, to `compress._evaluate_arc`."""
 
     def __init__(self, pts):
-        row = (0,) * 9
-        rows = [row]
-        for x, y in pts:
-            w = x * x + y * y
-            c, sx, sy, sxx, sxy, syy, sxw, syw, sww = row
-            row = (c + 1, sx + x, sy + y, sxx + x * x, sxy + x * y, syy + y * y,
-                   sxw + x * w, syw + y * w, sww + w * w)
-            rows.append(row)
-        self.rows = rows
+        xs = [p[0] for p in pts]
+        ys = [p[1] for p in pts]
+        ws = [x * x + y * y for x, y in pts]
+        self.sx = list(accumulate(xs, initial=0))
+        self.sy = list(accumulate(ys, initial=0))
+        self.sxx = list(accumulate((x * x for x in xs), initial=0))
+        self.sxy = list(accumulate((x * y for x, y in pts), initial=0))
+        self.syy = list(accumulate((y * y for y in ys), initial=0))
+        self.sxw = list(accumulate((x * w for x, w in zip(xs, ws)), initial=0))
+        self.syw = list(accumulate((y * w for y, w in zip(ys, ws)), initial=0))
+        self.sww = list(accumulate((w * w for w in ws), initial=0))
         self.pts = pts
 
     def range_sse(self, i: int, j: int) -> float:
@@ -499,7 +503,13 @@ class _Moments:
         dx = bx - ax
         dy = by - ay
         len_sq = dx * dx + dy * dy
-        cnt, sx, sy, sxx, sxy, syy, *_ = map(sub, self.rows[j + 1], self.rows[i])
+        j += 1
+        cnt = j - i
+        sx = self.sx[j] - self.sx[i]
+        sy = self.sy[j] - self.sy[i]
+        sxx = self.sxx[j] - self.sxx[i]
+        sxy = self.sxy[j] - self.sxy[i]
+        syy = self.syy[j] - self.syy[i]
         if len_sq == 0:
             # coincident anchors: no line, the deviation is from the anchor
             return float(sxx - 2 * ax * sx + cnt * ax * ax + syy - 2 * ay * sy + cnt * ay * ay)
@@ -521,7 +531,16 @@ class _Moments:
         nx, ny = ay - by, bx - ax
         ab = ax * bx + ay * by  # g = |p|^2 - c.p + ab
         an = nx * ax + ny * ay  # q = n.p - an
-        cnt, sx, sy, sxx, sxy, syy, sxw, syw, sww = map(sub, self.rows[j + 1], self.rows[i])
+        j += 1
+        cnt = j - i
+        sx = self.sx[j] - self.sx[i]
+        sy = self.sy[j] - self.sy[i]
+        sxx = self.sxx[j] - self.sxx[i]
+        sxy = self.sxy[j] - self.sxy[i]
+        syy = self.syy[j] - self.syy[i]
+        sxw = self.sxw[j] - self.sxw[i]
+        syw = self.syw[j] - self.syw[i]
+        sww = self.sww[j] - self.sww[i]
         sw = sxx + syy
         cp = cx * sx + cy * sy
         np_ = nx * sx + ny * sy
@@ -532,12 +551,12 @@ class _Moments:
         l2e = nx * (nx * sxx + 2 * ny * sxy) + ny * ny * syy - an * (2 * np_ - cnt * an)
         return g, lp, l2e
 
-    def arc_floor(self, i: int, j: int) -> float:
+    def arc_floor(self, i: int, j: int, sums) -> float:
         """The cost of the least-squares arc through pts[i] and pts[j] over
-        i..j, lam of `_sse_minimum`: no arc priced from the same sums costs
-        less (`_arc_cost`)."""
+        i..j, mu/L^2 of `_least_mu` from `sums` = `arc_sums(i, j)`: no arc
+        priced from the same sums costs less (`_arc_cost`)."""
         (ax, ay), (bx, by) = self.pts[i], self.pts[j]
-        return _sse_minimum(*self.arc_sums(i, j))[0] / ((bx - ax) ** 2 + (by - ay) ** 2)
+        return _least_mu(*sums)[0] / ((bx - ax) ** 2 + (by - ay) ** 2)
 
 
 def _window_sums(points, sums):
@@ -605,16 +624,22 @@ def _sse_minimum(g, lp, l2e) -> Tuple[float, float, float]:
 
     Exact sums are rounded to floats once each, where they meet a float.
     """
-    diff = g - l2e
-    root = math.sqrt(diff * diff + 4 * lp * lp)
-    num = l2e * g - lp * lp
-    mu = 2 * num / (g + l2e + root) if num > 0 else 0.0
+    mu, diff, root = _least_mu(g, lp, l2e)
     if diff < 0:
         den = root - diff
         return mu, lp / den, den / 2
     if lp:
         return mu, (root + diff) / (4 * lp), 2 * lp * lp / (root + diff)
     return mu, INF, float(diff)
+
+
+def _least_mu(g, lp, l2e):
+    """(mu, G - L^2E, sqrt(D)) of `_sse_minimum` from the sums G, L*P and
+    L^2*E: mu = 2*N/(S + sqrt(D)), the difference exact as the sums are."""
+    diff = g - l2e
+    root = math.sqrt(diff * diff + 4 * lp * lp)
+    num = l2e * g - lp * lp
+    return (2 * num / (g + l2e + root) if num > 0 else 0.0), diff, root
 
 
 def _arc_cost(fit, sigma: float, l_sq) -> float:

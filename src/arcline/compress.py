@@ -4,7 +4,7 @@ Costs are lexicographic pairs (primitive-count penalty, summed squared
 deviations): a segment costs 2, an arc 3, so segments win ties.  For each
 end vertex k the scan over start candidates k' runs in ascending order of
 their accumulated cost through a mergesort-tree range heap and stops at the
-first candidate whose cost bound already meets the incumbent.  Feasibility
+first candidate whose cost bound already exceeds the incumbent.  Feasibility
 tables bound the scans: no candidate below the first index where an arc or
 a segment can still cover the range is ever touched.  The arc table's
 windows are decided by the anchored cut's test below, at twice the check's
@@ -18,22 +18,28 @@ one runs the exact strip test and the direction check, so a candidate is
 accepted exactly when those checks would accept it.
 
 Arc candidates are evaluated best-first under a floor.  Exact prefix
-moments of the grid points (`arcfit._Moments`) give, in O(1) per
-candidate, the sums behind the DP's arc cost as a function of the centre
-on the bisector of its two anchors, and the minimum of that function: the
-cost of the candidate's least-squares arc (`_Moments.arc_floor`).  Every
+moments of the grid points (`arcfit._Moments`, one prefix list per moment)
+give, in O(1) per candidate, the sums behind the DP's arc cost as a
+function of the centre on the bisector of its two anchors
+(`_Moments.arc_sums`), and the minimum of that function: the cost of the
+candidate's least-squares arc (`_Moments.arc_floor`).  The scan computes
+those sums once per candidate it floors and keeps them with the candidate
+while it waits; an evaluated candidate's fits are priced from them.  Every
 arc `_evaluate_arc` returns is priced from the same sums
 (`arcfit._arc_cost`) and costs at least that, so
 (cnt + p_arc, acc + floor) bounds the candidate's cost.  The scan takes
-candidates from the range heap while their bound (cnt + p_arc, acc) is
-below the incumbent and at most the smallest floor key waiting, and
+candidates from the range heap while their bound (cnt + p_arc, acc) is at
+or below the incumbent and at most the smallest floor key waiting, and
 pushes each under its floor key; it evaluates the waiting candidate with
 the smallest key while that key is at most the incumbent, and stops once
 the incumbent is below every key left.
 Every candidate whose key is at most the final incumbent is so evaluated,
 and the tie rule (segments before arcs, then the larger k') does not
 depend on the order of evaluation: the scan ends with the same T and back
-pointers as one that evaluates every candidate below the incumbent.
+pointers as one that evaluates every candidate at or below the incumbent.
+The segment scan, too, evaluates every candidate whose bound is at or
+below the incumbent: one whose bound equals it ties it when its own SSE
+is 0.
 
 Most evaluated candidates are still infeasible, and consecutive ones share
 almost all of their range.  The scan keeps a blocker cache: for each of the
@@ -75,8 +81,8 @@ allows one arc of line directions), no start k' <= m can have an arc, and
 the scan opens its range at m + 1.  The cut relaxes the DP's own arc set,
 so it changes nothing but the work: the candidates at or below m are never
 popped, floored or probed.  The search for m runs only when the first
-candidate of the range is below the incumbent, starting one above the last
-cut found.
+candidate of the range is at or below the incumbent, starting one above the
+last cut found.
 """
 
 from __future__ import annotations
@@ -229,7 +235,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
                 if item is None:
                     break
                 (cnt, acc), kp = item
-                if best <= (cnt + p_seg, acc):
+                if best < (cnt + p_seg, acc):
                     break
                 seg_evals += 1
                 verdict = segs.verdict(kp, k)
@@ -251,7 +257,7 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
         if lo <= hi:
             heap = mtree.open_range(lo, hi)
             item = heap.pop_min()
-            if item is not None and (item[0][0] + p_arc, item[0][1]) < best:
+            if item is not None and (item[0][0] + p_arc, item[0][1]) <= best:
                 cut = anchor.below(k, lo, hi)
                 if cut >= lo:
                     lo = cut + 1
@@ -259,24 +265,28 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
                     if lo <= hi:
                         heap = mtree.open_range(lo, hi)
                         item = heap.pop_min()
-            waiting: List[Tuple[PenaltyPair, int]] = []  # (cost bound with floor, kp)
+            # (cost bound with floor, kp, the candidate's `arc_sums`); kp is
+            # unique, so the sums are never compared
+            waiting: List[Tuple[PenaltyPair, int, tuple]] = []
             while True:
                 # take candidates in ascending order of their cost bound
-                # while it is below the incumbent and no waiting floor is
-                # smaller
+                # while it is at or below the incumbent and no waiting floor
+                # is smaller
                 while item is not None:
                     (cnt, acc), kp = item
                     bound = (cnt + p_arc, acc)
-                    if not bound < best or (waiting and waiting[0][0] < bound):
+                    if best < bound or (waiting and waiting[0][0] < bound):
                         break
                     if pts[kp] != pts[k]:  # an arc needs two distinct anchors
-                        heappush(waiting, ((cnt + p_arc, acc + moments.arc_floor(kp, k)), kp))
+                        sums = moments.arc_sums(kp, k)
+                        heappush(waiting, ((cnt + p_arc, acc + moments.arc_floor(kp, k, sums)),
+                                           kp, sums))
                     item = heap.pop_min()
                 if not waiting or best < waiting[0][0]:
                     break
-                kp = heappop(waiting)[1]
+                _, kp, sums = heappop(waiting)
                 arc_evals += 1
-                offer(kp, _evaluate_arc(pts, kp, k, tol_f, blockers, moments))
+                offer(kp, _evaluate_arc(pts, kp, k, tol_f, blockers, sums))
             floor_drops += len(waiting)
 
         T.append(best)
@@ -396,15 +406,15 @@ class _AnchoredCut:
 
 
 def _evaluate_arc(pts, kp, k, tol, blockers: Optional[_BlockerCache] = None,
-                  moments: Optional[_Moments] = None) -> Optional[FittedArc]:
+                  sums=None) -> Optional[FittedArc]:
     """The arc from pts[kp] to pts[k] within tol of every point between, or
     None: the arc at the minimiser of its own SSE when that one passes the
     tolerance and direction checks, the tolerance-interval fit, seeded with
     it, when not.
 
-    The SSE sums come from `moments` (the compressor's prefix moments) in
-    O(1), or from the window's own moments when none are given, the same
-    exact integers, so both give the same arc.  With a blocker cache, the
+    `sums` are the candidate's `_Moments.arc_sums`, which the scan computed
+    for its floor; without them the fits sum the window's own moments, the
+    same exact integers, so both give the same arc.  With a blocker cache, the
     probe runs first and rejects the candidate before any O(window) fit
     when the cached blockers inside (kp, k) leave no centre; the candidate
     would fail the interval fit for the same reason (module docstring).  An
@@ -418,7 +428,6 @@ def _evaluate_arc(pts, kp, k, tol, blockers: Optional[_BlockerCache] = None,
         blockers.probe_rejections += 1
         return None
     chunk = pts[kp:k + 1]
-    sums = moments.arc_sums(kp, k) if moments is not None else None
     arc = fit_arc_least_squares(chunk, sums)
     if not arc.segment_like and arc_within_tolerance(arc, chunk, tol) \
             and direction_and_endpoint_check(chunk, arc):

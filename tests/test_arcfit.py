@@ -576,7 +576,7 @@ def test_sse_floor_bounds_every_arc_through_the_anchors(case):
     pts, factor = case
     moments = _Moments(pts)
     sums = moments.arc_sums(0, len(pts) - 1)
-    floor = moments.arc_floor(0, len(pts) - 1)
+    floor = moments.arc_floor(0, len(pts) - 1, sums)
     assert 0.0 <= floor
     fit = fit_arc_least_squares(pts, sums)
     assert fit.sse == floor
@@ -632,7 +632,8 @@ def test_least_squares_fit_is_the_sse_minimiser(case):
         assert abs(_bisector_param(arc) - want) <= slack, (_bisector_param(arc), want)
     # and no arc through the anchors, at s* itself or elsewhere, is
     # cheaper than the floor
-    floor = _Moments(pts).arc_floor(0, len(pts) - 1)
+    moments = _Moments(pts)
+    floor = moments.arc_floor(0, len(pts) - 1, moments.arc_sums(0, len(pts) - 1))
     if not exact.segment_like:
         assert floor <= exact.sse
 
@@ -673,3 +674,24 @@ def test_moment_arc_sums_match_direct_fraction_sums(case):
         lp_sum += g * el
         l2e_sum += el * el
     assert _Moments(pts).arc_sums(i, j) == (g_sum, lp_sum, l2e_sum)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_moment_windows(), st.booleans())
+def test_moment_range_sse_matches_direct_fraction_sum(case, coincide):
+    # the squared distances to the line through pts[i] and pts[j], or to
+    # pts[i] when the two coincide, summed directly in Fractions: integer
+    # true division rounds correctly, so the float is the exact sum's
+    pts, i, j = case
+    if coincide:
+        pts[j] = pts[i]
+    (ax, ay), (bx, by) = pts[i], pts[j]
+    dx, dy = bx - ax, by - ay
+    len_sq = dx * dx + dy * dy
+    total = Fraction(0)
+    for x, y in pts[i:j + 1]:
+        if len_sq:
+            total += Fraction((dx * (y - ay) - dy * (x - ax)) ** 2, len_sq)
+        else:
+            total += (x - ax) ** 2 + (y - ay) ** 2
+    assert _Moments(pts).range_sse(i, j) == float(total)

@@ -357,6 +357,12 @@ def test_blocker_probe_matches_unpruned_reference_on_long_inputs(monkeypatch):
     # accumulated cost) ends
     rng = random.Random(115)
     rejections = drops = 0
+    zero_floors = []
+
+    def zero_floor(moments, kp, k, sums):
+        zero_floors.append((kp, k))
+        return 0.0
+
     for make, n, tol in ((_noisy_arcs, 60, 6), (_noisy_arcs, 90, 8), (_noisy_arcs, 120, 5),
                          (_spiral_piece, 60, 100), (_spiral_piece, 90, 60),
                          (_spiral_piece, 120, 100)):
@@ -365,8 +371,12 @@ def test_blocker_probe_matches_unpruned_reference_on_long_inputs(monkeypatch):
         rejections += got.stats["arc_probe_rejections"]
         drops += got.stats["arc_floor_drops"]
         with monkeypatch.context() as m:
-            m.setattr(compress_module._Moments, "arc_floor", lambda *args: 0.0)
+            m.setattr(compress_module._Moments, "arc_floor", zero_floor)
             eager = compress(pts, CompressionParams(tolerance=tol))
+        # the scan prices its floors through the patched seam, so the eager
+        # run is a different scan and not the same one twice
+        assert zero_floors, (make.__name__, n)
+        zero_floors.clear()
         assert got.stats["arc_evaluations"] <= eager.stats["arc_evaluations"], (make.__name__, n)
         assert _summary(got) == _summary(eager)
         want_total, want_count, _ = reference_compress(pts, tol)
@@ -386,10 +396,11 @@ def test_floor_is_the_least_squares_arcs_cost_and_bounds_every_evaluated_arc():
         moments = _Moments(pts)
         for k in range(3, n):
             for kp in range(max(0, k - 30), k - 2):
-                arc = _evaluate_arc(pts, kp, k, tol, None, moments)
+                sums = moments.arc_sums(kp, k)
+                arc = _evaluate_arc(pts, kp, k, tol, None, sums)
                 if arc is None:
                     continue
-                floor = moments.arc_floor(kp, k)
+                floor = moments.arc_floor(kp, k, sums)
                 assert floor <= arc.sse, (make.__name__, kp, k)
                 if arc.center == fit_arc_least_squares(pts[kp:k + 1]).center:
                     assert arc.sse == floor
@@ -397,6 +408,25 @@ def test_floor_is_the_least_squares_arcs_cost_and_bounds_every_evaluated_arc():
                 else:
                     above += arc.sse > floor
     assert exact > 0 and above > 0
+
+
+def test_evaluate_arc_gives_the_same_arc_from_the_scans_sums():
+    # the sums the scan computed for a candidate's floor stand in for the
+    # window's own: the same exact integers, so the same arc, whether the
+    # least-squares arc passes or the interval fit takes over
+    rng = random.Random(21)
+    fitted = {"least_squares": 0, "interval": 0}
+    for make, n, tol in ((_noisy_arcs, 40, 6), (_noisy_arcs, 40, 3), (_spiral_piece, 40, 60)):
+        pts = make(rng, n)
+        moments = _Moments(pts)
+        for k in range(3, n):
+            for kp in range(max(0, k - 25), k - 2):
+                arc = _evaluate_arc(pts, kp, k, tol, None, moments.arc_sums(kp, k))
+                assert arc == _evaluate_arc(pts, kp, k, tol), (make.__name__, kp, k)
+                if arc is not None:
+                    least_squares = arc.center == fit_arc_least_squares(pts[kp:k + 1]).center
+                    fitted["least_squares" if least_squares else "interval"] += 1
+    assert all(fitted.values()), fitted
 
 
 @st.composite
@@ -420,32 +450,59 @@ def _arc_tables(draw):
     return pts, table
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(_arc_tables())
-def test_best_first_polish_matches_eager_scan_on_cost_ties(case):
-    # made-up arc evaluations whose costs tie often: every candidate that
-    # the eager scan would have evaluated and whose floor can still win or
-    # tie is evaluated, so T, the back pointers and the primitives all match
-    pts, table = case
-
+def _polish_scans(pts, table):
+    """The chains the best-first scan and the eager scan (every floor 0)
+    choose on `pts` with the made-up arc candidates of `table`, with the
+    anchored cut off: it changes only the work, and the table's arcs are
+    not real arcs of pts."""
     def run(floors: bool):
-        def arc_floor(moments, kp, k):
+        calls = {"floor": 0, "evaluate": 0}
+
+        def arc_floor(moments, kp, k, sums):
+            calls["floor"] += 1
             return table[kp, k][0] if floors else 0.0
 
-        def evaluate_arc(pts, kp, k, tol, blockers=None, moments=None):
+        def evaluate_arc(pts, kp, k, tol, blockers=None, sums=None):
+            calls["evaluate"] += 1
             sse = table[kp, k][1]
             return None if sse is None else FittedArc(pts[kp], pts[k], (0.0, 0.0), 1.0, "ccw", sse)
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(compress_module._Moments, "arc_floor", arc_floor)
             m.setattr(compress_module, "_evaluate_arc", evaluate_arc)
-            # no window is infeasible: the table's arcs stand for themselves
+            # no window is infeasible and no start is cut: the table's arcs
+            # stand for themselves
             m.setattr(compress_module, "test_arcs",
                       lambda pts, *args: InfeasiblePairList.from_pairs([], len(pts)))
-            return compress(pts, CompressionParams(tolerance=0.5, penalty_arc=1))
+            m.setattr(compress_module._AnchoredCut, "below", lambda self, k, lo, hi: lo - 1)
+            got = compress(pts, CompressionParams(tolerance=0.5, penalty_arc=1))
+        # the patched seams are the ones the scan calls
+        assert calls["floor"] > 0 and calls["evaluate"] > 0, calls
+        return got
 
-    got, eager = run(True), run(False)
+    return run(True), run(False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_arc_tables())
+def test_best_first_polish_matches_eager_scan_on_cost_ties(case):
+    # made-up arc evaluations whose costs tie often: every candidate that
+    # the eager scan would have evaluated and whose floor can still win or
+    # tie is evaluated, so T, the back pointers and the primitives all match
+    got, eager = _polish_scans(*case)
     assert _summary(got) == _summary(eager)
+
+
+def test_cost_tie_goes_to_the_larger_start_in_either_scan():
+    # a candidate whose bound equals the incumbent ties it when its own SSE
+    # is 0, and wins the tie when its k' is larger, whatever the order the
+    # scan meets it in: here the arcs 0-7 and 7-10 tie the arcs 0-4 and 4-10
+    # at (2, 1.5), and the eager scan meets 0-4 first
+    pts = [(4 * i, 8 * (i % 2)) for i in range(11)]
+    table = {(kp, k): (0.0, None) for k in range(3, 11) for kp in range(k - 2)}
+    table.update({(0, 4): (0.25, 0.5), (0, 7): (1.5, 1.5), (4, 10): (1.0, 1.0), (7, 10): (0.0, 0.0)})
+    for res in _polish_scans(pts, table):
+        assert [(p.kind, p.start_idx, p.end_idx) for p in res.primitives] == [("arc", 0, 7), ("arc", 7, 10)]
 
 
 @st.composite
