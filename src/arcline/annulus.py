@@ -10,8 +10,9 @@ only where an exact step reads them.  Each vertex gets a float lower bound
 on the width about it, and the exact width about the vertex in the square
 with the smallest bound is a certified upper bound on the optimum.  A
 vertex whose bound exceeds it is strictly wider than that vertex and never
-becomes a candidate.  Only the part of the overlay where a centre could
-still be that narrow goes to the sweep, cut down in two certified steps:
+becomes a candidate, and the same prune meets every crossing the sweep
+reports.  Only the part of the overlay where a centre could still be that
+narrow goes to the sweep, cut down in two certified steps:
 
 - Far field.  About a centre at distance D from the origin, beyond the
   data radius R, the width is at least W - R^2 / (2(D - R)), W the strip
@@ -34,11 +35,12 @@ same as over the whole overlay.  Edge-edge crossings are discovered by
 clipping the rest to the square (`clip_segments_square`, which also drops
 the pieces on its outline), removing overlaps, and running the plane sweep
 on the exact rational segments; each reported event is then reconstructed
-exactly as the meeting point of two site bisectors.  Candidates are still
-those inside the clip square.  They are kept in a list sorted by
-(float(x), point), the exact order, and the best one is found by branch and
-bound in floats, reusing the vertex bounds, before the exact selection
-(`_best_candidate`).
+exactly as the meeting point of two site bisectors, and kept unless its
+bound exceeds the upper bound.  Every crossing lies on a piece clipped to a
+square no larger than the clip square, so candidates are still those
+inside it.  They are kept in a list sorted by (float(x), point), the exact
+order, and the best one is found by a float shortlist and exact radical
+comparison (`_best_candidate`).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from itertools import combinations, repeat
 from typing import List, Optional, Sequence, Tuple
 
 from . import delaunay
-from .clipping import _inside, _inside_rational, clip_ray, clip_segments_square
+from .clipping import _inside_rational, clip_ray, clip_segments_square
 from .hulltree import convex_hull
 from .overlaps import remove_overlaps
 from .predicates import EPS, certain_sign, dist_sq, error_bound, point_key, to_float
@@ -367,10 +369,11 @@ def min_width_annulus(points: Sequence[Tuple[int, int]], clip: Optional[ClipConf
     built only where an exact step reads them.  Before anything is
     clipped, a float lower bound on the width about every vertex, and the
     exact width about the vertex in the square with the smallest bound,
-    give a certified upper bound on the optimum.  A vertex whose bound
-    exceeds it is strictly wider than that vertex and never becomes a
-    candidate.  Centres certainly wider than the upper bound can be no
-    candidate that wins or ties, and two steps leave them out of the sweep.
+    give a certified upper bound on the optimum.  A vertex or crossing
+    whose bound exceeds it is strictly wider than that vertex and never
+    becomes a candidate.  Centres certainly wider than the upper bound can
+    be no candidate that wins or ties, and two steps leave them out of the
+    sweep.
     The far field: about a centre x with |x| = D > R >= max |p|, each
     distance |x - p| lies in [D - s, D - s + R^2 / (2(D - R))], s = p.x / D,
     so the width is at least W - R^2 / (2(D - R)), W the strip width of the
@@ -439,15 +442,10 @@ def _integer_annulus(upts, clip: Optional[ClipConfig]) -> AnnulusResult:
             inside_lower.append(lb)
     upper = _probe_upper(inside_lower, lambda i: inside[i].exact, upts)
 
-    # a vertex whose bound exceeds upper is strictly wider than the probe
-    # vertex, so it can neither win nor tie: it never becomes a candidate
-    keys = []  # point_key of each candidate
-    vertex_lower = {}  # the bound of each vertex candidate, by its identity
-    for v, lb in zip(inside, inside_lower):
-        if not lb > upper:
-            p = v.exact
-            vertex_lower[id(p)] = lb
-            keys.append((v.fx, p))
+    # a vertex or crossing whose bound exceeds upper is strictly wider than
+    # the probe vertex, so it can neither win nor tie: it never becomes a
+    # candidate
+    keys = [(v.fx, v.exact) for v, lb in zip(inside, inside_lower) if not lb > upper]
 
     hc = _far_half_side(upts, sample, h, upper)
     segs = _voronoi_segments(diag_c, hc, bounds, upper, sf, reach)
@@ -459,7 +457,7 @@ def _integer_annulus(upts, clip: Optional[ClipConfig]) -> AnnulusResult:
     segs = remove_overlaps(segs)
     for ev in sweep_intersections(segs):
         c = _event_centre(ev, upts)
-        if c is not None and _inside(c, h, fh):
+        if c is not None and not _width_lower_bound(c, sf, reach) > upper:
             keys.append(point_key(c))
 
     # the float-first keys sort like the points themselves, and duplicates
@@ -470,9 +468,7 @@ def _integer_annulus(upts, clip: Optional[ClipConfig]) -> AnnulusResult:
         # collinear or fully clipped configurations: no combinatorial
         # candidate exists inside the square; report the center of the data
         candidates = [(Fraction(0), Fraction(0))]
-    lower = [vertex_lower[id(c)] if id(c) in vertex_lower else _width_lower_bound(c, sf, reach)
-             for c in candidates]
-    (x, y), r_out, r_in = _best_candidate(candidates, upts, lower)
+    (x, y), r_out, r_in = _best_candidate(candidates, upts)
     return AnnulusResult((x + cx, y + cy), r_in, r_out)
 
 
@@ -569,31 +565,18 @@ def _probe_upper(lower, exact_at, upts) -> float:
     return s_hi - s_lo + error_bound(s_hi + s_lo)
 
 
-def _best_candidate(candidates, upts, lower):
+def _best_candidate(candidates, upts):
     """Minimum-width candidate, exact; the first one in the given order wins
-    a tie.  lower holds a float lower bound on the width about each
-    candidate (`_width_lower_bound`).
-
-    Branch and bound in floats narrows the field first.  A subset's annulus
-    is never wider than the full set's, so the float width over a sample of
-    the points, less its error bound, is a lower bound on each candidate's
-    width.  The candidate with the smallest lower bound is evaluated
-    exactly; its width, plus an error bound, is an upper bound on the
-    optimum, and candidates whose lower bound exceeds it are certainly
-    wider and dropped.  The rest go through the exact selection in the
-    same order: a float pass on their exact radii shortlists the
-    contenders, exact radical comparison settles them.
+    a tie.  A float pass on the exact radii of every candidate shortlists
+    the contenders, and exact radical comparison settles them.
 
     The shortlist's floats are correctly rounded radii, their square roots
     and the difference, within 3 * EPS of the sum of the two roots, below
     its `error_bound`.  A squared radius past the float range gives an
     infinite root; such a candidate is never left out of the shortlist and
     does not narrow it, and the exact comparison places it."""
-    upper = _probe_upper(lower, candidates.__getitem__, upts)
     evals = []
-    for c, lb in zip(candidates, lower):
-        if lb > upper:
-            continue
+    for c in candidates:
         lo, hi = _radii_sq(c, upts)
         s_lo, s_hi = math.sqrt(to_float(lo)), math.sqrt(to_float(hi))
         if s_hi < math.inf:

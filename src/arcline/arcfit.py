@@ -51,7 +51,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, pairwise
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .predicates import EPS
@@ -823,8 +823,11 @@ def direction_and_endpoint_check(points: Sequence, primitive) -> bool:
     other point, a cross product within the bound, or an int past the float
     range sends the whole check to `_turns_exactly`, in rationals.
 
-    A segment: the positions along the chord, in floats, as the margins of
-    `feasibility.test_segments` assume; coincident anchors accept anything.
+    A segment: the positions (p - a).(b - a) along the chord from a to b
+    never decrease, decided step by step, every (q - p).(b - a) >= 0 for
+    consecutive points p, q, in the coordinates' own arithmetic: exact for
+    the integer points the DP passes, with no division and no square root.
+    Coincident anchors accept anything.
     """
     if isinstance(primitive, FittedArc):
         verdict = _turns_in_floats(points, primitive)
@@ -834,16 +837,7 @@ def direction_and_endpoint_check(points: Sequence, primitive) -> bool:
     a, b = primitive
     dx = b[0] - a[0]
     dy = b[1] - a[1]
-    length = math.hypot(dx, dy)
-    if length == 0:
-        return True
-    run = -INF
-    for p in points:
-        pos = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / length
-        if pos < run:
-            return False
-        run = max(run, pos)
-    return True
+    return all((q[0] - p[0]) * dx + (q[1] - p[1]) * dy >= 0 for p, q in pairwise(points))
 
 
 def _turns_in_floats(points: Sequence, arc: FittedArc) -> Optional[bool]:

@@ -32,8 +32,6 @@ PI = math.pi
 TWO_PI = 2 * math.pi
 HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
-THREE_QUARTER_PI = 3 * math.pi / 4
-SKIP = 16.0  # the half-width of an arc that allows every direction
 
 
 @dataclass
@@ -150,24 +148,21 @@ def test_segments(polyline: Sequence[Tuple[int, int]], tol) -> SegmentVerdicts:
 
     The checks.  The DP accepts the chord from pts[kp] to b = pts[k] when
     every vertex of pts[kp..k] is within tol of the line through both
-    anchors (`HullTree.segment_within_tolerance`, exact) and the float
-    positions along the chord never decrease (`direction_and_endpoint_check`).
+    anchors (`HullTree.segment_within_tolerance`, exact) and the positions
+    along the chord never decrease (`direction_and_endpoint_check`, exact).
     With u = pts[kp] - b != 0, q_i = pts[i] - b and phi the direction of u:
 
     - A vertex within tol of b is within tol of every line through b.  For
       one farther out, |u x q_i| <= tol*|u| reads |sin(phi - alpha_i)| <=
       tol/|q_i|, alpha_i the direction of q_i: a double wedge, the arcs of
       half-width asin(tol/|q_i|) about alpha_i and alpha_i + pi.
-    - The exact positions S_i = (pts[i] - pts[kp]).(-u) never decrease iff
-      u.e_i <= 0 for every edge e_i = pts[i + 1] - pts[i] of the range:
-      phi within pi/2 of the direction gamma_i of -e_i.  Then the float
-      check passes, since rounding S_i (an exact integer) and dividing by
-      the same positive length are monotone.  A float pass only gives
-      S_i - S_{i+1} <= (2*EPS + EPS^2)*(|S_i| + |S_{i+1}|) <= 4.0001*EPS*D*|u|,
-      D a bound on the distance between any two vertices, so phi lies
-      within pi/2 + asin(4.0001*EPS*D/|e_i|) of gamma_i.
+    - The positions S_i = (pts[i] - pts[kp]).(-u) never decrease iff
+      u.e_i <= 0 for every edge e_i = pts[i + 1] - pts[i] of the range,
+      the very steps the check tests: phi within pi/2 of the direction
+      gamma_i of -e_i, a closed half-circle.  An edge of no length allows
+      every direction.
     - Coincident anchors (u = 0) have no line: the chord passes iff every
-      vertex of the range is within tol of b, and the float check passes.
+      vertex of the range is within tol of b.
 
     The walk.  For kp = k - 1, k - 2, ... the chords' feasible directions
     are the intersection of these sets over the edges of [kp, k) and the
@@ -192,23 +187,22 @@ def test_segments(polyline: Sequence[Tuple[int, int]], tol) -> SegmentVerdicts:
     rounding).  A sine tol/|q| is computed within 6*EPS relatively (tol,
     the coordinates, hypot and the quotient each one rounding), so
     s*(1 +- 16*EPS) -+ _TINY bound it, _TINY covering underflow, and asin
-    is monotone and within 2*EPS near pi/2.  The edge widening uses
-    8*EPS*D/|e_i| for the 4.0001*EPS*D/|e_i| above (D and |e_i| within
-    3*EPS each).  Each of these errors is below 64*EPS, so every arc end is
-    moved outwards (outer) or inwards (inner) by ANCHOR_MARGIN = 256*EPS,
-    the margin of `arcfit._no_circle_through`, and a verdict needs phi that
-    far inside or outside.  An arc whose widened sine reaches 1 is skipped
-    by the outer interval, which can only keep more.
+    is monotone and within 2*EPS near pi/2; an edge's half-width pi/2 is
+    one rounding.  Each of these errors is below 64*EPS, so every arc end
+    is moved outwards (outer) or inwards (inner) by ANCHOR_MARGIN =
+    256*EPS, the margin of `arcfit._no_circle_through`, and a verdict needs
+    phi that far inside or outside.  A wedge whose widened sine reaches 1
+    is skipped by the outer interval, which can only keep more.
 
-    One copy.  While the outer interval is at most pi/2 wide and an arc's
-    half-width is below pi/4 (a wedge, copies pi apart) or 3*pi/4 (an
-    edge, copies 2*pi apart), only the copy nearest its midpoint can meet
-    it, with room to spare for ties; otherwise every copy is tried
-    (`_hull_cut`).  The inner interval always takes the nearest copy: any
-    one piece is a subset.  A verdict reads phi at the copy nearest the
-    outer midpoint, which lies outside the interval only if every copy
-    does, since the interval is shorter than 2*pi minus the margins, or is
-    the whole circle.
+    One copy.  While the outer interval is at most pi/2 wide, only the copy
+    nearest its midpoint of a wedge of half-width below pi/4 (copies pi
+    apart) or of an edge's arc (half-width pi/2 + ANCHOR_MARGIN, copies
+    2*pi apart) can meet it, with room to spare for ties; otherwise every
+    copy is tried (`_hull_cut`).  The inner interval always takes the
+    nearest copy: any one piece is a subset.  A verdict reads phi at the
+    copy nearest the outer midpoint, which lies outside the interval only
+    if every copy does, since the interval is shorter than 2*pi minus the
+    margins, or is the whole circle.
 
     tol must be positive with a finite float.
     """
@@ -220,36 +214,24 @@ def test_segments(polyline: Sequence[Tuple[int, int]], tol) -> SegmentVerdicts:
     near_hi = t * t * (1 + 8 * EPS) + _TINY  # and above, beyond it
     xs = [p[0] for p in polyline]
     ys = [p[1] for p in polyline]
-    diameter = math.hypot(max(xs) - min(xs), max(ys) - min(ys)) if n else 0.0
-    # per edge i: the direction of -e_i and the half-widths of its outer
-    # and inner arcs (SKIP when the edge has no length)
-    edge_dir: List[float] = []
-    edge_out: List[float] = []
-    edge_in: List[float] = []
-    for i in range(n - 1):
-        ex = xs[i + 1] - xs[i]
-        ey = ys[i + 1] - ys[i]
-        if ex == 0 and ey == 0:
-            edge_dir.append(0.0)
-            edge_out.append(SKIP)
-            edge_in.append(SKIP)
-            continue
-        edge_dir.append(atan2(-ey, -ex))
-        widen = 8 * EPS * diameter / math.hypot(ex, ey)
-        edge_out.append(HALF_PI + asin(widen) + MARGIN if widen < 1 else SKIP)
-        edge_in.append(HALF_PI - MARGIN)
+    # per edge i: the direction of -e_i, None when the edge has no length
+    edge_dir: List[Optional[float]] = [
+        atan2(y0 - y1, x0 - x1) if x0 != x1 or y0 != y1 else None
+        for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:])]
 
     first = [0] * n
     verdicts: List[bytes] = [b""] * n
     up, down = 1 + 16 * EPS, 1 - 16 * EPS
     hypot, pi, two_pi, half_pi, margin = math.hypot, PI, TWO_PI, HALF_PI, MARGIN
+    edge_out, edge_in = HALF_PI + MARGIN, HALF_PI - MARGIN  # every edge's arcs' half-widths
     for k in range(2, n):
         bx, by = xs[k], ys[k]
         g = edge_dir[k - 1]
-        h = min(edge_out[k - 1], pi)
-        lo_o, hi_o = g - h, g + h  # the outer interval; empty when lo_o > hi_o
-        h = min(edge_in[k - 1], pi)
-        lo_i, hi_i = g - h, g + h  # the inner one
+        if g is None:
+            lo_o, hi_o = lo_i, hi_i = -pi, pi
+        else:
+            lo_o, hi_o = g - edge_out, g + edge_out  # the outer interval; empty when lo_o > hi_o
+            lo_i, hi_i = g - edge_in, g + edge_in  # the inner one
         far = False  # some vertex of the walk beyond tol of b
         out = bytearray()
         px, py = xs[k - 1] - bx, ys[k - 1] - by  # the vertex whose wedge comes next
@@ -280,23 +262,21 @@ def test_segments(polyline: Sequence[Tuple[int, int]], tol) -> SegmentVerdicts:
                         lo_i = c - h
                     if c + h < hi_i:
                         hi_i = c + h
-            if lo_o <= hi_o:  # the edge from pts[m]
+            g = edge_dir[m]
+            if lo_o <= hi_o and g is not None:  # the edge from pts[m]
                 mid = (lo_o + hi_o) * 0.5
-                g = edge_dir[m]
                 c = mid + remainder(g - mid, two_pi)
-                h = edge_out[m]
-                if h < THREE_QUARTER_PI and hi_o - lo_o <= half_pi:
-                    if c - h > lo_o:
-                        lo_o = c - h
-                    if c + h < hi_o:
-                        hi_o = c + h
-                elif h < SKIP:
-                    lo_o, hi_o = _hull_cut(lo_o, hi_o, g, h, two_pi)
-                h = edge_in[m]
-                if c - h > lo_i:
-                    lo_i = c - h
-                if c + h < hi_i:
-                    hi_i = c + h
+                if hi_o - lo_o <= half_pi:
+                    if c - edge_out > lo_o:
+                        lo_o = c - edge_out
+                    if c + edge_out < hi_o:
+                        hi_o = c + edge_out
+                else:
+                    lo_o, hi_o = _hull_cut(lo_o, hi_o, g, edge_out, two_pi)
+                if c - edge_in > lo_i:
+                    lo_i = c - edge_in
+                if c + edge_in < hi_i:
+                    hi_i = c + edge_in
             if far and lo_o > hi_o:
                 break  # no start at or below m can pass
             # the verdict on the chord from pts[m]

@@ -7,7 +7,6 @@ arc-fitting routines and the tie conventions with the production path.
 
 from fractions import Fraction
 
-from arcline.arcfit import direction_and_endpoint_check
 from arcline.compress import _evaluate_arc
 
 
@@ -26,7 +25,10 @@ def _segment_ok(pts, i, j, tol):
             cr = dx * (p[1] - ay) - dy * (p[0] - ax)
             if cr * cr > tol_sq * len_sq:
                 return False
-    return direction_and_endpoint_check(pts[i:j + 1], (pts[i], pts[j]))
+    # the positions along the chord never decrease (coincident anchors put
+    # every position at 0)
+    pos = [(p[0] - ax) * dx + (p[1] - ay) * dy for p in pts[i:j + 1]]
+    return all(s <= t for s, t in zip(pos, pos[1:]))
 
 
 def _segment_sse(pts, i, j):

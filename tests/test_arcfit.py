@@ -323,6 +323,15 @@ def test_direction_check():
     assert not direction_and_endpoint_check([(0, 0), (7, 1), (3, -1), (10, 0)], seg)
 
 
+def test_segment_direction_check_is_exact_past_the_float_range():
+    # a backward step of 1 at 2^60, where the floats of the positions tie
+    chord = ((0, 0), (2 ** 61, 0))
+    assert not direction_and_endpoint_check([(0, 0), (2 ** 60 + 1, 0), (2 ** 60, 0), (2 ** 61, 0)], chord)
+    assert direction_and_endpoint_check([(0, 0), (2 ** 60, 0), (2 ** 60 + 1, 0), (2 ** 61, 0)], chord)
+    # coincident anchors accept any order
+    assert direction_and_endpoint_check([(0, 0), (5, 1), (-3, 2), (0, 0)], ((0, 0), (0, 0)))
+
+
 # the 20 integer points on the circle x^2 + y^2 = 25^2, counterclockwise
 # from (25, 0)
 _RING = sorted({(sx * a, sy * b) for a, b in ((25, 0), (24, 7), (20, 15), (15, 20), (7, 24), (0, 25))

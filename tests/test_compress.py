@@ -294,6 +294,17 @@ def test_segment_with_coincident_anchors_charged_its_deviation():
         assert reference_compress(pts, 5)[0] == want
 
 
+def test_segment_whose_vertices_step_backwards_rejected():
+    # vertex 2 lies one unit behind vertex 1 on a chord 2^54 long: float
+    # positions along it round the step away, the exact direction check
+    # does not, so no segment covers both
+    pts = [(-2 ** 53, 0), (2 ** 53 - 44, 0), (2 ** 53 - 45, 0), (2 ** 53, 0)]
+    res = compress(pts, CompressionParams(tolerance=1.0))
+    assert [(p.kind, p.start_idx, p.end_idx) for p in res.primitives] == [
+        ("segment", 0, 1), ("segment", 1, 2), ("segment", 2, 3)]
+    assert res.total == (6, 0.0) == reference_compress(pts, 1.0)[0]
+
+
 def test_noisy_straight_run_scans_few_segment_candidates():
     # 700 vertices within +-0.3 of a line, tol 0.5: the cone walk opens each
     # segment scan at the first start whose chord can still pass, where the

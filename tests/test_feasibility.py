@@ -259,9 +259,9 @@ def _walk_polylines(draw):
     """At most 25 integer vertices from random walks, noisy straight runs,
     revisits (coincident anchors), backtracking and collinear runs, the
     whole moved by up to 2^52, sometimes after a first vertex 2^52 away
-    (the float direction check then rounds too coarsely for short edges to
-    narrow the outer interval); consecutive duplicates collapsed as the DP
-    does."""
+    (the positions along a chord from it are then too large for floats to
+    tell the short edges' steps apart); consecutive duplicates collapsed as
+    the DP does."""
     kind = draw(st.sampled_from(["walk", "noisy", "revisit", "back", "collinear"]))
     size = draw(st.integers(3, 24))
     pts = [(draw(st.integers(-60, 60)), draw(st.integers(-60, 60)))]

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from arcline import annulus, sweep
-from arcline.annulus import (_best_candidate, _bisector_intersection, _radii_sq, _sample,
-                             _sample_floats, _width_lower_bound, AnnulusResult,
+from arcline.annulus import (_best_candidate, _bisector_intersection, _probe_upper, _radii_sq,
+                             _sample, _sample_floats, _width_lower_bound, AnnulusResult,
                              min_width_annulus)
 from arcline.arcfit import arc_exists_within_tolerance
 from arcline.clipping import _inside
@@ -234,8 +234,13 @@ def _unfiltered_best(candidates, upts):
 
 
 def _filtered_best(candidates, upts):
+    """The selection as `min_width_annulus` makes it: candidates whose float
+    lower bound exceeds the probe's certified upper bound are dropped, and
+    `_best_candidate` picks among the rest."""
     sf, reach = _sample_floats(_sample(upts))
-    return _best_candidate(candidates, upts, [_width_lower_bound(c, sf, reach) for c in candidates])
+    lower = [_width_lower_bound(c, sf, reach) for c in candidates]
+    upper = _probe_upper(lower, candidates.__getitem__, upts)
+    return _best_candidate([c for c, lb in zip(candidates, lower) if not lb > upper], upts)
 
 
 def _sorted_unique(points):
