@@ -18,9 +18,11 @@ from |d - r| <= tol only by the centres with d < tol - r.  A point within
 tol of A or B is within tol of every arc and is answered before the
 quadratic; for any other point d + r >= |p - A| > tol, so the quadratic
 condition is exactly the tolerance condition, up to the rounding of its
-roots.  Intersecting the per-point interval sets, one merge per point
+roots.  Intersecting the per-point interval sets, one point at a time
 (`_feasible_centres`, which the DP's blocker probe shares), yields all
-tolerance-feasible centers.
+tolerance-feasible centers; each set is computed inline from the
+candidate's hoisted constants, by the same float expressions as one point
+alone (`tolerance_intervals_point`).
 
 The DP's arc cost is the approximate squared deviation, the sum of
 ((d^2 - r^2)/(2*r))^2 over the points, which about the centre at s is the
@@ -98,47 +100,7 @@ def tolerance_intervals_point(a, b, p, tol) -> List[Tuple[float, float]]:
     Returns closed, disjoint, sorted intervals; (-inf, inf) when p is within
     tol of either endpoint, since such points satisfy any arc.
     """
-    return _frame_intervals(_chord_frame(a, b), a, b, p, tol)
-
-
-def _frame_intervals(frame, a, b, p, tol) -> List[Tuple[float, float]]:
-    """`tolerance_intervals_point` with the chord frame of a, b given, so
-    that the points of one candidate share it.
-
-    The set is {s : qa*s^2 + qb*s + qc <= 0} (module docstring), read off
-    the signs of qa and of the discriminant.  The endpoint test must come
-    first: past it the squared condition is exact, since it drops only
-    centres with d < tol - r, and there d + r >= |p - a| > tol.
-    """
-    mid, u, length = frame
-    if math.dist(p, a) <= tol or math.dist(p, b) <= tol:
-        return [(-INF, INF)]
-    px = p[0] - mid[0]
-    py = p[1] - mid[1]
-    w = px * px + py * py
-    e = px * u[0] + py * u[1]
-    half_sq = (length / 2) ** 2
-    B = w - half_sq - tol * tol
-    qa = 4 * (e * e - tol * tol)
-    qb = -4 * B * e
-    qc = B * B - 4 * tol * tol * half_sq
-    if qa == 0:
-        if qb == 0:
-            return [(-INF, INF)] if qc <= 0 else []
-        root = -qc / qb
-        return [(-INF, root)] if qb > 0 else [(root, INF)]
-    disc = qb * qb - 4 * qa * qc
-    if qa < 0 and disc <= 0:
-        return [(-INF, INF)]
-    if disc < 0:
-        return []
-    sq = math.sqrt(disc)
-    # numerically stable pair
-    q = -(qb + math.copysign(sq, qb)) / 2
-    r1 = q / qa
-    r2 = qc / q if q != 0 else r1
-    lo, hi = min(r1, r2), max(r1, r2)
-    return [(lo, hi)] if qa > 0 else [(-INF, lo), (hi, INF)]
+    return _feasible_centres(a, b, (p,), tol)[0]
 
 
 def _intersect_sorted(xs: List[Tuple[float, float]],
@@ -164,18 +126,58 @@ def _feasible_centres(a, b, points: Iterable, tol) -> Tuple[List[Tuple[float, fl
     of `points`, intersected in order until nothing is left, and how many
     points that took.
 
-    While the feasible set is one interval and a point's set is one too,
-    the intersection is a running pair (lo, hi); a set of two rays goes
-    through the list merge."""
-    frame = _chord_frame(a, b)
+    Each point's set is {s : qa*s^2 + qb*s + qc <= 0} (module docstring),
+    read off the signs of qa and of the discriminant, after the endpoint
+    test: past it the squared condition is exact, as it drops only centres
+    with d < tol - r, and there d + r >= |p - a| > tol.  The candidate's
+    constants (chord frame, h, tol^2, 4*tol^2*h) are hoisted but evaluated
+    by the same expressions in the same order as for one point alone, so
+    every set is the same floats.  A whole line is skipped; a one-interval
+    set meets a one-interval feasible set as a running pair (lo, hi), which
+    picks the same floats as the merge; two rays go through the merge."""
+    (mx, my), (ux, uy), length = _chord_frame(a, b)
+    half_sq = (length / 2) ** 2
+    tol_sq = tol * tol
+    qc_off = 4 * tol * tol * half_sq
     lo, hi = -INF, INF
     feasible = None  # the feasible set while it is not the one interval (lo, hi)
     used = 0
     for p in points:
         used += 1
-        intervals = _frame_intervals(frame, a, b, p, tol)
-        if feasible is None and len(intervals) == 1:
-            p_lo, p_hi = intervals[0]
+        if math.dist(p, a) <= tol or math.dist(p, b) <= tol:
+            continue  # the whole line
+        px = p[0] - mx
+        py = p[1] - my
+        e = px * ux + py * uy
+        B = px * px + py * py - half_sq - tol_sq
+        qa = 4 * (e * e - tol_sq)
+        qb = -4 * B * e
+        qc = B * B - qc_off
+        rays = False
+        if qa == 0:
+            if qb == 0:
+                if qc <= 0:
+                    continue  # the whole line
+                return [], used
+            root = -qc / qb
+            if qb > 0:
+                p_lo, p_hi = -INF, root
+            else:
+                p_lo, p_hi = root, INF
+        else:
+            disc = qb * qb - 4 * qa * qc
+            if qa < 0 and disc <= 0:
+                continue  # the whole line
+            if disc < 0:
+                return [], used
+            sq = math.sqrt(disc)
+            # numerically stable pair
+            q = -(qb + math.copysign(sq, qb)) / 2
+            r1 = q / qa
+            r2 = qc / q if q != 0 else r1
+            p_lo, p_hi = min(r1, r2), max(r1, r2)
+            rays = qa < 0  # the two rays outside [p_lo, p_hi]
+        if feasible is None and not rays:
             if p_lo > lo:
                 lo = p_lo
             if p_hi < hi:
@@ -183,7 +185,8 @@ def _feasible_centres(a, b, points: Iterable, tol) -> Tuple[List[Tuple[float, fl
             if lo > hi:
                 return [], used
             continue
-        feasible = _intersect_sorted([(lo, hi)] if feasible is None else feasible, intervals)
+        feasible = _intersect_sorted([(lo, hi)] if feasible is None else feasible,
+                                     [(-INF, p_lo), (p_hi, INF)] if rays else [(p_lo, p_hi)])
         if len(feasible) == 1:
             (lo, hi), = feasible
             feasible = None

@@ -80,9 +80,10 @@ pts[k] turns such circles into lines that cross discs, and a pair of discs
 allows one arc of line directions), no start k' <= m can have an arc, and
 the scan opens its range at m + 1.  The cut relaxes the DP's own arc set,
 so it changes nothing but the work: the candidates at or below m are never
-popped, floored or probed.  The search for m runs only when the first
-candidate of the range is at or below the incumbent, starting one above the
-last cut found.
+popped, floored or probed.  The search for m runs only when the range's
+smallest cost (`MergeTree.range_min`) is at or below the incumbent,
+starting one above the last cut found; otherwise the arc scan has nothing
+to evaluate.  The scan opens its range heap once, after the cut.
 """
 
 from __future__ import annotations
@@ -255,16 +256,13 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
         lo = first_arc_ok[k]
         hi = k - (params.min_arc_points - 1)
         if lo <= hi:
+            # nothing to evaluate unless the first candidate is at or below
+            # the incumbent; then the anchored cut narrows the range
+            (cnt, acc), _ = mtree.range_min(lo, hi)
+            lo = anchor.below(k, lo, hi) + 1 if (cnt + p_arc, acc) <= best else hi + 1
+        if lo <= hi:
             heap = mtree.open_range(lo, hi)
             item = heap.pop_min()
-            if item is not None and (item[0][0] + p_arc, item[0][1]) <= best:
-                cut = anchor.below(k, lo, hi)
-                if cut >= lo:
-                    lo = cut + 1
-                    item = None
-                    if lo <= hi:
-                        heap = mtree.open_range(lo, hi)
-                        item = heap.pop_min()
             # (cost bound with floor, kp, the candidate's `arc_sums`); kp is
             # unique, so the sums are never compared
             waiting: List[Tuple[PenaltyPair, int, tuple]] = []
@@ -328,7 +326,7 @@ class _BlockerCache:
                 probe.append(j)
                 if len(probe) == PROBE_POINTS:
                     break
-        return not _feasible_centres(pts[kp], pts[k], (pts[j] for j in probe), tol)[0]
+        return not _feasible_centres(pts[kp], pts[k], [pts[j] for j in probe], tol)[0]
 
     def record(self, kp: int, blocked: List[int]) -> None:
         """Remember the blockers of a window starting at kp (window indices)."""

@@ -1,124 +1,120 @@
 """Ascending-order extraction from any subarray of a growing array.
 
-Every level of a mergesort over the array is retained: level q holds the
+Each element is stored once, as the item (value, original index), and
+every level of a mergesort over the items is retained: level q holds the
 sorted run of each complete block [k*2^q, (k+1)*2^q - 1].  Appending element
-N completes one block per trailing zero bit of N+1, so total merge work stays
-O(N log N).  A range query decomposes into at most two runs per size class;
-a small heap of run cursors then pops the subarray in sorted order.  The
+N completes one block per trailing zero bit of N+1; each new run is the
+two presorted runs below it, concatenated and sorted (the sort finds the
+two runs and merges them, in linear time once they pass its minimum run
+length), so total merge work stays O(N log N).  `comparisons` counts the
+merged items, an upper bound on the comparisons of a plain merge of the two
+runs, plus one per cached-run test of `RangeHeap.pop_min`.
+
+A range query decomposes into at most two runs per size class, each block
+found in O(1) from its start's lowest set bit and the length left.  The
+smallest item of a range is the smallest head of those runs (`range_min`);
+a small heap of run cursors pops the whole subarray in sorted order.  The
 heap holds O(log K) cursors and consecutive pops usually hit the same run,
 which the last-run cache exploits, so extraction of all K elements costs
 O(K) comparisons up to a small factor.
 
-Elements compare as (value, original index): ties come out in index order.
+Items compare as (value, original index): ties come out in index order,
+and no two items are equal.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, List, Optional, Sequence, Tuple
+
+Item = Tuple[Any, int]
 
 
 class MergeTree:
     def __init__(self, values: Sequence = ()):
-        self.values: List[Any] = []
-        # levels[q]: dict block index -> sorted list of original indices
-        self.levels: List[dict] = [{}]
+        # levels[q][k]: the sorted items of block k at level q
+        self.levels: List[List[List[Item]]] = [[]]
         self.comparisons = 0
         for v in values:
             self.append(v)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.levels[0])
 
     def append(self, value) -> None:
-        n = len(self.values)
-        self.values.append(value)
-        self.levels[0][n] = [n]
+        levels = self.levels
+        n = len(levels[0])
+        run = [(value, n)]
+        levels[0].append(run)
         q = 0
-        block = n
-        while block % 2 == 1:
-            lo = self.levels[q].get(block - 1)
-            hi = self.levels[q][block]
-            if q + 1 >= len(self.levels):
-                self.levels.append({})
-            self.levels[q + 1][block // 2] = self._merge(lo, hi)
+        while n & 1:  # block n of level q completes block n // 2 above it
+            run = levels[q][-2] + run
+            run.sort()
+            self.comparisons += len(run)
             q += 1
-            block //= 2
+            n >>= 1
+            if q == len(levels):
+                levels.append([])
+            levels[q].append(run)
 
-    def _merge(self, a: List[int], b: List[int]) -> List[int]:
-        out = []
-        i = j = 0
-        va = self.values
-        while i < len(a) and j < len(b):
-            self.comparisons += 1
-            if (va[a[i]], a[i]) <= (va[b[j]], b[j]):
-                out.append(a[i]); i += 1
-            else:
-                out.append(b[j]); j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return out
-
-    def _cover_runs(self, i: int, j: int) -> List[List[int]]:
+    def _cover_runs(self, i: int, j: int) -> List[List[Item]]:
+        """The runs of the largest aligned blocks that tile [i, j], in order."""
+        if not 0 <= i <= j < len(self):
+            raise ValueError("bad range")
         runs = []
+        levels = self.levels
         pos = i
         while pos <= j:
-            q = 0
-            while pos % (1 << (q + 1)) == 0 and pos + (1 << (q + 1)) - 1 <= j:
-                q += 1
-            runs.append(self.levels[q][pos >> q])
-            pos += 1 << q
+            size = pos & -pos  # the largest block aligned at pos; 0 at pos 0
+            left = j + 1 - pos
+            if not size or size > left:
+                size = 1 << (left.bit_length() - 1)
+            q = size.bit_length() - 1
+            runs.append(levels[q][pos >> q])
+            pos += size
         return runs
 
+    def range_min(self, i: int, j: int) -> Item:
+        """The smallest item of the subarray [i, j]."""
+        return min(run[0] for run in self._cover_runs(i, j))
+
     def open_range(self, i: int, j: int) -> "RangeHeap":
-        if not 0 <= i <= j < len(self.values):
-            raise ValueError("bad range")
         return RangeHeap(self, self._cover_runs(i, j))
 
 
 class RangeHeap:
-    """Pops (value, original_index) pairs of the subarray in sorted order."""
+    """Pops the stored (value, original_index) items of the subarray in
+    sorted order."""
 
-    def __init__(self, tree: MergeTree, runs: List[List[int]]):
+    def __init__(self, tree: MergeTree, runs: List[List[Item]]):
         self.tree = tree
-        self.runs = runs
-        self.pos = [0] * len(runs)
-        self.heap: List[Tuple[Any, int, int]] = []
-        for r, run in enumerate(runs):
-            if run:
-                idx = run[0]
-                self.heap.append((tree.values[idx], idx, r))
-        heapq.heapify(self.heap)
-        self.last_run: Optional[int] = None
+        # (head item, index of the next item, run); items are unique, so the
+        # rest of an entry is never compared
+        self.heap = [(run[0], 1, run) for run in runs]
+        heapify(self.heap)
+        self.run: Optional[List[Item]] = None  # the run of the previous pop
+        self.pos = 0  # the index of its next item
         self.heap_ops = 0
 
-    def _key(self, r: int):
-        idx = self.runs[r][self.pos[r]]
-        return (self.tree.values[idx], idx)
-
-    def pop_min(self) -> Optional[Tuple[Any, int]]:
-        tree = self.tree
+    def pop_min(self) -> Optional[Item]:
+        heap = self.heap
         # Invariant: every unexhausted run has its head in the heap, except
         # the cached run that produced the previous minimum.
-        lr = self.last_run
-        if lr is not None:
-            if self.pos[lr] >= len(self.runs[lr]):
-                self.last_run = None
-            else:
-                key = self._key(lr)
-                tree.comparisons += 1
-                if not self.heap or key <= (self.heap[0][0], self.heap[0][1]):
-                    self.pos[lr] += 1
-                    return key
+        run = self.run
+        if run is not None:
+            pos = self.pos
+            if pos < len(run):
+                item = run[pos]
+                self.tree.comparisons += 1
+                if not heap or item <= heap[0][0]:
+                    self.pos = pos + 1
+                    return item
                 # miss: demote the cache into the heap and fall through
-                idx = self.runs[lr][self.pos[lr]]
-                heapq.heappush(self.heap, (tree.values[idx], idx, lr))
+                heappush(heap, (item, pos + 1, run))
                 self.heap_ops += 1
-                self.last_run = None
-        if not self.heap:
+            self.run = None
+        if not heap:
             return None
-        value, idx, r = heapq.heappop(self.heap)
+        item, self.pos, self.run = heappop(heap)
         self.heap_ops += 1
-        self.pos[r] += 1
-        self.last_run = r
-        return (value, idx)
+        return item

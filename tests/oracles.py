@@ -2,7 +2,8 @@
 construction and the expanded in-circle determinant behind the predicate
 checks, exact circumcentres and circumcircles, exact distance-to-circle
 checks, the exact direction condition of an arc and its former atan2
-check, and views of meshes, Voronoi diagrams and pair lists."""
+check, the per-point bisector interval sets, and views of meshes, Voronoi
+diagrams and pair lists."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
+from arcline.arcfit import _chord_frame
 from arcline.delaunay import INFINITE, TriangulationMesh
 from arcline.feasibility import InfeasiblePairList
 from arcline.hulltree import convex_hull
@@ -141,6 +143,47 @@ def arc_cost(points, sigma) -> Fraction:
     cy = Fraction(ay + by, 2) + sigma * (bx - ax)
     r_sq = (ax - cx) ** 2 + (ay - cy) ** 2
     return sum(((x - cx) ** 2 + (y - cy) ** 2 - r_sq) ** 2 for x, y in points) / (4 * r_sq)
+
+
+def bisector_intervals(a, b, p, tol) -> List[Tuple[float, float]]:
+    """The bisector parameters s where the arc through a, b is within tol
+    of p, computed for p alone: the per-point reference of
+    `arcfit._feasible_centres`, whose sets must be these very floats.
+
+    The set is {s : qa*s^2 + qb*s + qc <= 0} (`arcfit` module docstring),
+    read off the signs of qa and of the discriminant.  The endpoint test
+    must come first: past it the squared condition is exact, since it drops
+    only centres with d < tol - r, and there d + r >= |p - a| > tol.
+    """
+    mid, u, length = _chord_frame(a, b)
+    if math.dist(p, a) <= tol or math.dist(p, b) <= tol:
+        return [(-math.inf, math.inf)]
+    px = p[0] - mid[0]
+    py = p[1] - mid[1]
+    w = px * px + py * py
+    e = px * u[0] + py * u[1]
+    half_sq = (length / 2) ** 2
+    B = w - half_sq - tol * tol
+    qa = 4 * (e * e - tol * tol)
+    qb = -4 * B * e
+    qc = B * B - 4 * tol * tol * half_sq
+    if qa == 0:
+        if qb == 0:
+            return [(-math.inf, math.inf)] if qc <= 0 else []
+        root = -qc / qb
+        return [(-math.inf, root)] if qb > 0 else [(root, math.inf)]
+    disc = qb * qb - 4 * qa * qc
+    if qa < 0 and disc <= 0:
+        return [(-math.inf, math.inf)]
+    if disc < 0:
+        return []
+    sq = math.sqrt(disc)
+    # numerically stable pair
+    q = -(qb + math.copysign(sq, qb)) / 2
+    r1 = q / qa
+    r2 = qc / q if q != 0 else r1
+    lo, hi = min(r1, r2), max(r1, r2)
+    return [(lo, hi)] if qa > 0 else [(-math.inf, lo), (hi, math.inf)]
 
 
 def incircle_determinant(a: Point, b: Point, c: Point, d: Point):

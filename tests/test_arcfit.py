@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from arcline.arcfit import (INF, MAX_DENSIFIED, SEGMENT_LIKE_RADIUS_FACTOR, FittedArc, _arc_cost,
-                            _build_arc, _chord_frame, _Moments, _sse_minimum, _turns_in_floats,
+                            _build_arc, _chord_frame, _feasible_centres, _intersect_sorted,
+                            _Moments, _sse_minimum, _turns_in_floats,
                             arc_within_tolerance, densify, direction_and_endpoint_check,
                             fit_arc_by_tolerance, fit_arc_least_squares, tolerance_intervals_point)
 
@@ -164,6 +165,80 @@ def test_intervals_symmetric_in_endpoints():
         for (l1, h1), (l2, h2) in zip(sorted(iv1), flipped):
             assert math.isclose(l1, l2, rel_tol=1e-9, abs_tol=1e-9) or (l1 == l2)
             assert math.isclose(h1, h2, rel_tol=1e-9, abs_tol=1e-9) or (h1 == h2)
+
+
+
+@st.composite
+def _bisector_cases(draw):
+    """Integer anchors and points, and a tol among small integers and their
+    halves.  Besides free points, the points are drawn onto each branch of
+    a point's set: within tol of an anchor; at exactly tol from one, where
+    the discriminant, 16*tol^2*(|p - a|^2 - tol^2)*(|p - b|^2 - tol^2), is
+    zero; at normal offset exactly tol from an axis-aligned chord, where
+    e*e == tol*tol (qa == 0); on the chord's line, where the set is two rays;
+    and mirrored across an axis-aligned chord, which often empties the
+    intersection."""
+    tol = draw(st.integers(1, 12)) / 2
+    coord = st.integers(-40, 40)
+    a = (draw(coord), draw(coord))
+    axis = draw(st.sampled_from((None, 0, 1)))  # the coordinate the chord runs along
+    if axis is None:
+        b = (draw(coord), draw(coord))
+        assume(b != a)
+    else:
+        step = draw(st.integers(1, 40)) * draw(st.sampled_from((1, -1)))
+        b = (a[0] + step, a[1]) if axis == 0 else (a[0], a[1] + step)
+    g = math.gcd(b[0] - a[0], b[1] - a[1])
+    pts = []
+    for kind in draw(st.lists(st.sampled_from(("free", "near", "rim", "offset", "line", "mirror")),
+                              min_size=1, max_size=10)):
+        anchor = draw(st.sampled_from((a, b)))
+        if kind == "near":
+            r = int(tol)
+            p = (anchor[0] + draw(st.integers(-r, r)), anchor[1] + draw(st.integers(-r, r)))
+        elif kind == "rim" and tol.is_integer():
+            t = int(tol)
+            dx, dy = draw(st.sampled_from(((t, 0), (0, t), (3 * t // 5, 4 * t // 5))
+                                          if t % 5 == 0 else ((t, 0), (0, t))))
+            p = (anchor[0] + draw(st.sampled_from((dx, -dx))), anchor[1] + draw(st.sampled_from((dy, -dy))))
+        elif kind == "offset" and axis is not None and tol.is_integer():
+            along, off = draw(coord), anchor[1 - axis] + draw(st.sampled_from((-1, 1))) * int(tol)
+            p = (along, off) if axis == 0 else (off, along)
+        elif kind == "line":
+            k = draw(st.integers(-g, 2 * g))
+            p = (a[0] + k * (b[0] - a[0]) // g, a[1] + k * (b[1] - a[1]) // g)
+        elif kind == "mirror" and axis is not None and pts:
+            q = pts[-1]
+            line = a[1 - axis]
+            p = (q[0], 2 * line - q[1]) if axis == 0 else (2 * line - q[0], q[1])
+        else:
+            p = (draw(coord), draw(coord))
+        pts.append(p)
+    return a, b, pts, tol
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_bisector_cases())
+@example(((0, 0), (10, 0), [(1, 0)], 1.5))  # within tol of an anchor
+@example(((0, 0), (10, 0), [(13, 4), (10, 5)], 5.0))  # at exactly tol from one
+@example(((0, 0), (10, 0), [(5, 2), (-3, -2)], 2.0))  # e*e == tol*tol
+@example(((0, 0), (20, 0), [(10, 0), (-5, 0)], 1.0))  # two rays
+@example(((0, 0), (40, 0), [(20, 3), (20, -3), (7, 7)], 1.0))  # empty after two points
+def test_feasible_centres_are_the_fold_of_the_per_point_sets(case):
+    # the inline sets of `_feasible_centres` against the per-point
+    # reference: the same floats (compared by repr, so the sign of a zero
+    # counts), intersected one point at a time with the same early exit and
+    # the same count of points used
+    a, b, pts, tol = case
+    want, used = [(-INF, INF)], 0
+    for p in pts:
+        used += 1
+        want = _intersect_sorted(want, oracles.bisector_intervals(a, b, p, tol))
+        if not want:
+            break
+    assert repr(_feasible_centres(a, b, pts, tol)) == repr((want, used))
+    for p in pts:
+        assert repr(tolerance_intervals_point(a, b, p, tol)) == repr(oracles.bisector_intervals(a, b, p, tol))
 
 
 def _circle_points(cx, cy, r, angles):

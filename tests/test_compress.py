@@ -16,6 +16,7 @@ from arcline.voronoi import ClipConfig
 
 from reference_dp import reference_compress
 from test_acceptance import assert_within_tolerance
+from test_golden import _cases
 
 # the module itself: the package exports the function `compress` by that name
 compress_module = importlib.import_module("arcline.compress")
@@ -721,3 +722,23 @@ def test_compress_builds_no_minimum_width_annulus(monkeypatch):
                      (_noisy_track(random.Random(7), 120, 0.2), 0.2),
                      (_rounded_rect(60, 20.0, 11.0, 2.5, 0.7), 0.05)):
         assert compress_polyline(pts, tol).t_count > 0
+
+
+def test_each_scan_opens_one_range_heap(monkeypatch):
+    # the benchmark's seed-1 150-vertex spiral: the segment scan and the
+    # arc scan open at most one range heap each per end vertex, and
+    # counting the opens changes no counter
+    case, = [case for _, case in _cases(("spiral",), (1,)) if case.size == 150]
+    want = compress_polyline(case.points, case.tolerance)
+    opens = []
+
+    class CountingMergeTree(compress_module.MergeTree):
+        def open_range(self, *args):
+            opens.append(args)
+            return super().open_range(*args)
+
+    monkeypatch.setattr(compress_module, "MergeTree", CountingMergeTree)
+    got = compress_polyline(case.points, case.tolerance)
+    assert got.grid.stats == want.grid.stats
+    assert got.grid.stats["arc_evaluations"] > 0
+    assert 0 < len(opens) <= 2 * (len(got.grid.points) - 1)

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcline.sortedrange import MergeTree
 
@@ -23,7 +25,8 @@ def test_paper_fixture_first_pops():
 def test_paper_cover_fixture():
     # N = 21, range [3, 17]: blocks {3}, {4..7}, {8..15}, {16, 17}
     runs = MergeTree(PAPER_ARRAY)._cover_runs(3, 17)
-    assert [(min(r), max(r)) for r in runs] == [(3, 3), (4, 7), (8, 15), (16, 17)]
+    indices = [[idx for _, idx in r] for r in runs]
+    assert [(min(r), max(r)) for r in indices] == [(3, 3), (4, 7), (8, 15), (16, 17)]
 
 
 def test_paper_fixture_full_drain_keeps_duplicates():
@@ -98,3 +101,40 @@ def test_amortized_heap_ops_linear():
     k = 2044
     drain(h)
     assert h.heap_ops <= 2 * k + 64
+
+
+def test_range_min_is_the_smallest_item():
+    # (int, float) values with ties in both parts; ties go to the lower index
+    rng = random.Random(103)
+    for _ in range(60):
+        n = rng.randint(1, 300)
+        vals = [(rng.randint(0, 5), rng.choice((0.0, 0.5, 1.25, 3.0))) for _ in range(n)]
+        t = MergeTree(vals)
+        for _ in range(25):
+            i = rng.randint(0, n - 1)
+            j = rng.randint(i, n - 1)
+            assert t.range_min(i, j) == min(zip(vals[i:j + 1], range(i, j + 1)))
+    with pytest.raises(ValueError):
+        t.range_min(0, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 700).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, n - 1))))
+def test_cover_runs_tile_the_range_with_aligned_blocks(case):
+    # the blocks are aligned, disjoint, in order and cover [i, j], with at
+    # most two of each size, and each run holds its block's items sorted
+    n, i, j = case
+    i, j = min(i, j), max(i, j)
+    vals = [v * 7919 % 13 for v in range(n)]
+    t = MergeTree(vals)
+    pos = i
+    sizes = Counter()
+    for run in t._cover_runs(i, j):
+        size = len(run)
+        assert size & (size - 1) == 0 and pos % size == 0
+        assert run == sorted(zip(vals[pos:pos + size], range(pos, pos + size)))
+        sizes[size] += 1
+        pos += size
+    assert pos == j + 1
+    assert max(sizes.values()) <= 2
