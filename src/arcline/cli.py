@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 malformed input, 3 invalid parameters (also an
 output path that cannot be written).  Documents go to stdout; timing goes
-to stderr so output stays byte-deterministic.
+to stderr so output stays byte-deterministic.  `compress` runs on the
+modules `import arcline` loads; the other subcommands import the annulus
+stack, the hull generators or the SVG writer when they run.
 """
 
 from __future__ import annotations
@@ -14,16 +16,10 @@ import sys
 import time
 from fractions import Fraction
 
-from . import delaunay
-from .annulus import min_width_annulus
 from .compress import CompressionParams
 from .document import (ResultDocument, fmt, read_polyline_file, render,
                        write_polyline_file)
 from .pipeline import choose_scale, compress_polyline, quantize_points
-from .randomhull import (finalize_hull, gen_directions_hull, gen_fdt_hull,
-                         gen_random_walk_hull)
-from .svg import render_svg
-from .voronoi import ClipConfig, data_radius
 
 EXIT_BAD_INPUT = 2
 EXIT_BAD_PARAMS = 3
@@ -77,6 +73,7 @@ def cmd_compress(args) -> int:
                          float(p.center[0]), float(p.center[1]),
                          float(p.radius), p.orientation])
     if args.svg:
+        from .svg import render_svg
         try:
             with open(args.svg, "w") as f:
                 f.write(render_svg(result))
@@ -88,6 +85,9 @@ def cmd_compress(args) -> int:
 
 
 def cmd_annulus(args) -> int:
+    from .annulus import min_width_annulus
+    from .voronoi import ClipConfig, data_radius
+
     try:
         points, file_scale = read_polyline_file(args.input)
     except (OSError, ValueError) as e:
@@ -138,18 +138,21 @@ def cmd_annulus(args) -> int:
     return 0
 
 
+# --algo / --gen name -> generator in `randomhull`, which loads on use
 _GENERATORS = {
-    "walk": gen_random_walk_hull,
-    "directions": gen_directions_hull,
-    "fdt": gen_fdt_hull,
+    "walk": "gen_random_walk_hull",
+    "directions": "gen_directions_hull",
+    "fdt": "gen_fdt_hull",
 }
 
 
 def cmd_gen_hull(args) -> int:
     if args.n < 3:
         return _fail(EXIT_BAD_PARAMS, "need n >= 3")
-    sample = _GENERATORS[args.algo](args.n, args.seed)
-    sample = finalize_hull(sample)
+    from . import randomhull
+
+    sample = getattr(randomhull, _GENERATORS[args.algo])(args.n, args.seed)
+    sample = randomhull.finalize_hull(sample)
     try:
         write_polyline_file(args.out, sample.vertices)
     except OSError as e:
@@ -165,6 +168,8 @@ def cmd_bench(args) -> int:
         return _fail(EXIT_BAD_PARAMS, "need repeat >= 1")
     import random as _random
 
+    from . import delaunay, randomhull
+
     print(f"algo={args.algo} gen={args.gen} repeat={args.repeat}")
     print(f"{'n':>10} {'seconds':>12}")
     prev = None
@@ -176,8 +181,8 @@ def cmd_bench(args) -> int:
                 span = max(1000, 4 * n)
                 pts = list({(rng.randint(0, span), rng.randint(0, span)) for _ in range(n)})
             else:
-                sample = _GENERATORS[args.gen](n, seed=rep + 1)
-                pts = finalize_hull(sample).quantized
+                sample = getattr(randomhull, _GENERATORS[args.gen])(n, seed=rep + 1)
+                pts = randomhull.finalize_hull(sample).quantized
             t0 = time.perf_counter()
             if args.algo == "closest":
                 delaunay.build_closest(pts)

@@ -124,12 +124,18 @@ class CompressionParams:
     def __post_init__(self):
         if not 0 < self.tolerance <= sys.float_info.max:  # its float is finite
             raise ValueError("tolerance must be positive and finite")
-        if self.penalty_segment <= 0 or self.penalty_arc <= 0:
-            raise ValueError("penalties must be positive")
+        self.penalty_segment = _int_param("penalty_segment", self.penalty_segment, 1)
+        self.penalty_arc = _int_param("penalty_arc", self.penalty_arc, 1)
         if self.mode not in ("vertices", "segments"):
             raise ValueError("unknown mode")
-        if self.min_arc_points < 4:
-            raise ValueError("min_arc_points must be at least 4")
+        self.min_arc_points = _int_param("min_arc_points", self.min_arc_points, 4)
+
+
+def _int_param(name: str, value, least: int) -> int:
+    """`value` as an int when it is an integer of at least `least`."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass

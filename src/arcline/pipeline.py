@@ -5,6 +5,7 @@ run the exact-arithmetic compressor, and map the result back.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -56,7 +57,7 @@ def compress_polyline(points: Sequence[Tuple[float, float]], tolerance: float,
     scale or coordinate past the float range or the grid, and a parameter
     `CompressionParams` rejects.
     """
-    if scale is not None and not 0 < scale < math.inf:
+    if scale is not None and not 0 < scale <= sys.float_info.max:  # its float is finite
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     if not all(math.isfinite(c) for p in points for c in p):
         raise ValueError("non-finite coordinate")

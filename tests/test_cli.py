@@ -105,6 +105,20 @@ def test_exit_codes(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value, code, message", [
+    ("--min-arc-points", "4.5", 2, "invalid int value"),
+    ("--penalty-arc", "nan", 2, "invalid int value"),
+    ("--penalty-arc", "0", 3, "penalty_arc must be an integer of at least 1"),
+    ("--penalty-segment", "-2", 3, "penalty_segment must be an integer of at least 1"),
+])
+def test_non_integer_or_small_counts_exit_2_or_3(flag, value, code, message, tmp_path):
+    good = tmp_path / "good.txt"
+    write_polyline_file(str(good), [(0, 0), (1, 1), (2, 0)])
+    got, out, err = run_cli(["compress", str(good), "--tolerance", "0.1", f"{flag}={value}"])
+    assert (got, out) == (code, "")
+    assert message in err
+
+
 def _readme_synopsis():
     """{subcommand: set of --flags} from the README's CLI synopsis block."""
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
@@ -209,6 +223,8 @@ def test_bench_runs_and_threads_do_not_change_results(tmp_path):
 
 
 def test_bench_reports_the_size_of_the_fastest_input(monkeypatch, capsys):
+    from arcline import delaunay  # the module `cmd_bench` imports on use
+
     # each repeat draws a hull of a different size; a fake clock makes the
     # second repeat the fastest, and its size is the one printed
     sizes, clock = [], [0.0]
@@ -217,7 +233,7 @@ def test_bench_reports_the_size_of_the_fastest_input(monkeypatch, capsys):
         clock[0] += (3.0, 1.0, 2.0)[len(sizes)]
         sizes.append(len(pts))
 
-    monkeypatch.setattr(cli.delaunay, "build_closest", build)
+    monkeypatch.setattr(delaunay, "build_closest", build)
     monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
     assert main(["bench", "--gen", "walk", "--n", "40", "--repeat", "3"]) == 0
     assert len(set(sizes)) > 1

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -195,7 +196,28 @@ def test_tolerance_past_the_float_range_rejected(tol):
         compress([(0, 0), (5, 3), (9, 0)], CompressionParams(tolerance=tol))
 
 
-@pytest.mark.parametrize("scale", [0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name, value", [("min_arc_points", 4.5), ("min_arc_points", math.inf),
+                                         ("min_arc_points", "5"), ("penalty_arc", math.nan),
+                                         ("penalty_arc", 2.5), ("penalty_segment", 2.0)])
+def test_non_integer_or_small_counts_rejected(name, value):
+    # penalties and min_arc_points are integers: a float would give a float
+    # t_count, and a nan penalty would pass every comparison
+    with pytest.raises(ValueError, match=name):
+        compress_polyline(archimedean_spiral(1, 2, 0.2), 0.1, **{name: value})
+
+
+def test_integral_params_are_stored_as_ints():
+    # numpy's integers count, and become ints that `MergeTree` can index with
+    params = CompressionParams(penalty_arc=np.int64(3), min_arc_points=np.int64(5))
+    assert type(params.penalty_arc) is int and type(params.min_arc_points) is int
+    spiral = archimedean_spiral(1, 2, 0.2)
+    assert (compress_polyline(spiral, 0.1, min_arc_points=np.int64(5)).t_count
+            == compress_polyline(spiral, 0.1, min_arc_points=5).t_count)
+
+
+@pytest.mark.parametrize("scale", [0, -1.0, math.nan, math.inf,
+                                   pytest.param(10 ** 400, id="10**400"),
+                                   pytest.param(2 ** 1100, id="2**1100")])
 def test_scale_not_positive_and_finite_rejected(scale):
     with pytest.raises(ValueError, match="scale must be positive and finite"):
         compress_polyline([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)], 0.1, scale=scale)
