@@ -51,12 +51,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, pairwise
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .predicates import EPS
+from .records import Record
 
 INF = math.inf
 
@@ -72,15 +72,19 @@ CHECK_ALLOWANCE = 1e-9
 ANCHOR_POINTS = 5  # evenly spaced points of pts[m..k-1] a circle through pts[k] is tested on
 
 
-@dataclass
-class FittedArc:
-    start: Tuple[float, float]
-    end: Tuple[float, float]
-    center: Tuple[float, float]
-    radius: float
-    orientation: str  # "ccw" | "cw"
-    sse: float  # the DP's arc cost f at the centre, in closed form (`_arc_cost`)
-    segment_like: bool = False
+class FittedArc(Record):
+    __slots__ = ("start", "end", "center", "radius", "orientation", "sse", "segment_like")
+
+    def __init__(self, start: Tuple[float, float], end: Tuple[float, float],
+                 center: Tuple[float, float], radius: float, orientation: str, sse: float,
+                 segment_like: bool = False):
+        self.start = start
+        self.end = end
+        self.center = center
+        self.radius = radius
+        self.orientation = orientation  # "ccw" | "cw"
+        self.sse = sse  # the DP's arc cost f at the centre, in closed form (`_arc_cost`)
+        self.segment_like = segment_like
 
 
 def _chord_frame(a, b):

@@ -91,7 +91,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain
 from typing import List, Optional, Sequence, Tuple
@@ -102,6 +101,7 @@ from .arcfit import (FittedArc, _anchor_sample, _anchor_slack, _feasible_centres
 from .feasibility import (SEGMENT_OUT, SEGMENT_UNSURE, build_fit_index_arrays, test_arcs,
                           test_segments)
 from .hulltree import HullTree
+from .records import Record
 from .sortedrange import MergeTree
 
 PenaltyPair = Tuple[int, float]
@@ -113,22 +113,25 @@ PROBE_POINTS = 8  # cached blockers a candidate re-tests at most
 MAX_GRID_COORD = 2 ** 53
 
 
-@dataclass
-class CompressionParams:
-    tolerance: float = 1.0  # grid units
-    penalty_segment: int = 2
-    penalty_arc: int = 3
-    min_arc_points: int = 4
-    mode: str = "vertices"  # "vertices" | "segments"
+class CompressionParams(Record):
+    __slots__ = ("tolerance", "penalty_segment", "penalty_arc", "min_arc_points", "mode")
 
-    def __post_init__(self):
-        if not 0 < self.tolerance <= sys.float_info.max:  # its float is finite
-            raise ValueError("tolerance must be positive and finite")
-        self.penalty_segment = _int_param("penalty_segment", self.penalty_segment, 1)
-        self.penalty_arc = _int_param("penalty_arc", self.penalty_arc, 1)
-        if self.mode not in ("vertices", "segments"):
+    def __init__(self, tolerance: float = 1.0, penalty_segment: int = 2, penalty_arc: int = 3,
+                 min_arc_points: int = 4, mode: str = "vertices"):
+        self.tolerance = _check_tolerance(tolerance)  # grid units
+        self.penalty_segment = _int_param("penalty_segment", penalty_segment, 1)
+        self.penalty_arc = _int_param("penalty_arc", penalty_arc, 1)
+        if mode not in ("vertices", "segments"):
             raise ValueError("unknown mode")
-        self.min_arc_points = _int_param("min_arc_points", self.min_arc_points, 4)
+        self.min_arc_points = _int_param("min_arc_points", min_arc_points, 4)
+        self.mode = mode  # "vertices" | "segments"
+
+
+def _check_tolerance(tolerance):
+    """`tolerance` when it is a positive real number whose float is finite."""
+    if not (isinstance(tolerance, numbers.Real) and 0 < tolerance <= sys.float_info.max):
+        raise ValueError(f"tolerance must be a positive, finite real number, got {tolerance!r}")
+    return tolerance
 
 
 def _int_param(name: str, value, least: int) -> int:
@@ -138,24 +141,32 @@ def _int_param(name: str, value, least: int) -> int:
     return int(value)
 
 
-@dataclass
-class Primitive:
-    kind: str  # "segment" | "arc"
-    start_idx: int
-    end_idx: int
-    start: Tuple[float, float]  # the vertex at start_idx
-    end: Tuple[float, float]  # the vertex at end_idx
-    center: Optional[Tuple[float, float]] = None
-    radius: Optional[float] = None
-    orientation: Optional[str] = None
+class Primitive(Record):
+    __slots__ = ("kind", "start_idx", "end_idx", "start", "end", "center", "radius",
+                 "orientation")
+
+    def __init__(self, kind: str, start_idx: int, end_idx: int, start: Tuple[float, float],
+                 end: Tuple[float, float], center: Optional[Tuple[float, float]] = None,
+                 radius: Optional[float] = None, orientation: Optional[str] = None):
+        self.kind = kind  # "segment" | "arc"
+        self.start_idx = start_idx
+        self.end_idx = end_idx
+        self.start = start  # the vertex at start_idx
+        self.end = end  # the vertex at end_idx
+        self.center = center
+        self.radius = radius
+        self.orientation = orientation
 
 
-@dataclass
-class CompressedPolyline:
-    primitives: List[Primitive]
-    total: PenaltyPair
-    points: List[Tuple[int, int]]  # the polyline the indices refer to
-    stats: dict = field(default_factory=dict)
+class CompressedPolyline(Record):
+    __slots__ = ("primitives", "total", "points", "stats")
+
+    def __init__(self, primitives: List[Primitive], total: PenaltyPair,
+                 points: List[Tuple[int, int]], stats: Optional[dict] = None):
+        self.primitives = primitives
+        self.total = total
+        self.points = points  # the polyline the indices refer to
+        self.stats = {} if stats is None else stats
 
 
 def _grid_coord(c) -> int:

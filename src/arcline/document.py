@@ -8,16 +8,20 @@ render(parse(text)) are byte-identical.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
+
+from .records import Record
 
 TABLE_COLUMNS = ["type", "start", "end", "x0", "y0", "x1", "y1", "cx", "cy", "r", "orient"]
 
 
-@dataclass
-class ResultDocument:
-    pairs: List[Tuple[str, str]] = field(default_factory=list)
-    rows: List[List[str]] = field(default_factory=list)
+class ResultDocument(Record):
+    __slots__ = ("pairs", "rows")
+
+    def __init__(self, pairs: Optional[List[Tuple[str, str]]] = None,
+                 rows: Optional[List[List[str]]] = None):
+        self.pairs = [] if pairs is None else pairs
+        self.rows = [] if rows is None else rows
 
     def set(self, key: str, value) -> None:
         self.pairs.append((key, fmt(value)))

@@ -17,7 +17,6 @@ unsure, stopping where no direction is left (`test_segments`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import asin, atan2, remainder
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -25,6 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .arcfit import ANCHOR_MARGIN as MARGIN
 from .arcfit import arc_exists_within_tolerance
 from .predicates import _TINY, EPS
+from .records import Record
 
 # the verdicts of `test_segments` on a chord
 SEGMENT_OUT, SEGMENT_IN, SEGMENT_UNSURE = 0, 1, 2
@@ -34,16 +34,18 @@ HALF_PI = math.pi / 2
 QUARTER_PI = math.pi / 4
 
 
-@dataclass
-class InfeasiblePairList:
+class InfeasiblePairList(Record):
     """Minimal infeasible ranges plus front/back sentinels.
 
     a[k] < a[k+1] and b[k] < b[k+1]; no pair nests inside another.
     """
 
-    a: List[int]
-    b: List[int]
-    n: int
+    __slots__ = ("a", "b", "n")
+
+    def __init__(self, a: List[int], b: List[int], n: int):
+        self.a = a
+        self.b = b
+        self.n = n
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Tuple[int, int]], n: int) -> "InfeasiblePairList":
@@ -61,9 +63,12 @@ class InfeasiblePairList:
     def pairs(self) -> List[Tuple[int, int]]:
         return list(zip(self.a[1:-1], self.b[1:-1]))
 
-@dataclass
-class FitIndexArrays:
-    first: List[int]  # per end index: earliest start that may be feasible
+
+class FitIndexArrays(Record):
+    __slots__ = ("first",)
+
+    def __init__(self, first: List[int]):
+        self.first = first  # per end index: earliest start that may be feasible
 
 
 def build_fit_index_arrays(pairs: InfeasiblePairList, n: Optional[int] = None) -> FitIndexArrays:
@@ -127,15 +132,17 @@ def test_arcs(polyline: Sequence[Tuple[int, int]], tol) -> InfeasiblePairList:
     return InfeasiblePairList.from_pairs(_dyadic_scan(n, feasible), n)
 
 
-@dataclass
-class SegmentVerdicts:
+class SegmentVerdicts(Record):
     """What `test_segments` decided about the chords to each end vertex k:
     no chord from a start below first[k] passes the DP's segment checks,
     and verdicts[k][k - 2 - kp], for first[k] <= kp <= k - 2, is
     SEGMENT_IN, SEGMENT_OUT or SEGMENT_UNSURE for the chord from kp."""
 
-    first: List[int]
-    verdicts: List[bytes]
+    __slots__ = ("first", "verdicts")
+
+    def __init__(self, first: List[int], verdicts: List[bytes]):
+        self.first = first
+        self.verdicts = verdicts
 
     def verdict(self, kp: int, k: int) -> int:
         return self.verdicts[k][k - 2 - kp]

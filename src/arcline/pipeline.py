@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .compress import CompressedPolyline, CompressionParams, Primitive, compress
+from .compress import CompressedPolyline, CompressionParams, Primitive, _check_tolerance, compress
+from .records import Record
 
 TOLERANCE_GRID_UNITS = 1024
 
@@ -17,8 +17,7 @@ TOLERANCE_GRID_UNITS = 1024
 def choose_scale(tolerance: float) -> float:
     """Smallest power of two with tolerance * scale >= 1024: the tolerance
     keeps its resolution, and the predicates plenty of headroom."""
-    if not 0 < tolerance < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+    _check_tolerance(tolerance)
     try:
         return 2.0 ** math.ceil(math.log2(TOLERANCE_GRID_UNITS / tolerance))
     except OverflowError:
@@ -34,14 +33,35 @@ def quantize_points(points: Sequence[Tuple[float, float]], scale: float) -> List
         raise ValueError(f"coordinates times the grid scale {scale!r} overflow a float") from None
 
 
-@dataclass
-class CompressionResult:
-    primitives: List[Primitive]  # coordinates in input units
-    t_count: int
-    t_sse: float  # in input units squared
-    scale: float
-    grid: CompressedPolyline
-    source: List[Tuple[float, float]]
+class CompressionResult(Record):
+    __slots__ = ("primitives", "t_count", "t_sse", "scale", "grid", "source")
+
+    def __init__(self, primitives: List[Primitive], t_count: int, t_sse: float, scale: float,
+                 grid: CompressedPolyline, source: List[Tuple[float, float]]):
+        self.primitives = primitives  # coordinates in input units
+        self.t_count = t_count
+        self.t_sse = t_sse  # in input units squared
+        self.scale = scale
+        self.grid = grid
+        self.source = source
+
+
+def _float_vertices(points: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """`points` as pairs of floats; ValueError naming the first vertex that
+    is not a pair of real numbers whose floats are finite."""
+    out = []
+    for i, p in enumerate(points):
+        try:
+            x, y = p
+            finite = math.isfinite(x) and math.isfinite(y)
+        except OverflowError:
+            raise ValueError(f"vertex {i}: coordinate past the float range") from None
+        except (TypeError, ValueError):  # not a pair, or not of real numbers
+            raise ValueError(f"vertex {i} is not a pair of real numbers, got {p!r}") from None
+        if not finite:
+            raise ValueError(f"vertex {i}: non-finite coordinate")
+        out.append((float(x), float(y)))
+    return out
 
 
 def compress_polyline(points: Sequence[Tuple[float, float]], tolerance: float,
@@ -52,18 +72,19 @@ def compress_polyline(points: Sequence[Tuple[float, float]], tolerance: float,
     the tolerance holds exactly for the snapped points: a pinned `scale`
     makes it hold for that grid's points, however coarse.  `**params` go to
     `CompressionParams` (`penalty_segment`, `penalty_arc`, `min_arc_points`,
-    `mode`).  Raises ValueError for an empty polyline, a non-finite
-    coordinate, a `scale` or tolerance that is not positive and finite, a
+    `mode`).  Raises ValueError for an empty polyline, a vertex that is not
+    a pair of real numbers (naming its index), a non-finite coordinate, a
+    `scale` or tolerance that is not a positive and finite real number, a
     scale or coordinate past the float range or the grid, and a parameter
     `CompressionParams` rejects.
     """
     if scale is not None and not 0 < scale <= sys.float_info.max:  # its float is finite
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
-    if not all(math.isfinite(c) for p in points for c in p):
-        raise ValueError("non-finite coordinate")
+    _check_tolerance(tolerance)
+    source = _float_vertices(points)
     if scale is None:
         scale = choose_scale(tolerance)
-    grid_pts = quantize_points(points, scale)
+    grid_pts = quantize_points(source, scale)
     cp = CompressionParams(tolerance=tolerance * scale, **params)
     result = compress(grid_pts, cp)
     prims = []
@@ -82,7 +103,7 @@ def compress_polyline(points: Sequence[Tuple[float, float]], tolerance: float,
         t_sse=result.total[1] / scale / scale,  # scale * scale can underflow
         scale=scale,
         grid=result,
-        source=[tuple(map(float, p)) for p in points],
+        source=source,
     )
 
 

@@ -196,6 +196,32 @@ def test_tolerance_past_the_float_range_rejected(tol):
         compress([(0, 0), (5, 3), (9, 0)], CompressionParams(tolerance=tol))
 
 
+@pytest.mark.parametrize("tol", ["1", None, 1j], ids=["str", "None", "complex"])
+def test_tolerance_not_a_real_number_rejected(tol):
+    # a documented ValueError naming the tolerance, not a TypeError from `<`
+    with pytest.raises(ValueError, match="tolerance"):
+        CompressionParams(tolerance=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        choose_scale(tol)
+    for scale in (None, 1024.0):
+        with pytest.raises(ValueError, match="tolerance"):
+            compress_polyline([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)], tol, scale=scale)
+
+
+@pytest.mark.parametrize("vertex", [(2,), ("a", 1), (1, None), (1, 2, 3), 5, "ab", (1, 1j)],
+                         ids=repr)
+def test_vertex_not_a_pair_of_real_numbers_rejected(vertex):
+    # a ValueError that gives the vertex's index, not Python's own message
+    pts = [(0.0, 0.0), (1.0, 1.0), vertex, (3.0, 0.0)]
+    with pytest.raises(ValueError, match=r"^vertex 2 is not a pair of real numbers"):
+        compress_polyline(pts, 0.1)
+
+
+def test_vertex_past_the_float_range_rejected():
+    with pytest.raises(ValueError, match="^vertex 1: coordinate past the float range"):
+        compress_polyline([(0, 0), (10 ** 400, 0), (2, 0)], 0.1)
+
+
 @pytest.mark.parametrize("name, value", [("min_arc_points", 4.5), ("min_arc_points", math.inf),
                                          ("min_arc_points", "5"), ("penalty_arc", math.nan),
                                          ("penalty_arc", 2.5), ("penalty_segment", 2.0)])

@@ -1,5 +1,6 @@
 """`import arcline` loads the compression path only; the annulus stack and
-the random-hull generators load on first access to one of their names.
+the random-hull generators load on first access to one of their names, and
+neither the compression path nor `arcline compress` imports `dataclasses`.
 
 Each check that reads `sys.modules` runs in a fresh `python -I`
 interpreter, so what this test process has imported does not count.
@@ -21,6 +22,9 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(arcline.__file__)
 DEFERRED = {"arcline.annulus", "arcline.clipping", "arcline.delaunay", "arcline.overlaps",
             "arcline.quadedge", "arcline.radicals", "arcline.randomhull", "arcline.segments",
             "arcline.svg", "arcline.sweep", "arcline.voronoi"}
+# standard-library modules neither may load: `dataclasses` costs more to
+# import than the compression path, mostly through `inspect`
+STDLIB_DEFERRED = {"dataclasses", "inspect"}
 
 # every public name `arcline` has exported since the compression path was
 # made its only eager import
@@ -50,13 +54,14 @@ def run_fresh(code, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('arcline'))))"
+LOADED = "print(json.dumps(sorted(sys.modules)))"
 
 
 def test_import_loads_no_deferred_module():
     loaded = run_fresh("import json, arcline; " + LOADED)
     assert "arcline.compress" in loaded
     assert not DEFERRED & set(loaded)
+    assert not STDLIB_DEFERRED & set(loaded)
 
 
 def test_cli_compress_loads_no_deferred_module(tmp_path):
@@ -67,6 +72,7 @@ def test_cli_compress_loads_no_deferred_module(tmp_path):
                        + LOADED, str(path))
     assert "arcline.cli" in loaded
     assert not DEFERRED & set(loaded)
+    assert not STDLIB_DEFERRED & set(loaded)
 
 
 def test_every_exported_name_is_the_submodules_own_object():
