@@ -42,12 +42,12 @@ below the incumbent: one whose bound equals it ties it when its own SSE
 is 0.
 
 Most evaluated candidates are still infeasible, and consecutive ones share
-almost all of their range.  The scan keeps a blocker cache: for each of the
-last BLOCKER_LISTS candidates whose tolerance-interval fit came out empty,
-the points it had intersected up to that moment.  Before any O(window)
-work, a candidate intersects the bisector centre intervals, for its own
-anchors, of at most PROBE_POINTS cached points strictly inside its range,
-and is rejected when nothing is left.  The probe and `fit_arc_by_tolerance`
+almost all of their range.  The scan keeps a blocker cache: the points that
+the last candidate whose tolerance-interval fit came out empty had
+intersected up to that moment.  Before any O(window) work, a candidate
+intersects the bisector centre intervals, for its own anchors, of the
+first PROBE_POINTS cached points strictly inside its range, and is
+rejected when nothing is left.  The probe and `fit_arc_by_tolerance`
 share one loop, `arcfit._feasible_centres`: the probe computes the very
 float intervals that the fit computes for those points on the full window,
 and intersecting closed intervals does not depend on their order, so an
@@ -92,7 +92,6 @@ import math
 import numbers
 import sys
 from heapq import heappop, heappush
-from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from .arcfit import (FittedArc, _anchor_sample, _anchor_slack, _feasible_centres, _Moments,
@@ -106,7 +105,6 @@ from .sortedrange import MergeTree
 
 PenaltyPair = Tuple[int, float]
 
-BLOCKER_LISTS = 2  # rejections whose blockers the arc scan remembers
 PROBE_POINTS = 8  # cached blockers a candidate re-tests at most
 # largest grid coordinate magnitude: the fits and checks compute on floats,
 # which hold every integer up to here exactly
@@ -320,35 +318,28 @@ def compress(polyline: Sequence[Tuple[int, int]], params: CompressionParams) -> 
 
 
 class _BlockerCache:
-    """Points that blocked the arc scan's last rejections (module docstring),
+    """Points that blocked the arc scan's last rejection (module docstring),
     and the scan's counts of what `_evaluate_arc` did.
 
-    `lists` holds, newest first, the blocker lists (indices into the
-    compressor's points) of the last BLOCKER_LISTS candidates whose
-    tolerance-interval fit came out empty; `probe_rejections` counts the
-    candidates the probe rejected.
+    `blockers` holds the blockers (indices into the compressor's points,
+    distinct) of the last candidate whose tolerance-interval fit came out
+    empty; `probe_rejections` counts the candidates the probe rejected.
     """
 
     def __init__(self):
-        self.lists: List[List[int]] = []
+        self.blockers: List[int] = []
         self.probe_rejections = 0
 
     def rejects(self, pts, kp, k, tol) -> bool:
-        """True when the centre intervals of the first PROBE_POINTS distinct
-        cached points strictly inside (kp, k), for the anchors pts[kp] and
-        pts[k], have an empty intersection."""
-        probe: List[int] = []
-        for j in chain.from_iterable(self.lists):
-            if kp < j < k and j not in probe:
-                probe.append(j)
-                if len(probe) == PROBE_POINTS:
-                    break
-        return not _feasible_centres(pts[kp], pts[k], [pts[j] for j in probe], tol)[0]
+        """True when the centre intervals of the first PROBE_POINTS cached
+        points strictly inside (kp, k), for the anchors pts[kp] and pts[k],
+        have an empty intersection."""
+        probe = [pts[j] for j in self.blockers if kp < j < k][:PROBE_POINTS]
+        return not _feasible_centres(pts[kp], pts[k], probe, tol)[0]
 
     def record(self, kp: int, blocked: List[int]) -> None:
         """Remember the blockers of a window starting at kp (window indices)."""
-        self.lists.insert(0, [kp + i for i in blocked])
-        del self.lists[BLOCKER_LISTS:]
+        self.blockers = [kp + i for i in blocked]
 
 
 class _AnchoredCut:

@@ -2,10 +2,9 @@
 and the plane sweep.
 
 A segment carries the site indices of the cells it borders, kept separately
-for the two diagrams.  Regular Voronoi edges have two indices in one
-diagram; synthetic cell-closing edges carry a single index.  Overlap removal
-can merge collinear pieces from both diagrams into one segment that carries
-indices from each.
+for the two diagrams.  Voronoi edges have two indices in one diagram.
+Overlap removal can merge collinear pieces from both diagrams into one
+segment that carries indices from each.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ two presorted runs below it, concatenated and sorted (the sort finds the
 two runs and merges them, in linear time once they pass its minimum run
 length), so total merge work stays O(N log N).  `comparisons` counts the
 merged items, an upper bound on the comparisons of a plain merge of the two
-runs, plus one per cached-run test of `RangeHeap.pop_min`.
+runs.
 
 A range query decomposes into at most two runs per size class, each block
 found in O(1) from its start's lowest set bit and the length left.  The
@@ -79,15 +79,14 @@ class MergeTree:
         return min(run[0] for run in self._cover_runs(i, j))
 
     def open_range(self, i: int, j: int) -> "RangeHeap":
-        return RangeHeap(self, self._cover_runs(i, j))
+        return RangeHeap(self._cover_runs(i, j))
 
 
 class RangeHeap:
-    """Pops the stored (value, original_index) items of the subarray in
-    sorted order."""
+    """Pops the (value, original_index) items of sorted runs, such as the
+    runs that tile a subarray, in ascending order."""
 
-    def __init__(self, tree: MergeTree, runs: List[List[Item]]):
-        self.tree = tree
+    def __init__(self, runs: List[List[Item]]):
         # (head item, index of the next item, run); items are unique, so the
         # rest of an entry is never compared
         self.heap = [(run[0], 1, run) for run in runs]
@@ -105,7 +104,6 @@ class RangeHeap:
             pos = self.pos
             if pos < len(run):
                 item = run[pos]
-                self.tree.comparisons += 1
                 if not heap or item <= heap[0][0]:
                     self.pos = pos + 1
                     return item

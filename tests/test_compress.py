@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from arcline import annulus
 from arcline.arcfit import FittedArc, _Moments, fit_arc_by_tolerance, fit_arc_least_squares
-from arcline.compress import (BLOCKER_LISTS, PROBE_POINTS, CompressionParams, _BlockerCache,
-                              _evaluate_arc, compress)
+from arcline.compress import (PROBE_POINTS, CompressionParams, _BlockerCache, _evaluate_arc,
+                              compress)
 from arcline.feasibility import InfeasiblePairList
 from arcline.pipeline import archimedean_spiral, choose_scale, compress_polyline
 from arcline.voronoi import ClipConfig
@@ -569,8 +569,8 @@ def test_cost_tie_goes_to_the_larger_start_in_either_scan():
 def _probe_cases(draw):
     """A noisy integer arc or spiral window of 6-64 points inside a longer
     run of the same curve, a tolerance around the window's least-squares
-    fit, and a blocker cache filled from random points of the run and from
-    the blockers of a real interval fit."""
+    fit, and a blocker cache holding nothing, distinct random points of the
+    run or the blockers of a real interval fit."""
     n = draw(st.integers(6, 64))
     before = draw(st.integers(0, 3))
     after = draw(st.integers(0, 3))
@@ -594,8 +594,8 @@ def _probe_cases(draw):
     worst = max(abs(math.dist(p, fit.center) - fit.radius) for p in window)
     tol = max(0.5, worst * draw(st.floats(0.3, 1.5)))
     cache = _BlockerCache()
-    for _ in range(draw(st.integers(0, BLOCKER_LISTS))):
-        cache.lists.append(draw(st.lists(st.integers(0, total - 1), max_size=12)))
+    if draw(st.booleans()):
+        cache.blockers = draw(st.lists(st.integers(0, total - 1), max_size=12, unique=True))
     shift = draw(st.sampled_from((None, 0, 1, 2)))  # blockers of window[shift:]
     own = None
     if shift is not None and n - shift >= 4:
@@ -603,8 +603,8 @@ def _probe_cases(draw):
         fit_arc_by_tolerance(window[shift:], tol=tol, blockers=blocked)
         if blocked:
             own = [kp + shift + i for i in blocked]
-            cache.lists.insert(draw(st.integers(0, len(cache.lists))), own)
-            del cache.lists[BLOCKER_LISTS:]
+            if draw(st.booleans()):  # the last rejection, or an older one since replaced
+                cache.blockers = own
     return pts, kp, k, tol, cache, own if shift == 0 else None
 
 
@@ -612,13 +612,13 @@ def _probe_cases(draw):
 @given(_probe_cases())
 def test_blocker_probe_rejects_only_windows_the_interval_fit_rejects(case):
     pts, kp, k, tol, cache, own = case
-    newest = cache.lists[0] if cache.lists else None
+    newest = cache.blockers
     got = _evaluate_arc(pts, kp, k, tol, cache)
     if cache.probe_rejections:
         assert fit_arc_by_tolerance(pts[kp:k + 1], tol=tol) is None
-    if cache.lists and cache.lists[0] is not newest:
+    if cache.blockers is not newest:
         # an empty interval fit recorded its blockers as indices into pts
-        assert got is None and all(kp <= j <= k for j in cache.lists[0])
+        assert got is None and all(kp <= j <= k for j in cache.blockers)
     assert got == _evaluate_arc(pts, kp, k, tol)
     if own is not None and own is newest and len([j for j in own if kp < j < k]) <= PROBE_POINTS:
         # the blockers of this very window, tested first, empty the probe
@@ -661,6 +661,45 @@ def test_awkward_polylines_within_tolerance_and_optimal(pts, tol):
     want_total, _, _ = reference_compress(pts, tol)
     assert res.total[0] == want_total[0]
     assert abs(res.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
+
+
+@st.composite
+def _penalty_cases(draw):
+    """A random walk or a noisy circle arc of 2-22 integer vertices, a
+    tolerance, and penalties and a least arc size drawn from their small
+    values."""
+    n = draw(st.integers(2, 22))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        pts = [(0, 0)]
+        for _ in range(n - 1):
+            pts.append((pts[-1][0] + rng.randint(-20, 60), pts[-1][1] + rng.randint(-30, 30)))
+    else:
+        r = rng.randint(60, 800)
+        a0 = rng.uniform(0, 2 * math.pi)
+        step = rng.uniform(0.05, 0.4)
+        noise = rng.randint(0, 4)
+        pts = [(round(r * math.cos(a0 + step * i)) + rng.randint(-noise, noise),
+                round(r * math.sin(a0 + step * i)) + rng.randint(-noise, noise)) for i in range(n)]
+    params = CompressionParams(tolerance=draw(st.sampled_from([2, 5, 15, 40])),
+                               penalty_segment=draw(st.integers(1, 5)),
+                               penalty_arc=draw(st.integers(1, 5)),
+                               min_arc_points=draw(st.sampled_from((4, 5, 6))))
+    return pts, params
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_penalty_cases())
+def test_matches_unpruned_reference_under_any_penalties(case):
+    # the arc scan's floors, cut and probe are bounds that depend on p_arc
+    # and min_arc_points: under any penalties the pruned DP must reach the
+    # totals of the unpruned reference
+    pts, params = case
+    got = compress(pts, params)
+    want_total, _, _ = reference_compress(pts, params.tolerance, params.penalty_segment,
+                                          params.penalty_arc, params.min_arc_points)
+    assert got.total[0] == want_total[0]
+    assert abs(got.total[1] - want_total[1]) <= 1e-9 * max(1.0, abs(want_total[1]))
 
 
 def test_arc_over_600_vertices_is_one_arc():

@@ -13,8 +13,8 @@ one that changes them on purpose rewrites `golden_results.json`,
 `golden_annulus.json` and `golden_stats.json` with
 `python tests/test_golden.py` (from the repo root, `src` on the path),
 which first prints, per file, how many inputs changed in each field (in
-each counter for the stats) and the largest relative `t_sse` change, and
-says why.
+each counter for the stats), the summed total of each integer field
+before -> after, and the largest relative `t_sse` change, and says why.
 """
 
 import functools
@@ -107,7 +107,8 @@ def _relative_change(old: str, new: str) -> float:
 
 def _report(golden, results) -> str:
     """What rewriting `golden` with `results` changes: per field the number
-    of inputs whose value moves, and the largest relative `t_sse` change."""
+    of inputs whose value moves, per integer field its summed total before
+    -> after, and the largest relative `t_sse` change."""
     want = json.loads(golden.read_text()) if golden.exists() else {}
     fields = sorted({name for value in results.values() for name in value})
     counts = {name: sum(want.get(key, {}).get(name) != value[name] for key, value in results.items())
@@ -115,6 +116,12 @@ def _report(golden, results) -> str:
     moved = ", ".join(f"{name} {count}" for name, count in counts.items())
     line = (f"{golden.name}: {len(results)} inputs ({len(results.keys() - want.keys())} new, "
             f"{len(want.keys() - results.keys())} gone); changed: {moved}")
+    totals = ", ".join(f"{name} {sum(value.get(name, 0) for value in want.values())} -> "
+                       f"{sum(value[name] for value in results.values())}"
+                       for name in fields
+                       if all(type(value[name]) is int for value in results.values()))
+    if totals:
+        line += f"; totals: {totals}"
     if "t_sse" in fields:
         worst = max((_relative_change(want[key]["t_sse"], value["t_sse"])
                      for key, value in results.items() if key in want), default=0.0)

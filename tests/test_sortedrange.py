@@ -101,6 +101,13 @@ def test_amortized_heap_ops_linear():
     k = 2044
     drain(h)
     assert h.heap_ops <= 2 * k + 64
+    # ascending values come out run by run: the last-run cache pops every
+    # item after a run's head without a heap operation
+    t = MergeTree(range(2048))
+    runs = len(t._cover_runs(3, 2046))
+    h = t.open_range(3, 2046)
+    assert [v for v, _ in drain(h)] == list(range(3, 2047))
+    assert h.heap_ops == runs
 
 
 def test_range_min_is_the_smallest_item():
