@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from fractions import Fraction
 from itertools import accumulate, islice, pairwise
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -572,6 +571,8 @@ def _window_sums(points, sums):
     others as exact Fractions) and its L^2 = |b - a|^2, exact for exact
     anchors.  Non-finite coordinates raise ValueError."""
     if sums is None:
+        from fractions import Fraction  # only here: every arc the compressor fits has sums
+
         if not all(math.isfinite(c) for p in points for c in p):
             raise ValueError("non-finite coordinate")
         points = [tuple(c if isinstance(c, numbers.Rational) else Fraction(c) for c in p) for p in points]
@@ -763,6 +764,8 @@ def _within_exactly(p, c, r, t) -> bool:
     """| |p - c| - r | <= t in rationals, from the ints or floats as they
     are: (r - t)^2 <= |p - c|^2 <= (r + t)^2, the lower bound void when
     r <= t."""
+    from fractions import Fraction
+
     dx = Fraction(p[0]) - Fraction(c[0])
     dy = Fraction(p[1]) - Fraction(c[1])
     d_sq = dx * dx + dy * dy
@@ -892,6 +895,8 @@ def _turns_in_floats(points: Sequence, arc: FittedArc) -> Optional[bool]:
 def _turns_exactly(points: Sequence, centre, ccw: bool) -> bool:
     """The arc branch of `direction_and_endpoint_check` in rationals, from
     the coordinates and the float centre as they are."""
+    from fractions import Fraction
+
     cx, cy = map(Fraction, centre)
     sgn = 1 if ccw else -1
     vectors = []

@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 malformed input, 3 invalid parameters (also an
 output path that cannot be written).  Documents go to stdout; timing goes
 to stderr so output stays byte-deterministic.  `compress` runs on the
 modules `import arcline` loads; the other subcommands import the annulus
-stack, the hull generators or the SVG writer when they run.
+stack (and `fractions`), the hull generators or the SVG writer when they
+run.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .compress import CompressionParams
 from .document import (ResultDocument, fmt, read_polyline_file, render,
@@ -85,6 +85,8 @@ def cmd_compress(args) -> int:
 
 
 def cmd_annulus(args) -> int:
+    from fractions import Fraction
+
     from .annulus import min_width_annulus
     from .voronoi import ClipConfig, data_radius
 

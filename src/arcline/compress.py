@@ -100,6 +100,7 @@ from .arcfit import (FittedArc, _anchor_sample, _anchor_slack, _feasible_centres
 from .feasibility import (SEGMENT_OUT, SEGMENT_UNSURE, build_fit_index_arrays, test_arcs,
                           test_segments)
 from .hulltree import HullTree
+from .predicates import exact_ratio
 from .records import Record
 from .sortedrange import MergeTree
 
@@ -109,6 +110,7 @@ PROBE_POINTS = 8  # cached blockers a candidate re-tests at most
 # largest grid coordinate magnitude: the fits and checks compute on floats,
 # which hold every integer up to here exactly
 MAX_GRID_COORD = 2 ** 53
+_FLOAT_MAX = int(sys.float_info.max)  # the largest finite float, exactly
 
 
 class CompressionParams(Record):
@@ -126,10 +128,28 @@ class CompressionParams(Record):
 
 
 def _check_tolerance(tolerance):
-    """`tolerance` when it is a positive real number whose float is finite."""
-    if not (isinstance(tolerance, numbers.Real) and 0 < tolerance <= sys.float_info.max):
+    """`tolerance` when it is a positive real number whose float is finite,
+    as a Python number of its value: Integrals (numpy's too) as ints, other
+    Rationals as they are, and floats of any width as floats (a Fraction
+    where a float would round).  The bounds are tested on its exact ratio
+    (`predicates.exact_ratio`), so a numpy scalar is never cast to meet the
+    float range's limit."""
+    try:
+        num, den = exact_ratio(tolerance) if isinstance(tolerance, numbers.Real) else (0, 1)
+    except (OverflowError, ValueError, AttributeError):  # inf, NaN or no exact ratio
+        num, den = 0, 1
+    if not 0 < num <= _FLOAT_MAX * den:
         raise ValueError(f"tolerance must be a positive, finite real number, got {tolerance!r}")
-    return tolerance
+    if isinstance(tolerance, numbers.Integral):
+        return int(tolerance)
+    if isinstance(tolerance, numbers.Rational):
+        return tolerance
+    f = num / den
+    if f.as_integer_ratio() == (num, den):
+        return f
+    from fractions import Fraction
+
+    return Fraction(num, den)
 
 
 def _int_param(name: str, value, least: int) -> int:

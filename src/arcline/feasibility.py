@@ -17,13 +17,12 @@ unsure, stopping where no direction is left (`test_segments`).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import asin, atan2, remainder
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .arcfit import ANCHOR_MARGIN as MARGIN
 from .arcfit import arc_exists_within_tolerance
-from .predicates import _TINY, EPS
+from .predicates import _TINY, EPS, exact_ratio
 from .records import Record
 
 # the verdicts of `test_segments` on a chord
@@ -186,7 +185,8 @@ def test_segments(polyline: Sequence[Tuple[int, int]], tol) -> SegmentVerdicts:
     coincident anchor may still pass, so the walk goes on.
 
     The floats.  The within-tol test is exact (a float filter, then
-    integers).  Each angle is the atan2 of the floats of an integer vector
+    integers on tol's exact ratio, `predicates.exact_ratio`).  Each angle
+    is the atan2 of the floats of an integer vector
     (within EPS of its direction, plus atan2's ulp), moved by
     `math.remainder` to the copy nearest an interval's midpoint (exact for
     the float period, whose rounding times at most 3 adds below 20*EPS),
@@ -215,8 +215,8 @@ def test_segments(polyline: Sequence[Tuple[int, int]], tol) -> SegmentVerdicts:
     """
     n = len(polyline)
     t = float(tol)
-    exact = Fraction(tol)
-    num_sq, den_sq = exact.numerator ** 2, exact.denominator ** 2
+    num, den = exact_ratio(tol)
+    num_sq, den_sq = num ** 2, den ** 2
     near_lo = t * t * (1 - 8 * EPS) - _TINY  # a float |q|^2 below is within tol
     near_hi = t * t * (1 + 8 * EPS) + _TINY  # and above, beyond it
     xs = [p[0] for p in polyline]

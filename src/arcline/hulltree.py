@@ -14,11 +14,10 @@ The class keeps its name, though it holds no tree, because it is public
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import List, Sequence, Tuple
 
-from .predicates import dist_sq, orientation
+from .predicates import dist_sq, exact_ratio, orientation
 
 
 def _hull_chains(sorted_pts: Sequence[Tuple]):
@@ -64,11 +63,12 @@ class HullTree:
     def segment_within_tolerance(self, i: int, j: int, seg_start, seg_end, tol) -> bool:
         """All vertices in [i, j] within tol of the supporting line of the
         segment (of seg_start when the two ends coincide), and the range
-        endpoints within tol of the segment's ends."""
+        endpoints within tol of the segment's ends.  tol is read once as
+        an exact ratio of Python ints (`predicates.exact_ratio`)."""
         pts = self._range(i, j)
         # d > tol^2 with tol = num/den is d * den^2 > num^2: integers only
-        t = Fraction(tol)
-        num_sq, den_sq = t.numerator ** 2, t.denominator ** 2
+        num, den = exact_ratio(tol)
+        num_sq, den_sq = num ** 2, den ** 2
         if dist_sq(pts[0], seg_start) * den_sq > num_sq:
             return False
         if dist_sq(pts[-1], seg_end) * den_sq > num_sq:

@@ -17,7 +17,7 @@ TOLERANCE_GRID_UNITS = 1024
 def choose_scale(tolerance: float) -> float:
     """Smallest power of two with tolerance * scale >= 1024: the tolerance
     keeps its resolution, and the predicates plenty of headroom."""
-    _check_tolerance(tolerance)
+    tolerance = _check_tolerance(tolerance)
     try:
         return 2.0 ** math.ceil(math.log2(TOLERANCE_GRID_UNITS / tolerance))
     except OverflowError:
@@ -80,7 +80,7 @@ def compress_polyline(points: Sequence[Tuple[float, float]], tolerance: float,
     """
     if scale is not None and not 0 < scale <= sys.float_info.max:  # its float is finite
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
-    _check_tolerance(tolerance)
+    tolerance = _check_tolerance(tolerance)
     source = _float_vertices(points)
     if scale is None:
         scale = choose_scale(tolerance)

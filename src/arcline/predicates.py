@@ -76,6 +76,18 @@ def common_denominator(values: list) -> Tuple[int, list]:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
+def exact_ratio(v) -> Tuple[int, int]:
+    """(num, den), Python ints with v = num/den exactly and den > 0: from
+    `as_integer_ratio()` where v has it (ints, floats, Fractions, numpy
+    floats), else from its numerator and denominator (other Rationals,
+    such as numpy ints).  Lets a tolerance's exact tests run in integers
+    without building a Fraction.  Infinities raise OverflowError, NaN
+    ValueError."""
+    ratio = getattr(v, "as_integer_ratio", None)
+    num, den = ratio() if ratio is not None else (v.numerator, v.denominator)
+    return int(num), int(den)
+
+
 def dist_sq(a: Point, b: Point):
     dx = a[0] - b[0]
     dy = a[1] - b[1]

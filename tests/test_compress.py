@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ from arcline.arcfit import FittedArc, _Moments, fit_arc_by_tolerance, fit_arc_le
 from arcline.compress import (PROBE_POINTS, CompressionParams, _BlockerCache, _evaluate_arc,
                               compress)
 from arcline.feasibility import InfeasiblePairList
-from arcline.pipeline import archimedean_spiral, choose_scale, compress_polyline
+from arcline.feasibility import test_segments as scan_segments
+from arcline.hulltree import HullTree
+from arcline.pipeline import archimedean_spiral, choose_scale, compress_polyline, quantize_points
 from arcline.voronoi import ClipConfig
 
 from reference_dp import reference_compress
@@ -239,6 +242,43 @@ def test_integral_params_are_stored_as_ints():
     spiral = archimedean_spiral(1, 2, 0.2)
     assert (compress_polyline(spiral, 0.1, min_arc_points=np.int64(5)).t_count
             == compress_polyline(spiral, 0.1, min_arc_points=5).t_count)
+
+
+@pytest.mark.parametrize("kind", ["float32", "float64", "int64", "int", "float", "Fraction",
+                                  "longdouble"])
+def test_tolerance_of_any_real_type_gives_the_equal_python_numbers_results(kind):
+    # numpy scalars are read through their exact ratio: no TypeError from
+    # Fraction(numpy.float32), no OverflowError from numpy.int64 times a
+    # big int, and no overflow warning from comparing with the float limit;
+    # a long double that no float holds becomes the equal Fraction
+    numpy = pytest.importorskip("numpy")
+    if kind == "longdouble" and numpy.finfo(numpy.longdouble).nmant < 60:
+        pytest.skip("numpy.longdouble is no wider than a float here")
+    value = {"float32": 0.75, "float64": 0.3, "int64": 2, "int": 2, "float": 0.3,
+             "Fraction": Fraction(3, 4), "longdouble": 1 + Fraction(1, 2 ** 60)}[kind]
+    tol = {"float32": numpy.float32, "float64": numpy.float64, "int64": numpy.int64,
+           "int": int, "float": float, "Fraction": Fraction,
+           "longdouble": lambda v: numpy.longdouble(1) + numpy.longdouble(2) ** -60}[kind](value)
+    spiral = archimedean_spiral(3, 2, 0.5)
+    grid = quantize_points(spiral, 2.0)
+    # a chord 5 * 2^39 long, its middle vertex 0, 5 or 10 off the line
+    far = (3 * 2 ** 39, 4 * 2 ** 39)
+    trees = [HullTree([(0, 0), (3 * 2 ** 38 - 4 * k, 4 * 2 ** 38 + 3 * k), far]) for k in (0, 1, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = compress(grid, CompressionParams(tolerance=tol))
+        want = compress(grid, CompressionParams(tolerance=value))
+        assert (got.primitives, got.total, got.stats) == (want.primitives, want.total, want.stats)
+        assert scan_segments(grid, tol).verdicts == scan_segments(grid, value).verdicts
+        got = compress_polyline(spiral, tol)
+        want = compress_polyline(spiral, value)
+        assert got.primitives == want.primitives and got.t_sse == want.t_sse
+        assert got.scale == want.scale == choose_scale(tol)
+        assert len(want.primitives) > 1
+        assert ([t.segment_within_tolerance(0, 2, (0, 0), far, tol * 3) for t in trees]
+                == [t.segment_within_tolerance(0, 2, (0, 0), far, value * 3) for t in trees])
+    stored = CompressionParams(tolerance=tol).tolerance
+    assert stored == value and type(stored) is type(value)
 
 
 @pytest.mark.parametrize("scale", [0, -1.0, math.nan, math.inf,

@@ -1,6 +1,8 @@
 """`import arcline` loads the compression path only; the annulus stack and
 the random-hull generators load on first access to one of their names, and
-neither the compression path nor `arcline compress` imports `dataclasses`.
+neither the compression path nor `arcline compress` imports `dataclasses`
+or `fractions`, not even to compress an input whose float filters decide
+every check.
 
 Each check that reads `sys.modules` runs in a fresh `python -I`
 interpreter, so what this test process has imported does not count.
@@ -8,6 +10,7 @@ interpreter, so what this test process has imported does not count.
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -23,8 +26,9 @@ DEFERRED = {"arcline.annulus", "arcline.clipping", "arcline.delaunay", "arcline.
             "arcline.quadedge", "arcline.radicals", "arcline.randomhull", "arcline.segments",
             "arcline.svg", "arcline.sweep", "arcline.voronoi"}
 # standard-library modules neither may load: `dataclasses` costs more to
-# import than the compression path, mostly through `inspect`
-STDLIB_DEFERRED = {"dataclasses", "inspect"}
+# import than the compression path, mostly through `inspect`, and
+# `fractions` (with `decimal`) serves only the exact fallbacks
+STDLIB_DEFERRED = {"dataclasses", "inspect", "fractions", "decimal"}
 
 # every public name `arcline` has exported since the compression path was
 # made its only eager import
@@ -71,6 +75,23 @@ def test_cli_compress_loads_no_deferred_module(tmp_path):
                        "assert cli.main(['compress', sys.argv[2], '--tolerance', '0.1']) == 0; "
                        + LOADED, str(path))
     assert "arcline.cli" in loaded
+    assert not DEFERRED & set(loaded)
+    assert not STDLIB_DEFERRED & set(loaded)
+
+
+def test_compressing_in_floats_loads_no_deferred_module():
+    # a spiral and a noisy walk, whose every check the float filters decide:
+    # the rational fallbacks, and `fractions` with them, stay unloaded
+    rng = random.Random(7)
+    walk = [(0.0, 0.0)]
+    for _ in range(150):
+        walk.append((walk[-1][0] + rng.uniform(0.2, 1.0), walk[-1][1] + rng.uniform(-0.5, 0.5)))
+    loaded, counts = run_fresh(
+        "import json, arcline\n"
+        "counts = [arcline.compress_polyline(arcline.archimedean_spiral(1, 4, 0.1), 0.1).t_count,\n"
+        "          arcline.compress_polyline(json.loads(sys.argv[2]), 0.2).t_count]\n"
+        "print(json.dumps([sorted(sys.modules), counts]))", json.dumps(walk))
+    assert "arcline.compress" in loaded and min(counts) > 2
     assert not DEFERRED & set(loaded)
     assert not STDLIB_DEFERRED & set(loaded)
 
